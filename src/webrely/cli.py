@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 import time
 from dataclasses import replace
@@ -48,7 +47,13 @@ from .simulator import (
     write_trace_csv,
 )
 from .stats import AnomalyPolicy, compare_models, weibull_pdf
-from .stats.serialize import comparison_to_dict, load_samples_csv, load_samples_text
+from .stats.serialize import (
+    comparison_to_dict,
+    dump_json,
+    load_samples_csv,
+    load_samples_text,
+    read_json,
+)
 
 EXIT_CODES: dict[type, int] = {
     errors.EmptySample: 3,
@@ -59,7 +64,6 @@ EXIT_CODES: dict[type, int] = {
     errors.AuthFailed: 6,
     errors.MissingPhase: 7,
     errors.RecordParseError: 8,
-    errors.MalformedLog: 8,
     errors.AllDiscarded: 9,
     errors.InsufficientData: 10,
     errors.LockHeld: 11,
@@ -161,8 +165,7 @@ def cmd_crawl(args) -> int:
     profiles = default_profiles()
     model = crawl_site(args.target, _auth_from_profiles(profiles), limits)
     out = Path(args.out) if args.out else Path(args.project_dir) / "models" / "site_model.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(model.to_dict(), indent=2, sort_keys=True) + "\n")
+    dump_json(model.to_dict(), out)
     print(f"{len(model.nodes)} nodes, {len(model.edges)} edges -> {out}")
     if model.truncated:
         print("note: crawl limits were hit; the model is truncated")
@@ -194,14 +197,11 @@ def cmd_evaluate(args) -> int:
 
     with project.lock():
         if args.model:
-            model = SiteModel.from_dict(json.loads(Path(args.model).read_text()))
+            model = SiteModel.from_dict(read_json(args.model))
         else:
             model = crawl_site(args.target, _auth_from_profiles(campaign.profiles), limits)
         phase_dir = project.phase_dir(args.label)
-        phase_dir.mkdir(parents=True, exist_ok=True)
-        (phase_dir / "model.json").write_text(
-            json.dumps(model.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        dump_json(model.to_dict(), phase_dir / "model.json")
         samples = run_live_campaign(
             args.target, model, campaign, phase_dir / "logs", source_label=args.label
         )
@@ -232,10 +232,9 @@ def cmd_psp(args) -> int:
         records = load_records(args.records)
         report = trend_report(records)
         directory = project.psp_dir(args.label)
-        directory.mkdir(parents=True, exist_ok=True)
         doc = {"command": "psp", "label": args.label, "records": Path(args.records).name}
         doc.update(report.to_dict())
-        (directory / "trend.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        dump_json(doc, directory / "trend.json")
         for metric in report.series:
             (directory / f"{metric}.csv").write_text(trend_series_csv(report, metric))
     slopes = ", ".join(
@@ -294,7 +293,6 @@ def cmd_compare(args) -> int:
         fit_b = project.load_fit(args.label_b)
         report = compare_models(fit_a.model, fit_b.model)
         directory = project.compare_dir(args.label_a, args.label_b)
-        directory.mkdir(parents=True, exist_ok=True)
         doc = comparison_to_dict(report, args.label_a, args.label_b)
         if report.verdict == "equal":
             doc["improvement"] = "equal"
@@ -302,7 +300,7 @@ def cmd_compare(args) -> int:
             doc["improvement"] = "improved"
         else:
             doc["improvement"] = "worsened"
-        (directory / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        dump_json(doc, directory / "report.json")
         (directory / "curves.csv").write_text(_curves_csv(fit_a.model, fit_b.model))
     print(
         f"{args.label_a}: mean {report.mean_a:.4f}  {args.label_b}: mean {report.mean_b:.4f}  "

@@ -48,16 +48,6 @@ class TargetDown(WebrelyError):
     """The evaluation target stopped answering; partial logs are preserved."""
 
 
-class MalformedLog(WebrelyError):
-    """An activity log line could not be parsed."""
-
-    def __init__(self, path: str, line_number: int, reason: str):
-        self.path = path
-        self.line_number = line_number
-        self.reason = reason
-        super().__init__(f"{path}:{line_number}: {reason}")
-
-
 class MissingPhase(WebrelyError):
     """A comparison referenced a phase label with no persisted fit report."""
 

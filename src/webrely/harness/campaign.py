@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -10,7 +9,8 @@ from pathlib import Path
 
 from ..errors import TargetDown
 from ..stats import DefectSampleSet, DiscardRecord
-from .analyzer import ErrorLog, analyze_logs
+from ..stats.serialize import dump_json
+from .analyzer import analyze_logs
 from .cases import TestProfile, default_profiles, generate_test_cases
 from .model import SiteModel
 from .runner import HarnessConfig, run_evaluation
@@ -75,13 +75,6 @@ def run_campaign(
                 "round %d had %d nav errors; its density counts only the steps that ran",
                 index, error_log.nav_errors,
             )
-        _write_round_summary(error_log, round_dir)
+        dump_json(error_log.to_dict(), round_dir / "error_log.json")
         values.append(float(error_log.defect_density))
     return DefectSampleSet(tuple(values), tuple(discarded), source_label)
-
-
-def _write_round_summary(error_log: ErrorLog, round_dir: Path) -> None:
-    round_dir.mkdir(parents=True, exist_ok=True)
-    (round_dir / "error_log.json").write_text(
-        json.dumps(error_log.to_dict(), indent=2, sort_keys=True) + "\n"
-    )

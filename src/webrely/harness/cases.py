@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import EmptyModel
+from ..stats.serialize import dump_json, read_json
 from .crawler import Credentials
 from .model import Node, SiteModel
 
@@ -91,17 +91,6 @@ class TestCase:
     steps: tuple[Step, ...]
 
 
-def _weighted_choice(rng: random.Random, weighted: list[tuple[str, float]]) -> str:
-    total = sum(w for _, w in weighted)
-    u = rng.random() * total
-    acc = 0.0
-    for value, w in weighted:
-        acc += w
-        if u < acc:
-            return value
-    return weighted[-1][0]
-
-
 def _step_data(rng: random.Random, node: Node, action: str) -> dict:
     data = {}
     for form in node.forms:
@@ -116,14 +105,10 @@ def _step_data(rng: random.Random, node: Node, action: str) -> dict:
 
 
 def _choose_action(rng: random.Random, node: Node, profile: TestProfile) -> str:
-    usable = [
-        (a, profile.action_mix[a])
-        for a in profile.permitted()
-        if a in node.actions
-    ]
+    usable = [a for a in profile.permitted() if a in node.actions]
     if not usable:
         return "read"
-    return _weighted_choice(rng, usable)
+    return rng.choices(usable, [profile.action_mix[a] for a in usable])[0]
 
 
 def generate_test_cases(
@@ -177,11 +162,10 @@ def save_cases(cases: list[TestCase], path: str | Path) -> None:
         }
         for c in cases
     ]
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    dump_json(doc, path)
 
 
 def load_cases(path: str | Path) -> list[TestCase]:
-    doc = json.loads(Path(path).read_text())
     return [
         TestCase(
             id=c["id"],
@@ -189,5 +173,5 @@ def load_cases(path: str | Path) -> list[TestCase]:
             seed=int(c["seed"]),
             steps=tuple(Step(s["node"], s["action"], dict(s["data"])) for s in c["steps"]),
         )
-        for c in doc
+        for c in read_json(path)
     ]

@@ -19,7 +19,7 @@ import requests
 from ..errors import AuthFailed, Unreachable
 from .model import FormSpec, Node, SiteModel, node_id
 
-__all__ = ["Credentials", "CrawlLimits", "crawl_site"]
+__all__ = ["Credentials", "CrawlLimits", "crawl_site", "post_login"]
 
 log = logging.getLogger(__name__)
 
@@ -88,15 +88,23 @@ class _PageScan(HTMLParser):
             self._form = None
 
 
+def post_login(
+    session: requests.Session, root: str, view: str, creds: Credentials, timeout: float
+) -> requests.Response:
+    """POST the login form without following its redirect, so the landing
+    page's own health stays a separate observation from the login."""
+    return session.post(
+        urljoin(root, creds.login_path),
+        data={"view": view, "username": creds.username, "password": creds.password},
+        allow_redirects=False,
+        timeout=timeout,
+    )
+
+
 def _login(session: requests.Session, root: str, view: str, creds: Credentials) -> str:
-    """POST the login form; returns the entry path the target redirects to."""
+    """Log in; returns the entry path the target redirects to."""
     try:
-        response = session.post(
-            urljoin(root, creds.login_path),
-            data={"view": view, "username": creds.username, "password": creds.password},
-            allow_redirects=False,
-            timeout=10,
-        )
+        response = post_login(session, root, view, creds, timeout=10)
     except requests.RequestException as exc:
         raise Unreachable(f"login for view {view!r} failed to connect: {exc}") from exc
     if response.status_code not in (200, 302, 303):

@@ -19,12 +19,13 @@ so testers that start together are queued by the kernel, never refused.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
+
+from ..stats.serialize import read_json
 
 FAULT_MARKER = "##FAULT-MARKER##"
 FAULT_BEHAVIORS = ("http-500", "error-marker", "missing-marker")
@@ -50,8 +51,7 @@ class SeededFault:
 
 def load_fault_table(path: str | Path) -> list[SeededFault]:
     """Fault file: JSON list of {"path", "action", "behavior"} objects."""
-    doc = json.loads(Path(path).read_text())
-    return [SeededFault(f["path"], f["action"], f["behavior"]) for f in doc]
+    return [SeededFault(f["path"], f["action"], f["behavior"]) for f in read_json(path)]
 
 
 def _to_int(value: str | None) -> int:
@@ -160,8 +160,8 @@ class _Handler(BaseHTTPRequestHandler):
         if not expected or (form.get("username"), form.get("password")) != expected:
             self._deny()
             return
-        token = f"{view}-{len(self.state.sessions)}"
         with self.state.lock:
+            token = f"{view}-{len(self.state.sessions)}"
             self.state.sessions[token] = view
         self._send(
             302,

@@ -21,7 +21,7 @@ import requests
 
 from ..errors import TargetDown
 from .cases import TestCase, TestProfile
-from .crawler import Credentials
+from .crawler import Credentials, post_login
 from .mock import FAULT_MARKER
 
 __all__ = ["HarnessConfig", "run_evaluation", "META_ACTIONS"]
@@ -94,14 +94,7 @@ def _execute_step(session: requests.Session, target: str, step, cfg: HarnessConf
 def _login(session: requests.Session, target: str, view: str, creds: Credentials,
            cfg: HarnessConfig) -> bool:
     try:
-        # don't follow the redirect: the landing page's own health is a
-        # separate observation and must not mask a successful login
-        response = session.post(
-            urljoin(target, creds.login_path),
-            data={"view": view, "username": creds.username, "password": creds.password},
-            allow_redirects=False,
-            timeout=cfg.request_timeout_s,
-        )
+        response = post_login(session, target, view, creds, cfg.request_timeout_s)
     except requests.RequestException:
         return False
     return response.status_code < 400

@@ -15,7 +15,6 @@ same command over the same inputs rewrites identical bytes.
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -31,9 +30,11 @@ from .stats import (
     goodness_of_fit,
 )
 from .stats.serialize import (
+    dump_json,
     fit_report_from_dict,
     fit_report_to_dict,
     histogram_to_csv,
+    read_json,
     sample_set_to_dict,
     save_samples_text,
 )
@@ -88,11 +89,6 @@ class EiProject:
 
     # --- artifacts ----------------------------------------------------------
 
-    @staticmethod
-    def _write_json(path: Path, doc: dict) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
     def persist_phase(
         self,
         label: str,
@@ -111,12 +107,11 @@ class EiProject:
         sample artifacts together with a fit_error.json describing why.
         """
         directory = self.phase_dir(label)
-        directory.mkdir(parents=True, exist_ok=True)
-        self._write_json(directory / "config.json", config_doc)
+        dump_json(config_doc, directory / "config.json")
 
         cleaned = apply_policy(raw_samples, policy)
         save_samples_text(cleaned, directory / "samples.txt")
-        self._write_json(directory / "sample_set.json", sample_set_to_dict(cleaned))
+        dump_json(sample_set_to_dict(cleaned), directory / "sample_set.json")
 
         fit = None
         fit_error = None
@@ -133,17 +128,15 @@ class EiProject:
                 fit = fit.with_gof(gof)
             except Exception as exc:  # gof failure must not void the fit
                 fit_error = f"goodness-of-fit skipped: {type(exc).__name__}: {exc}"
-            self._write_json(directory / "fit.json", fit_report_to_dict(fit))
+            dump_json(fit_report_to_dict(fit), directory / "fit.json")
             if fit_error:
-                self._write_json(
-                    directory / "fit_error.json",
+                dump_json(
                     {"stage": "goodness-of-fit", "error": fit_error},
+                    directory / "fit_error.json",
                 )
         except Exception as exc:
             fit_error = f"{type(exc).__name__}: {exc}"
-            self._write_json(
-                directory / "fit_error.json", {"stage": "fit", "error": fit_error}
-            )
+            dump_json({"stage": "fit", "error": fit_error}, directory / "fit_error.json")
             raise
         return PhaseResult(cleaned, fit, fit_error)
 
@@ -151,4 +144,4 @@ class EiProject:
         path = self.phase_dir(label) / "fit.json"
         if not path.exists():
             raise MissingPhase(f"phase {label!r} has no fit report at {path}")
-        return fit_report_from_dict(json.loads(path.read_text()))
+        return fit_report_from_dict(read_json(path))

@@ -1,31 +1,14 @@
 """Discrete-event simulation of the system under ideal conditions."""
 
 from .campaign import run_campaign, run_campaign_detailed, write_trace_csv
-from .config import SimConfig, load_sim_config, sim_config_from_kv, sim_config_to_dict
-from .engine import (
-    RunResult,
-    SimState,
-    UserRef,
-    add_departure,
-    admit_decision,
-    arrive,
-    departure,
-    init_run,
-    run_single,
-    stream_for_run,
-)
+from .config import SimConfig, sim_config_from_kv, sim_config_to_dict
+from .engine import admit_decision, arrive, init_run, run_single, stream_for_run
 
 __all__ = [
-    "RunResult",
     "SimConfig",
-    "SimState",
-    "UserRef",
-    "add_departure",
     "admit_decision",
     "arrive",
-    "departure",
     "init_run",
-    "load_sim_config",
     "run_campaign",
     "run_campaign_detailed",
     "run_single",

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field
 
 VIEWS = ("professor", "student", "public")
 
@@ -74,25 +73,5 @@ def sim_config_from_kv(pairs: dict[str, str]) -> SimConfig:
     )
 
 
-def load_sim_config(path: str | Path) -> SimConfig:
-    from ..kvconfig import parse_kv
-
-    pairs = parse_kv(path)
-    cfg = sim_config_from_kv(pairs)
-    if pairs:
-        raise ValueError(f"{path}: unknown keys {sorted(pairs)}")
-    return cfg
-
-
 def sim_config_to_dict(cfg: SimConfig) -> dict:
-    return {
-        "interarrival_mean": cfg.interarrival_mean,
-        "service_mean": cfg.service_mean,
-        "service_std": cfg.service_std,
-        "capacity": cfg.capacity,
-        "events_per_run": cfg.events_per_run,
-        "runs": cfg.runs,
-        "fault_probability": cfg.fault_probability,
-        "seed": cfg.seed,
-        "view_mix": dict(cfg.view_mix),
-    }
+    return asdict(cfg)

@@ -1,11 +1,11 @@
 """Deterministic single-run event loop for the ideal-conditions model.
 
-Users arrive with exponential gaps, are admitted when the server has spare
-capacity AND an independent uniform draw clears the 1/(n+1) rule for the
-current queue size n, then hold a normally distributed service time.  An
-admitted user either departs normally or, with the configured fault
-probability, exits early at a uniform point inside its service interval,
-counting one error.
+Users arrive with exponential gaps and arrive applies admit_decision: a
+user is admitted when the server has spare capacity AND an independent
+uniform draw clears the 1/(n+1) rule for the current queue size n.  An
+admitted user holds a normally distributed service time and either
+departs normally or, with the configured fault probability, exits early
+at a uniform point inside its service interval, counting one error.
 
 Replayability: every run owns a private RNG stream derived from
 (seed, run_index) and draws in a fixed documented order per arrival:
@@ -45,12 +45,6 @@ def admit_decision(queue_size: int, capacity: int, rng: random.Random) -> bool:
 
 
 @dataclass
-class UserRef:
-    uid: int
-    view: str
-
-
-@dataclass
 class SimState:
     rng: random.Random
     clock: float = 0.0
@@ -60,17 +54,11 @@ class SimState:
     arrivals_scheduled: int = 0
     arrivals_processed: int = 0
     admitted: int = 0
-    rejected_capacity: int = 0
-    rejected_balked: int = 0
+    rejected: int = 0
     departed: int = 0
     errors: int = 0
     truncated_services: int = 0
     view_counts: dict = field(default_factory=dict)
-    next_uid: int = 0
-
-    @property
-    def rejected(self) -> int:
-        return self.rejected_capacity + self.rejected_balked
 
     def schedule(self, when: float, kind: str, payload=None) -> None:
         heapq.heappush(self.events, (when, self.seq, kind, payload))
@@ -98,30 +86,26 @@ def _choose_view(state: SimState, cfg: SimConfig) -> str:
 
 
 def arrive(state: SimState, cfg: SimConfig) -> SimState:
-    """Process one arrival: schedule the next one, run the admission gates,
-    and hand admitted users to add_departure."""
+    """Process one arrival: schedule the next one, apply admit_decision, and
+    hand admitted users to add_departure."""
     state.arrivals_processed += 1
     if state.arrivals_scheduled < cfg.events_per_run:
         gap = state.rng.expovariate(1.0 / cfg.interarrival_mean)
         state.schedule(state.clock + gap, ARRIVAL)
         state.arrivals_scheduled += 1
 
-    if state.queue_size >= cfg.capacity:
-        state.rejected_capacity += 1
-        return state
-    if not state.rng.random() < 1.0 / (state.queue_size + 1):
-        state.rejected_balked += 1
+    if not admit_decision(state.queue_size, cfg.capacity, state.rng):
+        state.rejected += 1
         return state
 
-    user = UserRef(uid=state.next_uid, view=_choose_view(state, cfg))
-    state.next_uid += 1
+    view = _choose_view(state, cfg)
     state.queue_size += 1
     state.admitted += 1
-    state.view_counts[user.view] = state.view_counts.get(user.view, 0) + 1
-    return add_departure(state, cfg, user)
+    state.view_counts[view] = state.view_counts.get(view, 0) + 1
+    return add_departure(state, cfg, view)
 
 
-def add_departure(state: SimState, cfg: SimConfig, user: UserRef) -> SimState:
+def add_departure(state: SimState, cfg: SimConfig, view: str) -> SimState:
     """Draw the service time and schedule either the normal departure or an
     early error exit at a uniform point inside the service interval."""
     t = state.rng.normalvariate(cfg.service_mean, cfg.service_std)
@@ -132,9 +116,9 @@ def add_departure(state: SimState, cfg: SimConfig, user: UserRef) -> SimState:
     at = state.rng.random() * t  # consumed even without a fault: keeps
     # streams aligned across fault_probability settings
     if faulted:
-        state.schedule(state.clock + at, ERROR_EXIT, user)
+        state.schedule(state.clock + at, ERROR_EXIT, view)
     else:
-        state.schedule(state.clock + t, DEPARTURE, user)
+        state.schedule(state.clock + t, DEPARTURE, view)
     return state
 
 
@@ -167,7 +151,7 @@ def run_single(cfg: SimConfig, run_index: int, trace=None) -> RunResult:
         return RunResult(0, 0, 0, 0.0)
     state = init_run(cfg, run_index)
     while state.events:
-        when, _, kind, payload = heapq.heappop(state.events)
+        when, _, kind, _ = heapq.heappop(state.events)
         if when < state.clock:
             raise InvariantBreach("event time went backwards")
         state.clock = when

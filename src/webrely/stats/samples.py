@@ -176,9 +176,6 @@ class Histogram:
             out.append(self.bins[-1][0] + self.bin_width)
         return out
 
-    def to_csv_rows(self) -> list[tuple[float, int]]:
-        return [(lower, count) for lower, count in self.bins]
-
 
 def build_histogram(samples: DefectSampleSet, bin_width: float = 1.0, origin: float = 0.0) -> Histogram:
     """Bin retained values at floor((x - origin) / bin_width).

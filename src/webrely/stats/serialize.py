@@ -2,7 +2,8 @@
 
 Samples travel as one-value-per-line text (blank lines and # comments
 ignored) or as a named CSV column.  Reports serialize to JSON with the
-field names documented in the README; histograms export as
+field names documented in the README, and every JSON artifact goes
+through dump_json and read_json; histograms export as
 lower_edge,count CSV for external plotting.
 """
 
@@ -29,6 +30,8 @@ __all__ = [
     "fit_report_from_dict",
     "comparison_to_dict",
     "histogram_to_csv",
+    "dump_json",
+    "read_json",
 ]
 
 
@@ -147,14 +150,17 @@ def histogram_to_csv(hist: Histogram) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["lower_edge", "count"])
-    for lower, count in hist.to_csv_rows():
+    for lower, count in hist.bins:
         writer.writerow([f"{lower:g}", count])
     return buf.getvalue()
 
 
-def dump_json(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def dump_json(doc: dict | list, path: str | Path) -> None:
+    """The one artifact JSON format: two-space indent, sorted keys, final newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(path: str | Path) -> dict:
+def read_json(path: str | Path) -> dict | list:
     return json.loads(Path(path).read_text())

@@ -321,6 +321,35 @@ def test_compare_uses_only_persisted_artifacts(tmp_path):
     assert (project / "compare/ideal__vs__real/report.json").read_bytes() == before
 
 
+def test_every_json_artifact_has_one_format(tmp_path, fixed_sample):
+    project = tmp_path / "proj"
+    sim_cfg = write(tmp_path / "sim.cfg", SIM_CFG)
+    samples = write(tmp_path / "s.txt", "".join(f"{v}\n" for v in fixed_sample.values))
+    eval_cfg = write(tmp_path / "eval.cfg", RICH_EVAL_CFG)
+    faults = [
+        SeededFault("/student/profile", "update", "error-marker"),
+        SeededFault("/professor/students", "update", "http-500"),
+        SeededFault("/professor/courses", "insert", "http-500"),
+        SeededFault("/student/courses", "insert", "error-marker"),
+    ]
+    assert run_cli("--project-dir", project, "simulate", "--config", sim_cfg) == 0
+    assert run_cli("--project-dir", project, "fit", "--samples", samples, "--label", "x") == 0
+    assert run_cli("--project-dir", project, "compare", "ideal", "x") == 0
+    assert run_cli("--project-dir", project, "psp", "--records", DATA / "psp_records.csv") == 0
+    with MockTarget(faults) as target:
+        assert run_cli("--project-dir", project, "crawl", "--target", target.base_url) == 0
+        assert run_cli("--project-dir", project, "evaluate",
+                       "--target", target.base_url, "--config", eval_cfg) == 0
+    written = sorted(project.rglob("*.json"))
+    assert {p.name for p in written} == {
+        "config.json", "sample_set.json", "fit.json", "report.json", "trend.json",
+        "site_model.json", "model.json", "error_log.json", "fit_error.json",
+    }
+    for path in written:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
+
+
 def test_lock_blocks_second_command(tmp_path):
     project = tmp_path / "proj"
     project.mkdir()

@@ -1,4 +1,6 @@
 import socket
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import urlparse
 
 import requests
@@ -38,6 +40,25 @@ def test_bad_credentials_rejected():
             timeout=5,
         )
         assert r.status_code == 403
+
+
+def test_concurrent_logins_get_distinct_sessions():
+    logins = 32
+    barrier = threading.Barrier(logins)
+
+    def login(_):
+        barrier.wait()
+        response = requests.post(
+            target.base_url + "/login",
+            data={"view": "student", "username": "stud", "password": "stud123"},
+            allow_redirects=False,
+            timeout=10,
+        )
+        return response.cookies["session"]
+
+    with MockTarget() as target, ThreadPoolExecutor(logins) as pool:
+        tokens = list(pool.map(login, range(logins)))
+    assert len(set(tokens)) == logins
 
 
 def test_unknown_path_is_404():
