@@ -12,14 +12,16 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from html.parser import HTMLParser
-from urllib.parse import urljoin, urlparse
-
-import requests
+from http.client import HTTPException
+from http.cookiejar import CookieJar
+from urllib.error import HTTPError, URLError
+from urllib.parse import urlencode, urljoin, urlparse
+from urllib.request import HTTPCookieProcessor, HTTPRedirectHandler, build_opener
 
 from ..errors import AuthFailed, Unreachable
 from .model import FormSpec, Node, SiteModel, node_id
 
-__all__ = ["Credentials", "CrawlLimits", "crawl_site", "post_login"]
+__all__ = ["CLIENT_ERRORS", "Credentials", "CrawlLimits", "Session", "crawl_site", "post_login"]
 
 log = logging.getLogger(__name__)
 
@@ -88,28 +90,70 @@ class _PageScan(HTMLParser):
             self._form = None
 
 
-def post_login(
-    session: requests.Session, root: str, view: str, creds: Credentials, timeout: float
-) -> requests.Response:
+# raised by Session.fetch when no answer arrives; URLError and timeouts are OSErrors
+CLIENT_ERRORS = (OSError, HTTPException)
+
+
+@dataclass(frozen=True)
+class Page:
+    status: int
+    location: str | None
+    text: str
+
+
+class _NoRedirect(HTTPRedirectHandler):
+    def redirect_request(self, *args):
+        return None  # the 3xx itself becomes the answer
+
+
+class Session:
+    """HTTP client with one cookie jar, for one crawl view or one tester."""
+
+    def __init__(self):
+        jar = CookieJar()
+        self._follow = build_opener(HTTPCookieProcessor(jar))
+        self._stay = build_opener(HTTPCookieProcessor(jar), _NoRedirect)
+
+    def fetch(self, url: str, form: dict | None = None, *, timeout: float,
+              follow: bool = True) -> Page:
+        """GET url, or POST form to it; every answer, whatever its status, is
+        a Page.  Raises one of CLIENT_ERRORS when no answer comes back,
+        including for a URL that is not http(s)."""
+        if urlparse(url).scheme not in ("http", "https"):
+            raise URLError(f"not an http(s) URL: {url!r}")
+        data = None if form is None else urlencode(form).encode()
+        try:
+            response = (self._follow if follow else self._stay).open(url, data, timeout)
+        except HTTPError as answer:  # urllib raises every non-2xx answer
+            response = answer
+        with response:
+            body = response.read()
+            charset = response.headers.get_content_charset() or "utf-8"
+            return Page(response.status, response.headers.get("Location"),
+                        body.decode(charset, "replace"))
+
+
+def post_login(session: Session, root: str, view: str, creds: Credentials,
+               timeout: float) -> Page:
     """POST the login form without following its redirect, so the landing
     page's own health stays a separate observation from the login."""
-    return session.post(
+    return session.fetch(
         urljoin(root, creds.login_path),
-        data={"view": view, "username": creds.username, "password": creds.password},
-        allow_redirects=False,
+        {"view": view, "username": creds.username, "password": creds.password},
         timeout=timeout,
+        follow=False,
     )
 
 
-def _login(session: requests.Session, root: str, view: str, creds: Credentials) -> str:
+def _login(session: Session, root: str, view: str, creds: Credentials) -> str:
     """Log in; returns the entry path the target redirects to."""
     try:
         response = post_login(session, root, view, creds, timeout=10)
-    except requests.RequestException as exc:
+    except CLIENT_ERRORS as exc:
         raise Unreachable(f"login for view {view!r} failed to connect: {exc}") from exc
-    if response.status_code not in (200, 302, 303):
-        raise AuthFailed(f"view {view!r}: login rejected with status {response.status_code}")
-    entry = response.headers.get("Location")
+    if response.status not in (200, 302, 303):
+        raise AuthFailed(f"view {view!r}: login rejected with status {response.status}")
+    entry = response.location
     if not entry:
         raise AuthFailed(f"view {view!r}: login response carried no redirect target")
     return urlparse(entry).path or "/"
@@ -133,7 +177,7 @@ def crawl_site(
 
     for view in sorted(auth):
         creds = auth[view]
-        session = requests.Session()
+        session = Session()
         if creds is None:
             entry_path = urlparse(root).path or "/"
         else:
@@ -151,18 +195,18 @@ def crawl_site(
                 break
             pages += 1
             try:
-                response = session.get(urljoin(root, path), timeout=10)
-            except requests.RequestException as exc:
+                response = session.fetch(urljoin(root, path), timeout=10)
+            except CLIENT_ERRORS as exc:
                 if path == entry_path:
                     raise Unreachable(f"crawl root {root} unreachable: {exc}") from exc
                 log.warning("view %s: %s unreachable during crawl, skipped", view, path)
                 continue
-            if response.status_code != 200:
+            if response.status != 200:
                 if path == entry_path:
                     raise Unreachable(
-                        f"entry {path} for view {view!r} answered {response.status_code}"
+                        f"entry {path} for view {view!r} answered {response.status}"
                     )
-                log.warning("view %s: %s answered %d", view, path, response.status_code)
+                log.warning("view %s: %s answered %d", view, path, response.status)
                 continue
 
             scan = _PageScan(path)

@@ -22,8 +22,7 @@ def predict_faults(
             behavior = fault_table.get((step.node_path, step.action))
             if behavior is None:
                 continue
-            code = "http-500" if behavior == "http-500" else behavior
-            key = (step.node_path, step.action, code)
+            key = (step.node_path, step.action, behavior)
             hits[key] = hits.get(key, 0) + 1
     return hits
 

@@ -4,7 +4,8 @@ One tester per test case.  Testers start at exponentially staggered
 offsets, each owns its activity log file and its RNG, and they share only
 the immutable case list and the target address.  A step's outcome is
 decided by three rules: 2xx status class, the page marker for the node
-must be present, and the fixture fault marker must be absent.
+must be present, and the fixture fault marker must be absent.  A step
+that gets no answer (one of crawler.CLIENT_ERRORS) is a nav_error.
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urljoin
 
-import requests
-
 from ..errors import TargetDown
 from .cases import TestCase, TestProfile
-from .crawler import Credentials, post_login
+from .crawler import CLIENT_ERRORS, Credentials, Session, post_login
 from .mock import FAULT_MARKER
 
 __all__ = ["HarnessConfig", "run_evaluation", "META_ACTIONS"]
@@ -77,27 +76,22 @@ def _classify(status: int, text: str, node_path: str, error_marker: str) -> str:
     return "ok"
 
 
-def _execute_step(session: requests.Session, target: str, step, cfg: HarnessConfig) -> str:
-    url = urljoin(target, step.node_path)
+def _execute_step(session: Session, target: str, step, cfg: HarnessConfig) -> str:
+    form = None if step.action == "read" else {**step.data, "op": step.action}
     try:
-        if step.action == "read":
-            response = session.get(url, timeout=cfg.request_timeout_s)
-        else:
-            data = dict(step.data)
-            data["op"] = step.action
-            response = session.post(url, data=data, timeout=cfg.request_timeout_s)
-    except requests.RequestException:
+        page = session.fetch(urljoin(target, step.node_path), form, timeout=cfg.request_timeout_s)
+    except CLIENT_ERRORS:
         return "nav_error"
-    return _classify(response.status_code, response.text, step.node_path, cfg.error_marker)
+    return _classify(page.status, page.text, step.node_path, cfg.error_marker)
 
 
-def _login(session: requests.Session, target: str, view: str, creds: Credentials,
+def _login(session: Session, target: str, view: str, creds: Credentials,
            cfg: HarnessConfig) -> bool:
     try:
-        response = post_login(session, target, view, creds, cfg.request_timeout_s)
-    except requests.RequestException:
+        page = post_login(session, target, view, creds, cfg.request_timeout_s)
+    except CLIENT_ERRORS:
         return False
-    return response.status_code < 400
+    return page.status < 400
 
 
 def _run_tester(
@@ -117,7 +111,7 @@ def _run_tester(
     tlog = _TesterLog(log_path, tester_id)
     try:
         tlog.record(case.id, -1, "begin", "ok", "-")
-        session = requests.Session()
+        session = Session()
         if profile.credentials is not None:
             ok = _login(session, target, case.view, profile.credentials, cfg)
             tlog.record(case.id, -1, "login", "ok" if ok else "nav_error", "-")
@@ -143,17 +137,19 @@ def run_evaluation(
 ) -> list[Path]:
     """Execute the cases concurrently; returns the per-tester log files.
 
-    Raises TargetDown when the pre-run probe cannot reach the target at
-    all.  Mid-run connection failures degrade to nav_error outcomes so one
-    flaky page never kills an evaluation.  A failed login is logged as a
-    login meta record with outcome nav_error, which the analyzer counts,
-    and the steps of that case do not run.
+    Raises TargetDown when the pre-run probe gets no answer at all, that
+    is, when Session.fetch raises one of crawler.CLIENT_ERRORS: a refused
+    connection, a timeout or a URL that is not http(s).  Mid-run client
+    errors degrade to nav_error outcomes so one flaky page never kills an
+    evaluation.  A failed login is logged as a login meta record with
+    outcome nav_error, which the analyzer counts, and the steps of that
+    case do not run.
     """
     log_dir = Path(log_dir)
     log_dir.mkdir(parents=True, exist_ok=True)
     try:
-        requests.get(target, timeout=cfg.request_timeout_s)
-    except requests.RequestException as exc:
+        Session().fetch(target, timeout=cfg.request_timeout_s)
+    except CLIENT_ERRORS as exc:
         raise TargetDown(f"target {target} did not answer the probe: {exc}") from exc
 
     rng = random.Random(f"{seed}/arrivals")

@@ -5,7 +5,6 @@ import sys
 from pathlib import Path
 
 import pytest
-import requests
 
 from webrely.cli import main
 from webrely.harness import (
@@ -16,6 +15,7 @@ from webrely.harness import (
     load_fault_table,
     predict_density,
 )
+from webrely.harness.crawler import Session
 from webrely.harness.model import SiteModel
 
 DATA = Path(__file__).parent / "data"
@@ -101,8 +101,9 @@ def test_crawl_writes_model(tmp_path):
     assert len(model.view_nodes("public")) == 4
 
 
-def test_crawl_unreachable_exit_code(tmp_path):
-    assert run_cli("--project-dir", tmp_path, "crawl", "--target", "http://127.0.0.1:9") == 6
+@pytest.mark.parametrize("target", ["http://127.0.0.1:9", "127.0.0.1:9", "file:///etc/"])
+def test_crawl_unreachable_exit_code(tmp_path, target):
+    assert run_cli("--project-dir", tmp_path, "crawl", "--target", target) == 6
 
 
 def test_evaluate_density_matches_replay_oracle(tmp_path):
@@ -386,8 +387,8 @@ def test_mock_serve_subprocess():
         line = proc.stdout.readline()
         url = line.split()[-4]  # "mock target serving on <url> (Ctrl-C to stop)"
         assert url.startswith("http://")
-        response = requests.get(url + "/courses", timeout=5)
-        assert response.status_code == 200
+        response = Session().fetch(url + "/courses", timeout=5)
+        assert response.status == 200
         assert "page:/courses" in response.text
     finally:
         proc.send_signal(signal.SIGINT)
@@ -395,3 +396,9 @@ def test_mock_serve_subprocess():
             proc.wait(timeout=10)
         except subprocess.TimeoutExpired:
             proc.kill()
+
+
+def test_cli_imports_no_third_party_http_client():
+    code = "import sys, webrely.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ from webrely.harness import (
     SiteModel,
     crawl_site,
 )
+from webrely.harness.crawler import Session, post_login
 
 AUTH = {
     "public": None,
@@ -65,6 +66,12 @@ def test_repeated_crawls_identical(crawled):
 def test_model_json_roundtrip(crawled):
     model, _ = crawled
     assert SiteModel.from_dict(model.to_dict()).to_dict() == model.to_dict()
+
+
+def test_post_login_returns_redirect_unfollowed():
+    with MockTarget() as target:
+        page = post_login(Session(), target.base_url, "professor", AUTH["professor"], 5)
+    assert (page.status, page.location) == (302, "/professor")
 
 
 def test_unreachable_root():

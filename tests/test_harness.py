@@ -1,11 +1,12 @@
+import http.client
 import json
 import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import urlparse
 
 import pytest
-import requests
 
 from webrely.errors import TargetDown
 from webrely.harness import (
@@ -106,6 +107,51 @@ def test_missing_node_is_nav_error_not_abort(tmp_path, clean_model):
     records, _ = parse_log_file(sorted(paths)[-1])
     walked = [r.node for r in records if r.step_index >= 0]
     assert walked == ["/", "/ghost", "/about"]
+
+
+@pytest.mark.parametrize("status,landing,outcome", [
+    (303, "/healthy", "ok"),
+    (303, "/broken", "fault:http-500"),
+    (307, "/healthy", "nav_error"),  # urllib does not re-send a POST elsewhere
+])
+def test_post_step_redirect_classified_by_landing_page(tmp_path, status, landing, outcome):
+    from webrely.harness import Step, TestCase
+
+    class Handler(BaseHTTPRequestHandler):
+        def log_message(self, *a):
+            pass
+
+        def _send(self, code, headers, body=b""):
+            self.send_response(code)
+            for key, value in headers.items():
+                self.send_header(key, value)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self._send(status, {"Location": landing})
+
+        def do_GET(self):
+            if self.path == "/broken":
+                self._send(500, {})
+            else:
+                self._send(200, {"Content-Type": "text/html"}, b"<!-- page:/form -->")
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    case = TestCase(id="case-r", view="public", seed=0,
+                    steps=(Step("/form", "insert", {"name": "x"}),))
+    try:
+        url = "http://%s:%d" % server.server_address[:2]
+        paths = run_evaluation(url, [case], default_profiles(), FAST, tmp_path, seed=0)
+    finally:
+        server.shutdown()
+        server.server_close()
+    records, _ = parse_log_file(paths[0])
+    assert [r.outcome for r in records if r.step_index >= 0] == [outcome]
 
 
 def test_log_isolation_and_order_independence(tmp_path, clean_model):
@@ -222,12 +268,11 @@ def test_added_fault_never_lowers_density(tmp_path, clean_model):
     assert densities[1] >= densities[0] > 0
 
 
-def test_target_down_raises(tmp_path, clean_model):
+@pytest.mark.parametrize("target", ["http://127.0.0.1:9", "file:///etc/hostname"])
+def test_target_down_raises(tmp_path, clean_model, target):
     cases = generate_test_cases(clean_model, default_profiles(), 3, seed=1)
     with pytest.raises(TargetDown):
-        run_evaluation(
-            "http://127.0.0.1:9", cases, default_profiles(), FAST, tmp_path, seed=1
-        )
+        run_evaluation(target, cases, default_profiles(), FAST, tmp_path, seed=1)
 
 
 class _GateProxy:
@@ -251,19 +296,25 @@ class _GateProxy:
             def _forward(self, method):
                 length = int(self.headers.get("Content-Length", "0"))
                 body = self.rfile.read(length) if length else None
-                r = requests.request(
-                    method, upstream + self.path, data=body,
-                    headers={"Cookie": self.headers.get("Cookie", ""),
-                             "Content-Type": self.headers.get("Content-Type", "")},
-                    allow_redirects=False, timeout=10,
-                )
-                self.send_response(r.status_code)
+                up = urlparse(upstream)
+                conn = http.client.HTTPConnection(up.hostname, up.port, timeout=10)
+                try:
+                    conn.request(
+                        method, self.path, body,
+                        headers={"Cookie": self.headers.get("Cookie", ""),
+                                 "Content-Type": self.headers.get("Content-Type", "")},
+                    )
+                    r = conn.getresponse()
+                    content = r.read()
+                finally:
+                    conn.close()
+                self.send_response(r.status)
                 for key in ("Content-Type", "Location", "Set-Cookie"):
                     if key in r.headers:
                         self.send_header(key, r.headers[key])
-                self.send_header("Content-Length", str(len(r.content)))
+                self.send_header("Content-Length", str(len(content)))
                 self.end_headers()
-                self.wfile.write(r.content)
+                self.wfile.write(content)
 
             def do_GET(self):
                 self._forward("GET")

@@ -1,45 +1,46 @@
+import http.client
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from urllib.parse import urlparse
-
-import requests
+from http.cookies import SimpleCookie
+from urllib.parse import urlencode, urlparse
 
 from webrely.harness import FAULT_MARKER, MockTarget, SeededFault
+from webrely.harness.crawler import Session
 
 
 def test_public_pages_carry_markers():
     with MockTarget() as target:
         for path in ("/", "/courses", "/courses/view", "/about"):
-            r = requests.get(target.base_url + path, timeout=5)
-            assert r.status_code == 200
+            r = Session().fetch(target.base_url + path, timeout=5)
+            assert r.status == 200
             assert f"page:{path}" in r.text
             assert FAULT_MARKER not in r.text
 
 
 def test_view_pages_require_login():
     with MockTarget() as target:
-        assert requests.get(target.base_url + "/professor", timeout=5).status_code == 403
-        s = requests.Session()
-        r = s.post(
+        assert Session().fetch(target.base_url + "/professor", timeout=5).status == 403
+        s = Session()
+        r = s.fetch(
             target.base_url + "/login",
-            data={"view": "professor", "username": "prof", "password": "prof123"},
+            {"view": "professor", "username": "prof", "password": "prof123"},
             timeout=5,
         )
-        assert r.status_code == 200  # after redirect
-        assert s.get(target.base_url + "/professor", timeout=5).status_code == 200
+        assert r.status == 200  # after redirect
+        assert s.fetch(target.base_url + "/professor", timeout=5).status == 200
         # a professor session does not open student pages
-        assert s.get(target.base_url + "/student", timeout=5).status_code == 403
+        assert s.fetch(target.base_url + "/student", timeout=5).status == 403
 
 
 def test_bad_credentials_rejected():
     with MockTarget() as target:
-        r = requests.post(
+        r = Session().fetch(
             target.base_url + "/login",
-            data={"view": "professor", "username": "prof", "password": "wrong"},
+            {"view": "professor", "username": "prof", "password": "wrong"},
             timeout=5,
         )
-        assert r.status_code == 403
+        assert r.status == 403
 
 
 def test_concurrent_logins_get_distinct_sessions():
@@ -48,13 +49,18 @@ def test_concurrent_logins_get_distinct_sessions():
 
     def login(_):
         barrier.wait()
-        response = requests.post(
-            target.base_url + "/login",
-            data={"view": "student", "username": "stud", "password": "stud123"},
-            allow_redirects=False,
-            timeout=10,
-        )
-        return response.cookies["session"]
+        url = urlparse(target.base_url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            conn.request(
+                "POST", "/login",
+                urlencode({"view": "student", "username": "stud", "password": "stud123"}),
+                {"Content-Type": "application/x-www-form-urlencoded"},
+            )
+            cookie = conn.getresponse().getheader("Set-Cookie")
+        finally:
+            conn.close()
+        return SimpleCookie(cookie)["session"].value
 
     with MockTarget() as target, ThreadPoolExecutor(logins) as pool:
         tokens = list(pool.map(login, range(logins)))
@@ -63,37 +69,37 @@ def test_concurrent_logins_get_distinct_sessions():
 
 def test_unknown_path_is_404():
     with MockTarget() as target:
-        assert requests.get(target.base_url + "/nope", timeout=5).status_code == 404
+        assert Session().fetch(target.base_url + "/nope", timeout=5).status == 404
 
 
 def test_crud_roundtrip():
     with MockTarget() as target:
-        s = requests.Session()
-        s.post(target.base_url + "/login",
-               data={"view": "professor", "username": "prof", "password": "prof123"}, timeout=5)
-        r = s.post(target.base_url + "/professor/courses",
-                   data={"op": "insert", "name": "Queueing Theory", "credits": "4"}, timeout=5)
-        assert r.status_code == 200 and "added course" in r.text
-        r = s.post(target.base_url + "/professor/courses/edit",
-                   data={"op": "update", "course_id": "1", "name": "Systems"}, timeout=5)
+        s = Session()
+        s.fetch(target.base_url + "/login",
+                {"view": "professor", "username": "prof", "password": "prof123"}, timeout=5)
+        r = s.fetch(target.base_url + "/professor/courses",
+                    {"op": "insert", "name": "Queueing Theory", "credits": "4"}, timeout=5)
+        assert r.status == 200 and "added course" in r.text
+        r = s.fetch(target.base_url + "/professor/courses/edit",
+                    {"op": "update", "course_id": "1", "name": "Systems"}, timeout=5)
         assert "updated course 1" in r.text
-        r = s.post(target.base_url + "/professor/courses/edit",
-                   data={"op": "delete", "course_id": "1"}, timeout=5)
+        r = s.fetch(target.base_url + "/professor/courses/edit",
+                    {"op": "delete", "course_id": "1"}, timeout=5)
         assert "deleted" in r.text
         # deleting again is tolerated, the page stays healthy
-        r = s.post(target.base_url + "/professor/courses/edit",
-                   data={"op": "delete", "course_id": "1"}, timeout=5)
-        assert r.status_code == 200 and "page:/professor/courses/edit" in r.text
+        r = s.fetch(target.base_url + "/professor/courses/edit",
+                    {"op": "delete", "course_id": "1"}, timeout=5)
+        assert r.status == 200 and "page:/professor/courses/edit" in r.text
 
 
 def test_garbage_form_data_tolerated():
     with MockTarget() as target:
-        s = requests.Session()
-        s.post(target.base_url + "/login",
-               data={"view": "student", "username": "stud", "password": "stud123"}, timeout=5)
-        r = s.post(target.base_url + "/student/courses",
-                   data={"op": "insert", "course_id": "vnot-a-number"}, timeout=5)
-        assert r.status_code == 200
+        s = Session()
+        s.fetch(target.base_url + "/login",
+                {"view": "student", "username": "stud", "password": "stud123"}, timeout=5)
+        r = s.fetch(target.base_url + "/student/courses",
+                    {"op": "insert", "course_id": "vnot-a-number"}, timeout=5)
+        assert r.status == 200
         assert "page:/student/courses" in r.text
 
 
@@ -104,24 +110,24 @@ def test_fault_behaviors():
         SeededFault("/", "read", "missing-marker"),
     ]
     with MockTarget(faults) as target:
-        assert requests.get(target.base_url + "/about", timeout=5).status_code == 500
-        r = requests.get(target.base_url + "/courses", timeout=5)
-        assert r.status_code == 200 and FAULT_MARKER in r.text
-        r = requests.get(target.base_url + "/", timeout=5)
-        assert r.status_code == 200 and "page:/" not in r.text
+        assert Session().fetch(target.base_url + "/about", timeout=5).status == 500
+        r = Session().fetch(target.base_url + "/courses", timeout=5)
+        assert r.status == 200 and FAULT_MARKER in r.text
+        r = Session().fetch(target.base_url + "/", timeout=5)
+        assert r.status == 200 and "page:/" not in r.text
 
 
 def test_fault_scoped_to_action():
     # a fault seeded on insert leaves plain reads of the same node healthy
     faults = [SeededFault("/professor/courses", "insert", "http-500")]
     with MockTarget(faults) as target:
-        s = requests.Session()
-        s.post(target.base_url + "/login",
-               data={"view": "professor", "username": "prof", "password": "prof123"}, timeout=5)
-        assert s.get(target.base_url + "/professor/courses", timeout=5).status_code == 200
-        r = s.post(target.base_url + "/professor/courses",
-                   data={"op": "insert", "name": "x", "credits": "1"}, timeout=5)
-        assert r.status_code == 500
+        s = Session()
+        s.fetch(target.base_url + "/login",
+                {"view": "professor", "username": "prof", "password": "prof123"}, timeout=5)
+        assert s.fetch(target.base_url + "/professor/courses", timeout=5).status == 200
+        r = s.fetch(target.base_url + "/professor/courses",
+                    {"op": "insert", "name": "x", "credits": "1"}, timeout=5)
+        assert r.status == 500
 
 
 def test_invalid_fault_behavior_rejected():
