@@ -10,11 +10,12 @@ check for; seeded faults break the response in one of three ways:
     error-marker    respond 200 but embed the fault marker string
     missing-marker  respond 200 without the page marker
 
-CRUD handlers are tolerant (updating or deleting a missing row renders a
-normal page), so outcomes depend only on the fault table and never on
-request interleaving.  The listen backlog (1024) is far above the
-harness's burst of at most one connection per worker (100 by default),
-so testers that start together are queued by the kernel, never refused.
+CRUD handlers are tolerant (updating or deleting a missing row, or
+inserting into a full course table, renders a normal page), so outcomes
+depend only on the fault table and never on request interleaving.  The
+listen backlog (1024) is far above the harness's burst of at most one
+connection per worker (100 by default), so testers that start together
+are queued by the kernel, never refused.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ CREDENTIALS = {
 }
 
 VIEW_HOMES = {"professor": "/professor", "student": "/student"}
+
+# generated test cases draw course ids 1-9, so their deletes reach every inserted row
+_COURSE_IDS = range(1, 10)
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,6 @@ class _State:
         self.registrations = {("stud", 1): {"grade": ""}}
         self.profiles = {"stud": {"email": "stud@example.edu"}}
         self.sessions: dict[str, str] = {}
-        self.next_course_id = 3
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -223,13 +226,13 @@ class _Handler(BaseHTTPRequestHandler):
             action = form.get("op", "read")
             if action == "insert":
                 with self.state.lock:
-                    cid = self.state.next_course_id
-                    self.state.next_course_id += 1
-                    self.state.courses[cid] = {
-                        "name": form.get("name", f"course-{cid}"),
-                        "credits": form.get("credits", "0"),
-                    }
-                note = f"<p>added course {cid}</p>"
+                    free = [i for i in _COURSE_IDS if i not in self.state.courses]
+                    if free:
+                        self.state.courses[free[0]] = {
+                            "name": form.get("name", f"course-{free[0]}"),
+                            "credits": form.get("credits", "0"),
+                        }
+                        note = f"<p>added course {free[0]}</p>"
         with self.state.lock:
             rows = "".join(f"<li>{c['name']}</li>" for c in self.state.courses.values())
         body = (

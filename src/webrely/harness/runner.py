@@ -36,7 +36,6 @@ class HarnessConfig:
     arrival_mean_s: float = 4.0
     workers: int = 100
     request_timeout_s: float = 10.0
-    error_marker: str = FAULT_MARKER
 
     def __post_init__(self):
         if self.duration_s <= 0 or self.arrival_mean_s <= 0:
@@ -64,12 +63,12 @@ class _TesterLog:
         self._fh.close()
 
 
-def _classify(status: int, text: str, node_path: str, error_marker: str) -> str:
+def _classify(status: int, text: str, node_path: str) -> str:
     if 500 <= status < 600:
         return f"fault:http-{status}"
     if not 200 <= status < 300:
         return "nav_error"
-    if error_marker in text:
+    if FAULT_MARKER in text:
         return "fault:error-marker"
     if f"page:{node_path}" not in text:
         return "fault:missing-marker"
@@ -82,7 +81,7 @@ def _execute_step(session: Session, target: str, step, cfg: HarnessConfig) -> st
         page = session.fetch(urljoin(target, step.node_path), form, timeout=cfg.request_timeout_s)
     except CLIENT_ERRORS:
         return "nav_error"
-    return _classify(page.status, page.text, step.node_path, cfg.error_marker)
+    return _classify(page.status, page.text, step.node_path)
 
 
 def _login(session: Session, target: str, view: str, creds: Credentials,

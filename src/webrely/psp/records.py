@@ -9,11 +9,11 @@ Input formats:
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import RecordParseError
+from ..stats.serialize import read_json
 
 __all__ = ["PHASES", "REMOVAL_PHASES", "INJECTION_PHASES", "Defect", "PspProgramRecord",
            "load_records", "load_records_csv", "load_records_json"]
@@ -147,7 +147,7 @@ def load_records_csv(path: str | Path) -> list[PspProgramRecord]:
 
 
 def load_records_json(path: str | Path) -> list[PspProgramRecord]:
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
     records = []
     for i, entry in enumerate(doc):
         try:

@@ -1,9 +1,10 @@
 """Goodness-of-fit checks of a histogram or sample against a fitted model.
 
 Two methods: Pearson chi-square on merged histogram bins (the default) and
-Kolmogorov-Smirnov on the raw retained values for small samples.  Critical
-values come from scipy: chi2.ppf for the chi-square threshold and the exact
-kstwo distribution for KS.  The statistics themselves are computed here.
+Kolmogorov-Smirnov on the raw retained values for small samples.  The
+statistics are computed here, the critical values in _quantiles: Newton's
+method on the incomplete gamma for chi-square (Numerical Recipes section
+6.2) and the exact KS law of Simard & L'Ecuyer (J. Stat. Softw. 39(11), 2011).
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats as _scipy_stats
-
 from ..errors import InsufficientData
+from ._quantiles import chi2_ppf, ks_ppf
 from .samples import DefectSampleSet, Histogram
 from .weibull import WeibullModel, weibull_cdf
 
@@ -126,7 +126,7 @@ def _chi_square(
             statistic = math.inf
             break
         statistic += (obs - exp) ** 2 / exp
-    threshold = float(_scipy_stats.chi2.ppf(1.0 - significance, dof))
+    threshold = chi2_ppf(1.0 - significance, dof)
     return GofResult(
         statistic=statistic,
         threshold=threshold,
@@ -146,7 +146,7 @@ def _ks(samples: DefectSampleSet, model: WeibullModel, significance: float) -> G
     for i, x in enumerate(xs, start=1):
         f = weibull_cdf(model, x)
         d = max(d, i / n - f, f - (i - 1) / n)
-    threshold = float(_scipy_stats.kstwo.ppf(1.0 - significance, n))
+    threshold = ks_ppf(1.0 - significance, n)
     return GofResult(
         statistic=d,
         threshold=threshold,

@@ -398,7 +398,8 @@ def test_mock_serve_subprocess():
             proc.kill()
 
 
-def test_cli_imports_no_third_party_http_client():
-    code = "import sys, webrely.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+def test_cli_imports_no_third_party_package():
+    packages = "{'requests', 'urllib3', 'scipy', 'numpy'}"
+    code = f"import sys, webrely.cli; print(sorted({packages} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

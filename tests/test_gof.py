@@ -1,4 +1,5 @@
 import pytest
+from scipy.stats import chi2, kstwo
 
 from webrely.errors import InsufficientData
 from webrely.stats import (
@@ -7,6 +8,7 @@ from webrely.stats import (
     build_histogram,
     goodness_of_fit,
 )
+from webrely.stats._quantiles import chi2_ppf, ks_ppf
 
 from conftest import FIXTURE_MODEL
 
@@ -88,3 +90,22 @@ def test_stricter_significance_loosens_threshold(fixture_hist):
     at_05 = goodness_of_fit(fixture_hist, FIXTURE_MODEL, "chi-square", 0.05)
     at_01 = goodness_of_fit(fixture_hist, FIXTURE_MODEL, "chi-square", 0.01)
     assert at_01.threshold > at_05.threshold
+
+
+# scipy is the oracle here and a test dependency only
+CHI2_DOFS = [*range(1, 31), 100, 200, 1000, 5000, 20000]
+KS_SIZES = [5, 6, 17, 40, 139, 140, 141, 1000, 100000]
+
+
+@pytest.mark.parametrize("significance", [0.5, 0.05, 0.001])
+def test_chi2_quantile_matches_scipy(significance):
+    for dof in CHI2_DOFS:
+        expected = chi2.ppf(1.0 - significance, dof)
+        assert chi2_ppf(1.0 - significance, dof) == pytest.approx(expected, rel=1e-12), dof
+
+
+@pytest.mark.parametrize("significance", [0.95, 0.9, 0.5, 0.05, 0.001])
+def test_ks_quantile_matches_scipy(significance):
+    for n in KS_SIZES:
+        expected = kstwo.ppf(1.0 - significance, n)
+        assert ks_ppf(1.0 - significance, n) == pytest.approx(expected, rel=0, abs=1e-10), n

@@ -92,6 +92,27 @@ def test_crud_roundtrip():
         assert r.status == 200 and "page:/professor/courses/edit" in r.text
 
 
+def test_course_table_stays_bounded():
+    with MockTarget() as target:
+        s = Session()
+        s.fetch(target.base_url + "/login",
+                {"view": "professor", "username": "prof", "password": "prof123"}, timeout=5)
+        for _ in range(200):
+            r = s.fetch(target.base_url + "/professor/courses",
+                        {"op": "insert", "name": "Extra", "credits": "3"}, timeout=5)
+            assert r.status == 200 and "page:/professor/courses" in r.text
+        catalog = s.fetch(target.base_url + "/courses", timeout=5).text
+        assert catalog.count("<li>") == 9
+        r = s.fetch(target.base_url + "/professor/courses/edit",
+                    {"op": "delete", "course_id": "7"}, timeout=5)
+        assert "<p>deleted</p>" in r.text
+        catalog = s.fetch(target.base_url + "/courses", timeout=5).text
+        assert catalog.count("<li>") == 8 and "?id=7" not in catalog
+        r = s.fetch(target.base_url + "/professor/courses",
+                    {"op": "insert", "name": "Refill", "credits": "3"}, timeout=5)
+        assert "added course 7" in r.text
+
+
 def test_garbage_form_data_tolerated():
     with MockTarget() as target:
         s = Session()
