@@ -21,7 +21,7 @@ import csv
 import io
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import errors
@@ -36,17 +36,11 @@ from .harness import (
     load_fault_table,
 )
 from .harness import run_campaign as run_live_campaign
-from .kvconfig import parse_kv, take
-from .project import EiProject
+from .project import Analysis, EiProject
 from .psp import load_records, trend_report, trend_series_csv
-from .simulator import (
-    SimConfig,
-    run_campaign,
-    sim_config_from_kv,
-    sim_config_to_dict,
-    write_trace_csv,
-)
-from .stats import AnomalyPolicy, compare_models, weibull_pdf
+from .simulator import SimConfig, run_campaign, sim_config_to_dict, write_trace_csv
+from .simulator.config import VIEWS
+from .stats import compare_models, weibull_pdf
 from .stats.serialize import (
     comparison_to_dict,
     dump_json,
@@ -74,32 +68,96 @@ EXIT_CODES: dict[type, int] = {
 COMPARE_CURVE_POINTS = 512
 
 
-def _analysis_from_kv(pairs: dict[str, str]) -> dict:
-    return {
-        "policy": take(pairs, "policy", str, "tukey"),
-        "policy_k": take(pairs, "policy_k", float, 3.0),
-        "bin_width": take(pairs, "bin_width", float, 1.0),
-        "origin": take(pairs, "origin", float, 0.0),
-        "gof_method": take(pairs, "gof_method", str, "chi-square"),
-        "significance": take(pairs, "significance", float, 0.05),
-    }
+# --- config files -------------------------------------------------------------
+# One table per config dataclass: config-file key -> (field, parser).  An
+# absent key leaves its field at the dataclass default.
 
 
-def _policy(analysis: dict) -> AnomalyPolicy:
-    return AnomalyPolicy(analysis["policy"], analysis["policy_k"])
+def _parse_view_mix(value: str) -> dict[str, float]:
+    weights = [float(w) for w in value.split(",")]
+    if len(weights) != 3:
+        raise ValueError("view_mix needs 3 weights (professor,student,public)")
+    return dict(zip(VIEWS, weights))
 
 
-def _persist(project: EiProject, label: str, samples, config_doc: dict, analysis: dict):
-    return project.persist_phase(
-        label,
-        samples,
-        config_doc,
-        policy=_policy(analysis),
-        bin_width=analysis["bin_width"],
-        origin=analysis["origin"],
-        gof_method=analysis["gof_method"],
-        significance=analysis["significance"],
-    )
+SIM_KEYS = {
+    "interarrival_mean": ("interarrival_mean", float),
+    "service_mean": ("service_mean", float),
+    "service_std": ("service_std", float),
+    "capacity": ("capacity", int),
+    "events_per_run": ("events_per_run", int),
+    "runs": ("runs", int),
+    "fault_probability": ("fault_probability", float),
+    "seed": ("seed", int),
+    "view_mix": ("view_mix", _parse_view_mix),
+}
+CAMPAIGN_KEYS = {
+    "evaluations": ("evaluations", int),
+    "cases": ("cases_per_round", int),
+    "walk_length": ("walk_length", int),
+    "seed": ("seed", int),
+}
+HARNESS_KEYS = {
+    "duration": ("duration_s", float),
+    "arrival_mean": ("arrival_mean_s", float),
+    "workers": ("workers", int),
+    "request_timeout": ("request_timeout_s", float),
+}
+CRAWL_KEYS = {
+    "max_depth": ("max_depth", int),
+    "max_pages": ("max_pages_per_view", int),
+}
+ANALYSIS_KEYS = {
+    "policy": ("policy", str),
+    "policy_k": ("policy_k", float),
+    "bin_width": ("bin_width", float),
+    "origin": ("origin", float),
+    "gof_method": ("gof_method", str),
+    "significance": ("significance", float),
+}
+
+
+def _parse_kv(path: str | Path) -> dict[str, str]:
+    """'key = value' lines, one pair per line, # comments."""
+    pairs: dict[str, str] = {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in pairs:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        pairs[key] = value.strip()
+    return pairs
+
+
+def _read_config(args, *tables: dict) -> list[dict]:
+    """Parse --config against the key tables; one dict of keyword arguments
+    per table.  A key no table knows is an error."""
+    pairs = _parse_kv(args.config) if args.config else {}
+    kwargs = []
+    for table in tables:
+        found = {}
+        for key, (name, parse) in table.items():
+            if key not in pairs:
+                continue
+            raw = pairs.pop(key)
+            try:
+                found[name] = parse(raw)
+            except (TypeError, ValueError):
+                raise ValueError(f"config key {key!r}: cannot parse {raw!r}") from None
+        kwargs.append(found)
+    if pairs:
+        raise ValueError(f"unknown config keys {sorted(pairs)}")
+    return kwargs
+
+
+def _section(obj, table: dict) -> dict:
+    """The fields a key table sets, as recorded in config.json."""
+    return {name: getattr(obj, name) for name, _ in table.values()}
 
 
 def _report_fit(result) -> None:
@@ -123,22 +181,20 @@ def _report_fit(result) -> None:
 
 def cmd_simulate(args) -> int:
     project = EiProject(args.project_dir)
-    pairs = parse_kv(args.config) if args.config else {}
-    cfg = sim_config_from_kv(pairs)
-    analysis = _analysis_from_kv(pairs)
-    if pairs:
-        raise ValueError(f"unknown config keys {sorted(pairs)}")
+    sim_kw, analysis_kw = _read_config(args, SIM_KEYS, ANALYSIS_KEYS)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        sim_kw["seed"] = args.seed
+    cfg = SimConfig(**sim_kw)
+    analysis = Analysis(**analysis_kw)
     with project.lock():
         samples = run_campaign(cfg, source_label=args.label)
         config_doc = {
             "command": "simulate",
             "label": args.label,
             "sim": sim_config_to_dict(cfg),
-            "analysis": analysis,
+            "analysis": asdict(analysis),
         }
-        result = _persist(project, args.label, samples, config_doc, analysis)
+        result = project.persist_phase(args.label, samples, config_doc, analysis)
         if args.trace:
             write_trace_csv(cfg, 0, project.phase_dir(args.label) / "trace-run0.csv")
     _report_fit(result)
@@ -150,18 +206,8 @@ def _auth_from_profiles(profiles) -> dict:
     return {view: profile.credentials for view, profile in profiles.items()}
 
 
-def _crawl_limits(pairs: dict[str, str]) -> CrawlLimits:
-    return CrawlLimits(
-        max_depth=take(pairs, "max_depth", int, 5),
-        max_pages_per_view=take(pairs, "max_pages", int, 50),
-    )
-
-
 def cmd_crawl(args) -> int:
-    pairs = parse_kv(args.config) if args.config else {}
-    limits = _crawl_limits(pairs)
-    if pairs:
-        raise ValueError(f"unknown config keys {sorted(pairs)}")
+    limits = CrawlLimits(**_read_config(args, CRAWL_KEYS)[0])
     profiles = default_profiles()
     model = crawl_site(args.target, _auth_from_profiles(profiles), limits)
     out = Path(args.out) if args.out else Path(args.project_dir) / "models" / "site_model.json"
@@ -174,26 +220,14 @@ def cmd_crawl(args) -> int:
 
 def cmd_evaluate(args) -> int:
     project = EiProject(args.project_dir)
-    pairs = parse_kv(args.config) if args.config else {}
-    harness = HarnessConfig(
-        duration_s=take(pairs, "duration", float, 100.0),
-        arrival_mean_s=take(pairs, "arrival_mean", float, 4.0),
-        workers=take(pairs, "workers", int, 100),
-        request_timeout_s=take(pairs, "request_timeout", float, 10.0),
+    campaign_kw, harness_kw, crawl_kw, analysis_kw = _read_config(
+        args, CAMPAIGN_KEYS, HARNESS_KEYS, CRAWL_KEYS, ANALYSIS_KEYS
     )
-    campaign = CampaignConfig(
-        evaluations=take(pairs, "evaluations", int, 500),
-        cases_per_round=take(pairs, "cases", int, 1000),
-        walk_length=take(pairs, "walk_length", int, 6),
-        seed=take(pairs, "seed", int, 0),
-        harness=harness,
-    )
-    limits = _crawl_limits(pairs)
-    analysis = _analysis_from_kv(pairs)
-    if pairs:
-        raise ValueError(f"unknown config keys {sorted(pairs)}")
     if args.seed is not None:
-        campaign = replace(campaign, seed=args.seed)
+        campaign_kw["seed"] = args.seed
+    campaign = CampaignConfig(**campaign_kw, harness=HarnessConfig(**harness_kw))
+    limits = CrawlLimits(**crawl_kw)
+    analysis = Analysis(**analysis_kw)
 
     with project.lock():
         if args.model:
@@ -210,17 +244,13 @@ def cmd_evaluate(args) -> int:
             "label": args.label,
             "target": args.target,
             "campaign": {
-                "evaluations": campaign.evaluations,
-                "cases_per_round": campaign.cases_per_round,
-                "walk_length": campaign.walk_length,
-                "seed": campaign.seed,
-                "duration_s": harness.duration_s,
-                "arrival_mean_s": harness.arrival_mean_s,
-                "workers": harness.workers,
+                **_section(campaign, CAMPAIGN_KEYS),
+                **_section(campaign.harness, HARNESS_KEYS),
             },
-            "analysis": analysis,
+            "crawl": _section(limits, CRAWL_KEYS),
+            "analysis": asdict(analysis),
         }
-        result = _persist(project, args.label, samples, config_doc, analysis)
+        result = project.persist_phase(args.label, samples, config_doc, analysis)
     _report_fit(result)
     print(f"artifacts under {project.phase_dir(args.label)}")
     return 0
@@ -248,10 +278,7 @@ def cmd_psp(args) -> int:
 
 def cmd_fit(args) -> int:
     project = EiProject(args.project_dir)
-    pairs = parse_kv(args.config) if args.config else {}
-    analysis = _analysis_from_kv(pairs)
-    if pairs:
-        raise ValueError(f"unknown config keys {sorted(pairs)}")
+    analysis = Analysis(**_read_config(args, ANALYSIS_KEYS)[0])
     if args.column:
         samples = load_samples_csv(args.samples, args.column, args.label)
     else:
@@ -262,9 +289,9 @@ def cmd_fit(args) -> int:
             "label": args.label,
             "samples": str(args.samples),
             "column": args.column,
-            "analysis": analysis,
+            "analysis": asdict(analysis),
         }
-        result = _persist(project, args.label, samples, config_doc, analysis)
+        result = project.persist_phase(args.label, samples, config_doc, analysis)
     _report_fit(result)
     return 0
 

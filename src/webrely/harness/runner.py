@@ -23,11 +23,9 @@ from .cases import TestCase, TestProfile
 from .crawler import CLIENT_ERRORS, Credentials, Session, post_login
 from .mock import FAULT_MARKER
 
-__all__ = ["HarnessConfig", "run_evaluation", "META_ACTIONS"]
+__all__ = ["HarnessConfig", "run_evaluation"]
 
 log = logging.getLogger(__name__)
-
-META_ACTIONS = ("begin", "login", "end")  # step_index -1, not walk steps
 
 
 @dataclass(frozen=True)

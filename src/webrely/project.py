@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import LockHeld, MissingPhase
+from .errors import InsufficientData, LockHeld, MissingPhase
 from .stats import (
     AnomalyPolicy,
     DefectSampleSet,
@@ -29,6 +30,7 @@ from .stats import (
     fit_weibull,
     goodness_of_fit,
 )
+from .stats.gof import GOF_METHODS
 from .stats.serialize import (
     dump_json,
     fit_report_from_dict,
@@ -39,16 +41,36 @@ from .stats.serialize import (
     save_samples_text,
 )
 
-__all__ = ["EiProject", "PhaseResult"]
+__all__ = ["Analysis", "EiProject", "PhaseResult"]
 
 LOCK_NAME = ".webrely.lock"
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """How a phase's samples are cleaned, binned and validated; checked on construction."""
+
+    policy: str = AnomalyPolicy.method
+    policy_k: float = AnomalyPolicy.k
+    bin_width: float = 1.0
+    origin: float = 0.0
+    gof_method: str = "chi-square"
+    significance: float = 0.05
+
+    def __post_init__(self):
+        AnomalyPolicy(self.policy, self.policy_k)
+        if not self.bin_width > 0.0:
+            raise ValueError(f"bin_width must be positive, got {self.bin_width}")
+        if self.gof_method not in GOF_METHODS:
+            raise ValueError(f"unknown goodness-of-fit method {self.gof_method!r}")
+        if not 0.0 < self.significance < 1.0:
+            raise ValueError(f"significance must be in (0, 1), got {self.significance}")
+
+
+@dataclass(frozen=True)
 class PhaseResult:
-    def __init__(self, samples: DefectSampleSet, fit: FitReport | None, fit_error: str | None):
-        self.samples = samples
-        self.fit = fit
-        self.fit_error = fit_error
+    samples: DefectSampleSet
+    fit: FitReport
 
 
 class EiProject:
@@ -94,11 +116,7 @@ class EiProject:
         label: str,
         raw_samples: DefectSampleSet,
         config_doc: dict,
-        policy: AnomalyPolicy = AnomalyPolicy(),
-        bin_width: float = 1.0,
-        origin: float = 0.0,
-        gof_method: str = "chi-square",
-        significance: float = 0.05,
+        analysis: Analysis = Analysis(),
     ) -> PhaseResult:
         """Run the shared tail of every evaluation phase: discard anomalies,
         bin, fit, validate, persist.
@@ -109,24 +127,22 @@ class EiProject:
         directory = self.phase_dir(label)
         dump_json(config_doc, directory / "config.json")
 
-        cleaned = apply_policy(raw_samples, policy)
+        cleaned = apply_policy(raw_samples, AnomalyPolicy(analysis.policy, analysis.policy_k))
         save_samples_text(cleaned, directory / "samples.txt")
         dump_json(sample_set_to_dict(cleaned), directory / "sample_set.json")
 
-        fit = None
         fit_error = None
-        hist = None
         try:
-            hist = build_histogram(cleaned, bin_width, origin)
+            hist = build_histogram(cleaned, analysis.bin_width, analysis.origin)
             (directory / "histogram.csv").write_text(histogram_to_csv(hist))
             fit = fit_weibull(cleaned)
             try:
                 gof = goodness_of_fit(
-                    hist, fit.model, gof_method, significance,
+                    hist, fit.model, analysis.gof_method, analysis.significance,
                     samples=cleaned, fitted_params=2,
                 )
                 fit = fit.with_gof(gof)
-            except Exception as exc:  # gof failure must not void the fit
+            except InsufficientData as exc:  # too little data to test must not void the fit
                 fit_error = f"goodness-of-fit skipped: {type(exc).__name__}: {exc}"
             dump_json(fit_report_to_dict(fit), directory / "fit.json")
             if fit_error:
@@ -138,7 +154,7 @@ class EiProject:
             fit_error = f"{type(exc).__name__}: {exc}"
             dump_json({"stage": "fit", "error": fit_error}, directory / "fit_error.json")
             raise
-        return PhaseResult(cleaned, fit, fit_error)
+        return PhaseResult(cleaned, fit)
 
     def load_fit(self, label: str) -> FitReport:
         path = self.phase_dir(label) / "fit.json"

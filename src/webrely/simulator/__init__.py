@@ -1,7 +1,7 @@
 """Discrete-event simulation of the system under ideal conditions."""
 
 from .campaign import run_campaign, run_campaign_detailed, write_trace_csv
-from .config import SimConfig, sim_config_from_kv, sim_config_to_dict
+from .config import SimConfig, sim_config_to_dict
 from .engine import admit_decision, arrive, init_run, run_single, stream_for_run
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "run_campaign",
     "run_campaign_detailed",
     "run_single",
-    "sim_config_from_kv",
     "sim_config_to_dict",
     "stream_for_run",
     "write_trace_csv",

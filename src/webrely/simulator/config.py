@@ -1,4 +1,4 @@
-"""Simulation configuration and its key-value file format."""
+"""Simulation configuration."""
 
 from __future__ import annotations
 
@@ -46,31 +46,6 @@ class SimConfig:
         total = sum(self.view_mix.values())
         if any(w < 0 for w in self.view_mix.values()) or not math.isclose(total, 1.0, rel_tol=1e-9):
             raise ValueError("view_mix weights must be non-negative and sum to 1")
-
-
-def _parse_view_mix(value: str) -> dict[str, float]:
-    weights = [float(w) for w in value.split(",")]
-    if len(weights) != 3:
-        raise ValueError("view_mix needs 3 weights (professor,student,public)")
-    return dict(zip(VIEWS, weights))
-
-
-def sim_config_from_kv(pairs: dict[str, str]) -> SimConfig:
-    """Consume simulation keys from a parsed key-value mapping.  view_mix is
-    three comma-separated weights in professor,student,public order."""
-    from ..kvconfig import take
-
-    return SimConfig(
-        interarrival_mean=take(pairs, "interarrival_mean", float, 4.0),
-        service_mean=take(pairs, "service_mean", float, 3.0),
-        service_std=take(pairs, "service_std", float, 1.0),
-        capacity=take(pairs, "capacity", int, 100),
-        events_per_run=take(pairs, "events_per_run", int, 100),
-        runs=take(pairs, "runs", int, 500),
-        fault_probability=take(pairs, "fault_probability", float, 0.03),
-        seed=take(pairs, "seed", int, 0),
-        view_mix=take(pairs, "view_mix", _parse_view_mix, _default_view_mix()),
-    )
 
 
 def sim_config_to_dict(cfg: SimConfig) -> dict:

@@ -17,8 +17,9 @@ from ._quantiles import chi2_ppf, ks_ppf
 from .samples import DefectSampleSet, Histogram
 from .weibull import WeibullModel, weibull_cdf
 
-__all__ = ["GofResult", "goodness_of_fit"]
+__all__ = ["GOF_METHODS", "GofResult", "goodness_of_fit"]
 
+GOF_METHODS = ("chi-square", "ks")
 MIN_EXPECTED_PER_BIN = 5.0
 
 

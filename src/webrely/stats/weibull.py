@@ -35,15 +35,6 @@ class WeibullModel:
         """Constant factor shape * scale**(-shape) multiplying x**(shape-1)."""
         return self.shape * self.scale ** (-self.shape)
 
-    def pdf(self, x: float) -> float:
-        return weibull_pdf(self, x)
-
-    def cdf(self, x: float) -> float:
-        return weibull_cdf(self, x)
-
-    def mean(self) -> float:
-        return weibull_mean(self)
-
 
 def weibull_pdf(model: WeibullModel, x: float) -> float:
     """Density at x.

@@ -1,4 +1,5 @@
 import json
+import re
 import signal
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from webrely import cli
 from webrely.cli import main
 from webrely.harness import (
     MockTarget,
@@ -82,6 +84,35 @@ def test_simulate_empty_campaign_exit_code(tmp_path):
 def test_simulate_unknown_config_key(tmp_path):
     cfg = write(tmp_path / "sim.cfg", "bogus = 1\n")
     assert run_cli("--project-dir", tmp_path / "proj", "simulate", "--config", cfg) == 2
+
+
+BAD_VALUES = [
+    "gof_method = KS", "significance = 1.5", "policy = bogus",
+    "policy_k = 0", "bin_width = 0", "runs = many",
+]
+
+
+@pytest.mark.parametrize(
+    "command,line",
+    [("simulate", line) for line in BAD_VALUES]
+    + [("fit", line) for line in BAD_VALUES]
+    + [("evaluate", "policy = bogus")],
+)
+def test_bad_config_value_fails_before_any_work(tmp_path, fixed_sample, command, line):
+    project = tmp_path / "proj"
+    if command == "simulate":
+        cfg = write(tmp_path / "c.cfg", SIM_CFG + line + "\n")
+        argv = ["simulate"]
+    elif command == "fit":
+        cfg = write(tmp_path / "c.cfg", line + "\n")
+        samples = write(tmp_path / "s.txt", "".join(f"{v}\n" for v in fixed_sample.values))
+        argv = ["fit", "--samples", samples, "--label", "ideal"]
+    else:
+        # an unreachable target exits 6 once the crawl starts; 2 shows it never did
+        cfg = write(tmp_path / "c.cfg", EVAL_CFG + line + "\n")
+        argv = ["evaluate", "--target", "http://127.0.0.1:9", "--label", "ideal"]
+    assert run_cli("--project-dir", project, *argv, "--config", cfg) == 2
+    assert not (project / "phases/ideal").exists()
 
 
 def test_simulate_trace_flag(tmp_path):
@@ -255,6 +286,17 @@ def test_fit_csv_column(tmp_path):
     assert fit["shape"] == pytest.approx(2.397, abs=0.01)
 
 
+def test_fit_two_bin_sample_skips_goodness_of_fit(tmp_path):
+    # unit bins [0, 1) and [1, 2): chi-square needs at least 3
+    samples = write(tmp_path / "s.txt", "0.2\n0.5\n0.7\n1.2\n1.5\n1.8\n")
+    project = tmp_path / "proj"
+    assert run_cli("--project-dir", project, "fit", "--samples", samples, "--label", "x") == 0
+    assert json.loads((project / "phases/x/fit.json").read_text())["gof"] is None
+    error = json.loads((project / "phases/x/fit_error.json").read_text())
+    assert error["stage"] == "goodness-of-fit"
+    assert "InsufficientData" in error["error"]
+
+
 def test_compare_same_label_equal(tmp_path, fixed_sample):
     samples = write(tmp_path / "s.txt", "".join(f"{v}\n" for v in fixed_sample.values))
     project = tmp_path / "proj"
@@ -403,3 +445,87 @@ def test_cli_imports_no_third_party_package():
     code = f"import sys, webrely.cli; print(sorted({packages} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# every documented config key set away from its default: (key, raw value,
+# section of config.json, field in that section, recorded value)
+SIM_KEY_PINS = [
+    ("interarrival_mean", "3.5", "sim", "interarrival_mean", 3.5),
+    ("service_mean", "2.5", "sim", "service_mean", 2.5),
+    ("service_std", "0.5", "sim", "service_std", 0.5),
+    ("capacity", "50", "sim", "capacity", 50),
+    ("events_per_run", "50", "sim", "events_per_run", 50),
+    ("runs", "40", "sim", "runs", 40),
+    ("fault_probability", "0.05", "sim", "fault_probability", 0.05),
+    ("seed", "7", "sim", "seed", 7),
+    ("view_mix", "0.2,0.5,0.3", "sim", "view_mix",
+     {"professor": 0.2, "student": 0.5, "public": 0.3}),
+]
+ANALYSIS_KEY_PINS = [
+    ("policy", "zscore", "analysis", "policy", "zscore"),
+    ("policy_k", "4.5", "analysis", "policy_k", 4.5),
+    ("bin_width", "0.5", "analysis", "bin_width", 0.5),
+    ("origin", "0.25", "analysis", "origin", 0.25),
+    ("gof_method", "ks", "analysis", "gof_method", "ks"),
+    ("significance", "0.1", "analysis", "significance", 0.1),
+]
+EVAL_KEY_PINS = [
+    ("evaluations", "2", "campaign", "evaluations", 2),
+    ("cases", "7", "campaign", "cases_per_round", 7),
+    ("walk_length", "3", "campaign", "walk_length", 3),
+    ("seed", "11", "campaign", "seed", 11),
+    ("duration", "30", "campaign", "duration_s", 30.0),
+    ("arrival_mean", "0.002", "campaign", "arrival_mean_s", 0.002),
+    ("workers", "6", "campaign", "workers", 6),
+    ("request_timeout", "7.5", "campaign", "request_timeout_s", 7.5),
+    ("max_depth", "4", "crawl", "max_depth", 4),
+    ("max_pages", "40", "crawl", "max_pages_per_view", 40),
+]
+
+
+def _pin_config(path: Path, pins) -> Path:
+    return write(path, "".join(f"{key} = {raw}\n" for key, raw, *_ in pins))
+
+
+def _unrecorded(config: dict, pins) -> list[str]:
+    return [
+        key for key, _, section, field, value in pins
+        if config.get(section, {}).get(field) != value
+    ]
+
+
+def test_simulate_config_json_records_every_key(tmp_path):
+    pins = SIM_KEY_PINS + ANALYSIS_KEY_PINS
+    cfg = _pin_config(tmp_path / "sim.cfg", pins)
+    project = tmp_path / "proj"
+    assert run_cli("--project-dir", project, "simulate", "--config", cfg) == 0
+    config = json.loads((project / "phases/ideal/config.json").read_text())
+    assert _unrecorded(config, pins) == []
+
+
+def test_evaluate_config_json_records_every_key(tmp_path):
+    faults = [
+        SeededFault("/student/profile", "update", "error-marker"),
+        SeededFault("/professor/students", "update", "http-500"),
+        SeededFault("/professor/courses", "insert", "http-500"),
+        SeededFault("/student/courses", "insert", "error-marker"),
+    ]
+    cfg = _pin_config(tmp_path / "eval.cfg", EVAL_KEY_PINS)
+    project = tmp_path / "proj"
+    with MockTarget(faults) as target:
+        assert run_cli("--project-dir", project, "evaluate",
+                       "--target", target.base_url, "--config", cfg) == 0
+    config = json.loads((project / "phases/real/config.json").read_text())
+    assert _unrecorded(config, EVAL_KEY_PINS) == []
+
+
+def _readme_config_keys() -> set[str]:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1].split("\n### ", 1)[0]
+    return set(re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE))
+
+
+def test_readme_lists_exactly_the_config_keys():
+    tables = (cli.SIM_KEYS, cli.CAMPAIGN_KEYS, cli.HARNESS_KEYS, cli.CRAWL_KEYS,
+              cli.ANALYSIS_KEYS)
+    assert _readme_config_keys() == set().union(*tables)
