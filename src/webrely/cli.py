@@ -25,17 +25,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import errors
-from .harness import (
-    CampaignConfig,
-    CrawlLimits,
-    HarnessConfig,
-    MockTarget,
-    SiteModel,
-    crawl_site,
-    default_profiles,
-    load_fault_table,
-)
-from .harness import run_campaign as run_live_campaign
 from .project import Analysis, EiProject
 from .psp import load_records, trend_report, trend_series_csv
 from .simulator import SimConfig, run_campaign, sim_config_to_dict, write_trace_csv
@@ -207,6 +196,8 @@ def _auth_from_profiles(profiles) -> dict:
 
 
 def cmd_crawl(args) -> int:
+    from .harness import CrawlLimits, crawl_site, default_profiles
+
     limits = CrawlLimits(**_read_config(args, CRAWL_KEYS)[0])
     profiles = default_profiles()
     model = crawl_site(args.target, _auth_from_profiles(profiles), limits)
@@ -219,6 +210,9 @@ def cmd_crawl(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .harness import CampaignConfig, CrawlLimits, HarnessConfig, SiteModel, crawl_site
+    from .harness import run_campaign as run_live_campaign
+
     project = EiProject(args.project_dir)
     campaign_kw, harness_kw, crawl_kw, analysis_kw = _read_config(
         args, CAMPAIGN_KEYS, HARNESS_KEYS, CRAWL_KEYS, ANALYSIS_KEYS
@@ -247,9 +241,12 @@ def cmd_evaluate(args) -> int:
                 **_section(campaign, CAMPAIGN_KEYS),
                 **_section(campaign.harness, HARNESS_KEYS),
             },
-            "crawl": _section(limits, CRAWL_KEYS),
             "analysis": asdict(analysis),
         }
+        if args.model:
+            config_doc["model"] = str(args.model)
+        else:
+            config_doc["crawl"] = _section(limits, CRAWL_KEYS)
         result = project.persist_phase(args.label, samples, config_doc, analysis)
     _report_fit(result)
     print(f"artifacts under {project.phase_dir(args.label)}")
@@ -338,6 +335,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_mock_serve(args) -> int:
+    from .harness import MockTarget, load_fault_table
+
     faults = load_fault_table(args.faults) if args.faults else None
     target = MockTarget(faults, port=args.port)
     target.start()
@@ -355,6 +354,9 @@ def cmd_mock_serve(args) -> int:
 
 # --- argument parsing -------------------------------------------------------
 
+# the only commands that draw random numbers; the rest reject --seed
+SEEDED_COMMANDS = (cmd_simulate, cmd_evaluate)
+
 
 def build_parser() -> argparse.ArgumentParser:
     # the global flags are accepted both before and after the subcommand;
@@ -362,7 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--project-dir", default=argparse.SUPPRESS, help="artifact store root")
     common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="override the config seed"
+        "--seed",
+        type=int,
+        default=argparse.SUPPRESS,
+        help="override the config seed (simulate and evaluate only)",
     )
     common.add_argument("--config", default=argparse.SUPPRESS, help="key=value config file")
 
@@ -422,6 +427,10 @@ def main(argv=None) -> int:
     args.project_dir = getattr(args, "project_dir", ".")
     args.seed = getattr(args, "seed", None)
     args.config = getattr(args, "config", None)
+    if args.seed is not None and args.func not in SEEDED_COMMANDS:
+        print(f"usage error: --seed applies to simulate and evaluate, not {args.command}",
+              file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except errors.WebrelyError as exc:

@@ -10,6 +10,11 @@ directly as (sum(x_i**a) / n) ** (1/a).
 
 g is strictly increasing (its derivative is a weighted variance of ln x
 plus 1/a**2), so whenever a root exists the bracketed fallback finds it.
+
+The reported residual is |g| at the returned shape: for Newton-Raphson it
+is the smallest |g| the iteration evaluated (the one that chose the
+shape), so g is not evaluated again; after bisection it is g evaluated
+once more at the midpoint returned.
 """
 
 from __future__ import annotations
@@ -64,53 +69,60 @@ class FitReport:
         return replace(self, gof=gof)
 
 
-def _sums(log_xs: list[float], a: float) -> tuple[float, float, float]:
+def _sums(log_xs: list[float], max_abs_log: float, a: float) -> tuple[float, float, float]:
     """Return (S1/S0, S2_ratio, log S0) for S_k = sum(x**a * (ln x)**k).
 
-    Uses direct powers while safe and a shifted log-space (log-sum-exp)
-    form when a * max|ln x| exceeds the overflow limit.
+    max_abs_log is max|ln x|, computed once per sample by the caller.  Uses
+    direct powers while safe and a shifted log-space (log-sum-exp) form
+    when a * max|ln x| exceeds the overflow limit.
     """
-    peak = a * max(abs(l) for l in log_xs)
-    if peak <= _LOG_SPACE_LIMIT:
-        s0 = s1 = s2 = 0.0
+    exp = math.exp
+    s0 = s1 = s2 = 0.0
+    if a * max_abs_log <= _LOG_SPACE_LIMIT:
         for l in log_xs:
-            w = math.exp(a * l)
+            w = exp(a * l)
+            wl = w * l
             s0 += w
-            s1 += w * l
-            s2 += w * l * l
+            s1 += wl
+            s2 += wl * l
         return s1 / s0, s2 / s0, math.log(s0)
     shift = a * max(log_xs)
-    s0 = s1 = s2 = 0.0
     for l in log_xs:
-        w = math.exp(a * l - shift)
+        w = exp(a * l - shift)
+        wl = w * l
         s0 += w
-        s1 += w * l
-        s2 += w * l * l
+        s1 += wl
+        s2 += wl * l
     return s1 / s0, s2 / s0, shift + math.log(s0)
+
+
+def _max_abs(log_xs: list[float]) -> float:
+    return max(max(log_xs), -min(log_xs))
 
 
 def score(values, a: float) -> float:
     """g(a) for the given strictly positive sample; exposed for oracles."""
     log_xs = [math.log(v) for v in values]
-    ratio, _, _ = _sums(log_xs, a)
+    ratio, _, _ = _sums(log_xs, _max_abs(log_xs), a)
     return ratio - 1.0 / a - sum(log_xs) / len(log_xs)
 
 
-def _score_and_slope(log_xs: list[float], mean_log: float, a: float) -> tuple[float, float]:
-    ratio, ratio2, _ = _sums(log_xs, a)
+def _score_and_slope(
+    log_xs: list[float], max_abs_log: float, mean_log: float, a: float
+) -> tuple[float, float]:
+    ratio, ratio2, _ = _sums(log_xs, max_abs_log, a)
     g = ratio - 1.0 / a - mean_log
     # weighted variance of ln x is ratio2 - ratio**2 >= 0, hence g' > 0
     g_prime = (ratio2 - ratio * ratio) + 1.0 / (a * a)
     return g, g_prime
 
 
-def _scale_for(values: list[float], log_xs: list[float], a: float) -> float:
+def _scale_for(values: list[float], log_xs: list[float], max_abs_log: float, a: float) -> float:
     n = len(values)
-    peak = a * max(abs(l) for l in log_xs)
-    if peak <= _LOG_SPACE_LIMIT:
+    if a * max_abs_log <= _LOG_SPACE_LIMIT:
         # direct form of the closed-scale equation, kept exact for re-substitution
         return (math.fsum(v**a for v in values) / n) ** (1.0 / a)
-    _, _, log_s0 = _sums(log_xs, a)
+    _, _, log_s0 = _sums(log_xs, max_abs_log, a)
     return math.exp((log_s0 - math.log(n)) / a)
 
 
@@ -140,6 +152,7 @@ def fit_weibull(samples: DefectSampleSet, cfg: SolverConfig = SolverConfig()) ->
         )
 
     log_xs = [math.log(v) for v in positive]
+    max_abs_log = _max_abs(log_xs)
     mean_log = sum(log_xs) / len(log_xs)
 
     a = cfg.initial_shape
@@ -149,7 +162,7 @@ def fit_weibull(samples: DefectSampleSet, cfg: SolverConfig = SolverConfig()) ->
     polish = 0
     for _ in range(cfg.max_iterations):
         iterations += 1
-        g, g_prime = _score_and_slope(log_xs, mean_log, a)
+        g, g_prime = _score_and_slope(log_xs, max_abs_log, mean_log, a)
         if abs(g) < best_g:
             best_g, best_a = abs(g), a
         step = g / g_prime
@@ -164,19 +177,19 @@ def fit_weibull(samples: DefectSampleSet, cfg: SolverConfig = SolverConfig()) ->
             break
         a = a_next
 
-    a = best_a
+    a, residual = best_a, best_g
     if best_g > cfg.tolerance:
         method = "bisection"
-        a, extra = _bisect(log_xs, mean_log, cfg)
+        a, extra = _bisect(log_xs, max_abs_log, mean_log, cfg)
         iterations += extra
+        residual = abs(_score_and_slope(log_xs, max_abs_log, mean_log, a)[0])
 
-    residual = abs(_score_and_slope(log_xs, mean_log, a)[0])
     if residual > cfg.tolerance:
         raise NoConvergence(
             f"residual |g| = {residual:.3e} above tolerance {cfg.tolerance:g} "
             f"after {iterations} iterations"
         )
-    scale = _scale_for(positive, log_xs, a)
+    scale = _scale_for(positive, log_xs, max_abs_log, a)
     return FitReport(
         model=WeibullModel(shape=a, scale=scale),
         sample_count=len(positive),
@@ -188,10 +201,12 @@ def fit_weibull(samples: DefectSampleSet, cfg: SolverConfig = SolverConfig()) ->
     )
 
 
-def _bisect(log_xs: list[float], mean_log: float, cfg: SolverConfig) -> tuple[float, int]:
+def _bisect(
+    log_xs: list[float], max_abs_log: float, mean_log: float, cfg: SolverConfig
+) -> tuple[float, int]:
     lo, hi = _BISECT_LO, _BISECT_HI
-    g_lo = _score_and_slope(log_xs, mean_log, lo)[0]
-    g_hi = _score_and_slope(log_xs, mean_log, hi)[0]
+    g_lo = _score_and_slope(log_xs, max_abs_log, mean_log, lo)[0]
+    g_hi = _score_and_slope(log_xs, max_abs_log, mean_log, hi)[0]
     if g_lo > 0.0 or g_hi < 0.0:
         raise NoConvergence(
             f"no sign change of g on [{_BISECT_LO:g}, {_BISECT_HI:g}] "
@@ -202,7 +217,7 @@ def _bisect(log_xs: list[float], mean_log: float, cfg: SolverConfig) -> tuple[fl
     for _ in range(cfg.max_iterations):
         steps += 1
         mid = 0.5 * (lo + hi)
-        g_mid = _score_and_slope(log_xs, mean_log, mid)[0]
+        g_mid = _score_and_slope(log_xs, max_abs_log, mean_log, mid)[0]
         if abs(g_mid) <= cfg.tolerance and (hi - lo) <= 1e-12 * max(1.0, mid):
             return mid, steps
         if g_mid < 0.0:

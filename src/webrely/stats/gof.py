@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..errors import InsufficientData
 from ._quantiles import chi2_ppf, ks_ppf
 from .samples import DefectSampleSet, Histogram
-from .weibull import WeibullModel, weibull_cdf
+from .weibull import WeibullModel, _cdf, weibull_cdf
 
 __all__ = ["GOF_METHODS", "GofResult", "goodness_of_fit"]
 
@@ -143,10 +143,17 @@ def _ks(samples: DefectSampleSet, model: WeibullModel, significance: float) -> G
     if n < 5:
         raise InsufficientData(f"ks needs >= 5 samples, got {n}")
     xs = sorted(samples.values)
+    shape, log_scale = model.shape, math.log(model.scale)
     d = 0.0
     for i, x in enumerate(xs, start=1):
-        f = weibull_cdf(model, x)
-        d = max(d, i / n - f, f - (i - 1) / n)
+        f = _cdf(shape, log_scale, x)
+        # two strict comparisons keep max(d, above, below)'s choice on ties
+        above = i / n - f
+        if above > d:
+            d = above
+        below = f - (i - 1) / n
+        if below > d:
+            d = below
     threshold = ks_ppf(1.0 - significance, n)
     return GofResult(
         statistic=d,

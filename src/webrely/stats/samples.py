@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from ..errors import AllDiscarded, EmptySample
@@ -82,30 +83,17 @@ def _quantile(sorted_values: list[float], q: float) -> float:
 
 
 def _one_pass(values: list[float], policy: AnomalyPolicy) -> tuple[list[float], list[DiscardRecord]]:
+    """One zscore pass (or the identity for "none"); tukey has _tukey."""
     if policy.method == "none":
         return list(values), []
-    kept: list[float] = []
-    dropped: list[DiscardRecord] = []
-    if policy.method == "tukey":
-        s = sorted(values)
-        q1 = _quantile(s, 0.25)
-        q3 = _quantile(s, 0.75)
-        spread = q3 - q1
-        lo = q1 - policy.k * spread
-        hi = q3 + policy.k * spread
-        for v in values:
-            if v < lo or v > hi:
-                dropped.append(DiscardRecord(v, f"tukey(k={policy.k:g}): outside [{lo:g}, {hi:g}]"))
-            else:
-                kept.append(v)
-        return kept, dropped
-    # zscore
     n = len(values)
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / n
     std = math.sqrt(var)
     if std == 0.0:
         return list(values), []
+    kept: list[float] = []
+    dropped: list[DiscardRecord] = []
     for v in values:
         z = abs(v - mean) / std
         if z > policy.k:
@@ -115,6 +103,49 @@ def _one_pass(values: list[float], policy: AnomalyPolicy) -> tuple[list[float], 
     return kept, dropped
 
 
+def _tukey(values: list[float], policy: AnomalyPolicy) -> tuple[list[float], list[DiscardRecord]]:
+    """Tukey fences re-applied to a fixed point over a single sort.
+
+    Each pass keeps a contiguous window s[i:j] of the sorted values (equal
+    values fall on the same side of a fence), so a pass's quartiles come
+    from the current window and its fences move i and j by bisection.
+    Records come out grouped by pass, in input order within a pass; an
+    empty kept list means the fences discarded every value.
+    """
+    s = sorted(values)
+    i, j = 0, len(s)
+    fences: list[tuple[float, float]] = []
+    while True:
+        window = s[i:j]
+        q1 = _quantile(window, 0.25)
+        q3 = _quantile(window, 0.75)
+        spread = q3 - q1
+        lo = q1 - policy.k * spread
+        hi = q3 + policy.k * spread
+        i_next = bisect_left(s, lo, i, j)
+        j_next = bisect_right(s, hi, i, j)
+        if i_next == i and j_next == j:
+            break
+        if i_next >= j_next:
+            return [], []
+        fences.append((lo, hi))
+        i, j = i_next, j_next
+
+    first, last = s[i], s[j - 1]
+    kept: list[float] = []
+    by_pass: list[list[DiscardRecord]] = [[] for _ in fences]
+    reasons = [f"tukey(k={policy.k:g}): outside [{lo:g}, {hi:g}]" for lo, hi in fences]
+    for v in values:
+        if first <= v <= last:
+            kept.append(v)
+            continue
+        for p, (lo, hi) in enumerate(fences):
+            if v < lo or v > hi:
+                by_pass[p].append(DiscardRecord(v, reasons[p]))
+                break
+    return kept, [record for records in by_pass for record in records]
+
+
 def discard_anomalies(
     raw, policy: AnomalyPolicy = AnomalyPolicy(), source_label: str = ""
 ) -> DefectSampleSet:
@@ -122,8 +153,10 @@ def discard_anomalies(
 
     The policy is re-applied until it stops discarding (a fixed point), so
     running discard_anomalies on its own retained output never discards
-    anything further.  Deterministic: input order is preserved among the
-    retained values and discard reasons record the violated fence.
+    anything further.  For tukey the fixed point uses one sort: every pass
+    narrows a window of the same sorted values.  Deterministic: input order
+    is preserved among the retained values, records are grouped by the pass
+    that discarded them, and each reason records that pass's fences.
 
     Raises EmptySample on empty input and AllDiscarded if no value survives.
     """
@@ -134,15 +167,17 @@ def discard_anomalies(
         if not math.isfinite(v) or v < 0.0:
             raise ValueError(f"raw defect densities must be finite and >= 0, got {v}")
 
-    kept = values
-    dropped: list[DiscardRecord] = []
-    while kept:
-        kept_next, dropped_now = _one_pass(kept, policy)
-        dropped.extend(dropped_now)
-        if not dropped_now:
-            break
-        kept = kept_next
+    if policy.method == "tukey":
+        kept, dropped = _tukey(values, policy)
     else:
+        kept, dropped = values, []
+        while kept:
+            kept_next, dropped_now = _one_pass(kept, policy)
+            if not dropped_now:
+                break
+            dropped.extend(dropped_now)
+            kept = kept_next
+    if not kept:
         raise AllDiscarded(f"policy {policy.method}(k={policy.k:g}) discarded all {len(values)} values")
 
     return DefectSampleSet(tuple(kept), tuple(dropped), source_label)

@@ -62,9 +62,14 @@ def weibull_pdf(model: WeibullModel, x: float) -> float:
 
 def weibull_cdf(model: WeibullModel, x: float) -> float:
     """P(X <= x); 0 for x < 0, monotone non-decreasing, bounded by 1."""
+    return _cdf(model.shape, math.log(model.scale), x)
+
+
+def _cdf(shape: float, log_scale: float, x: float) -> float:
+    """weibull_cdf's formula, for loops that compute log(scale) once."""
     if x <= 0.0:
         return 0.0
-    log_z_pow = model.shape * (math.log(x) - math.log(model.scale))
+    log_z_pow = shape * (math.log(x) - log_scale)
     if log_z_pow > 700.0:
         return 1.0
     return -math.expm1(-math.exp(log_z_pow))

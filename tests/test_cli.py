@@ -76,6 +76,32 @@ def test_simulate_seed_flag_overrides_config(tmp_path):
     assert config["sim"]["seed"] == 9
 
 
+# --seed is a usage error for every command that draws no random numbers
+SEED_CASES = [
+    (["fit", "--samples", "{tmp}/s.txt", "--label", "x"], 2),
+    (["crawl", "--target", "http://127.0.0.1:9"], 2),
+    (["psp", "--records", str(DATA / "psp_records.csv")], 2),
+    (["compare", "a", "b"], 2),
+    (["mock-serve", "--port", "0"], 2),
+    (["simulate", "--config", "{tmp}/sim.cfg"], 0),
+]
+
+
+@pytest.mark.parametrize("argv,code", SEED_CASES, ids=[argv[0] for argv, _ in SEED_CASES])
+def test_seed_flag_only_for_seeded_commands(tmp_path, capsys, argv, code):
+    write(tmp_path / "s.txt", "1\n2\n3\n4\n5\n")
+    write(tmp_path / "sim.cfg", SIM_CFG)
+    project = tmp_path / "proj"
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert run_cli("--project-dir", project, "--seed", 9, *argv) == code
+    if code == 2:
+        assert "--seed" in capsys.readouterr().err
+        # rejected before any work: no phases/, not even the project directory
+        assert not project.exists()
+    else:
+        assert (project / "phases/ideal/fit.json").exists()
+
+
 def test_simulate_empty_campaign_exit_code(tmp_path):
     cfg = write(tmp_path / "sim.cfg", "runs = 0\nseed = 1\n")
     assert run_cli("--project-dir", tmp_path / "proj", "simulate", "--config", cfg) == 3
@@ -223,6 +249,24 @@ def test_evaluate_with_cached_model(tmp_path):
         assert run_cli("--project-dir", project, "evaluate", "--target", target.base_url,
                        "--config", cfg, "--model", model_path) == 0
         assert (project / "phases/real/model.json").read_text() == model_path.read_text()
+
+
+def test_evaluate_with_cached_model_records_model_path(tmp_path):
+    cfg = write(tmp_path / "eval.cfg", RICH_EVAL_CFG)
+    faults = [
+        SeededFault("/student/profile", "update", "error-marker"),
+        SeededFault("/professor/courses", "insert", "http-500"),
+    ]
+    with MockTarget(faults) as target:
+        model_path = tmp_path / "model.json"
+        assert run_cli("crawl", "--target", target.base_url, "--out", model_path) == 0
+        project = tmp_path / "proj"
+        assert run_cli("--project-dir", project, "evaluate", "--target", target.base_url,
+                       "--config", cfg, "--model", model_path) == 0
+    config = json.loads((project / "phases/real/config.json").read_text())
+    assert config["model"] == str(model_path)
+    # no crawl ran, so no crawl limits are recorded
+    assert "crawl" not in config
 
 
 def test_evaluate_target_down_exit_code(tmp_path):
@@ -443,6 +487,15 @@ def test_mock_serve_subprocess():
 def test_cli_imports_no_third_party_package():
     packages = "{'requests', 'urllib3', 'scipy', 'numpy'}"
     code = f"import sys, webrely.cli; print(sorted({packages} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_http_machinery():
+    # only crawl, evaluate and mock-serve need the harness; they import it
+    # when they run
+    modules = "{'webrely.harness', 'http.client', 'http.server', 'urllib.request'}"
+    code = f"import sys, webrely.cli; print(sorted({modules} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 

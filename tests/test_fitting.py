@@ -128,6 +128,27 @@ def test_matches_bisection_oracle(values):
     assert report.model.shape == pytest.approx(bisect_oracle(values), abs=1e-6)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1e4)), min_size=2, max_size=60),
+)
+@example(values=[0.0, 1.0, 2.0, 3.0, 500.0])
+def test_newton_residual_is_score_at_estimate(values):
+    positive = [v for v in values if v > 0.0]
+    try:
+        report = fit_weibull(DefectSampleSet(tuple(values)))
+    except (EmptySample, NonIdentifiable, NoConvergence):
+        return
+    if report.method == "newton-raphson":
+        assert report.residual == abs(score(positive, report.model.shape))
+
+
+def test_newton_residual_on_fixture(fixed_sample):
+    report = fit_weibull(fixed_sample)
+    assert report.method == "newton-raphson"
+    assert report.residual == abs(score(fixed_sample.values, report.model.shape))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.floats(0.05, 15.0, allow_nan=False), min_size=3, max_size=30),

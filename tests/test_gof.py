@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2, kstwo
 
 from webrely.errors import InsufficientData
@@ -7,6 +9,7 @@ from webrely.stats import (
     WeibullModel,
     build_histogram,
     goodness_of_fit,
+    weibull_cdf,
 )
 from webrely.stats._quantiles import chi2_ppf, ks_ppf
 
@@ -64,6 +67,39 @@ def test_ks_accepts_generating_model(fixed_sample):
 def test_ks_rejects_wrong_model(fixed_sample):
     result = goodness_of_fit(None, WRONG_MODEL, "ks", 0.05, samples=fixed_sample)
     assert not result.passed
+
+
+def reference_ks_statistic(values, model):
+    xs = sorted(values)
+    n = len(xs)
+    d = 0.0
+    for i, x in enumerate(xs, start=1):
+        f = weibull_cdf(model, x)
+        d = max(d, i / n - f, f - (i - 1) / n)
+    return d
+
+
+KS_MODELS = [FIXTURE_MODEL, WRONG_MODEL, WeibullModel(0.4, 30.0), WeibullModel(300.0, 1.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(st.just(0.0), st.floats(0.0, 50.0)), min_size=5, max_size=60),
+    st.sampled_from(KS_MODELS),
+)
+def test_ks_statistic_matches_reference_loop(values, model):
+    got = goodness_of_fit(None, model, "ks", 0.05, samples=DefectSampleSet(tuple(values)))
+    assert got.statistic == reference_ks_statistic(values, model)
+
+
+def test_ks_statistic_with_zeros_and_saturated_cdf():
+    # shape 300 puts ln z**a = 300 * ln 20 ~ 899 > 700 at x = 20: the CDF
+    # saturates at exactly 1 there and is exactly 0 at the zeros
+    model = WeibullModel(300.0, 1.0)
+    values = (0.0, 0.0, 0.5, 0.999, 1.0, 1.001, 20.0, 20.0, 1e6)
+    got = goodness_of_fit(None, model, "ks", 0.05, samples=DefectSampleSet(values))
+    assert got.statistic == reference_ks_statistic(values, model)
+    assert weibull_cdf(model, 20.0) == 1.0
 
 
 def test_ks_needs_five_samples():

@@ -1,13 +1,15 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from webrely.errors import AllDiscarded, EmptySample
 from webrely.stats import (
     AnomalyPolicy,
     DefectSampleSet,
+    DiscardRecord,
     WeibullModel,
     apply_policy,
     build_histogram,
@@ -101,6 +103,69 @@ def test_discard_idempotent(raw, method, k):
     again = discard_anomalies(first.values, policy)
     assert again.values == first.values
     assert again.discarded == ()
+
+
+def reference_tukey(values, k):
+    """Tukey fences as repeated passes: each pass sorts what the last one
+    kept, recomputes its quartiles and drops, in input order, what lies
+    outside its own fences.  Returns None when every value is dropped."""
+
+    def quantile(s, q):
+        n = len(s)
+        if n == 1:
+            return s[0]
+        h = (n - 1) * q
+        lo = int(math.floor(h))
+        if lo >= n - 1:
+            return s[-1]
+        return s[lo] + (h - lo) * (s[lo + 1] - s[lo])
+
+    kept, dropped = list(values), []
+    while kept:
+        s = sorted(kept)
+        q1, q3 = quantile(s, 0.25), quantile(s, 0.75)
+        lo, hi = q1 - k * (q3 - q1), q3 + k * (q3 - q1)
+        reason = f"tukey(k={k:g}): outside [{lo:g}, {hi:g}]"
+        now = [DiscardRecord(v, reason) for v in kept if v < lo or v > hi]
+        if not now:
+            return tuple(kept), tuple(dropped)
+        dropped.extend(now)
+        kept = [v for v in kept if lo <= v <= hi]
+    return None
+
+
+# ties (small integers, zeros) mixed with a heavy right tail (Pareto-like)
+TUKEY_VALUES = st.one_of(
+    st.just(0.0),
+    st.integers(0, 6).map(float),
+    st.floats(0.0, 10.0),
+    st.floats(0.01, 1.0).map(lambda u: u ** -3.0),
+    st.floats(1e3, 1e12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TUKEY_VALUES, min_size=1, max_size=80), st.sampled_from([1.0, 1.5, 3.0]))
+@example(raw=[0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 50.0, 1e9], k=1.0)
+@example(raw=[0.0, 1.0], k=1.0)
+def test_one_sort_tukey_matches_multi_pass_reference(raw, k):
+    expected = reference_tukey(raw, k)
+    if expected is None:
+        with pytest.raises(AllDiscarded):
+            discard_anomalies(raw, AnomalyPolicy("tukey", k))
+        return
+    out = discard_anomalies(raw, AnomalyPolicy("tukey", k))
+    assert (out.values, out.discarded) == expected
+
+
+def test_tukey_records_grouped_by_pass_in_input_order():
+    # pass 1 drops 1000 and 200; pass 2 (fences from the remaining values)
+    # drops 30 and 25, each pass listing its values in input order
+    raw = [5.0, 1000.0, 6.0, 30.0, 4.0, 5.0, 200.0, 6.0, 25.0, 5.0, 4.0, 6.0, 5.0]
+    out = discard_anomalies(raw, AnomalyPolicy("tukey", 1.5))
+    assert [d.value for d in out.discarded] == [1000.0, 200.0, 30.0, 25.0]
+    assert out.discarded == reference_tukey(raw, 1.5)[1]
+    assert len({d.reason for d in out.discarded}) == 2
 
 
 def test_partition_covers_raw_input():
