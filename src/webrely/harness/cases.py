@@ -9,6 +9,7 @@ from pathlib import Path
 from ..errors import EmptyModel
 from ..stats.serialize import dump_json, read_json
 from .crawler import Credentials
+from .mock import _COURSE_IDS, CREDENTIALS
 from .model import Node, SiteModel
 
 __all__ = [
@@ -59,19 +60,11 @@ class TestProfile:
 
 def default_profiles() -> dict[str, TestProfile]:
     """The three standard profiles, wired to the bundled mock credentials."""
-    return {
-        "public": TestProfile("public", None, {"read": 1.0}),
-        "professor": TestProfile(
-            "professor",
-            Credentials("prof", "prof123"),
-            {"read": 0.55, "insert": 0.15, "update": 0.15, "delete": 0.15},
-        ),
-        "student": TestProfile(
-            "student",
-            Credentials("stud", "stud123"),
-            {"read": 0.55, "insert": 0.15, "update": 0.15, "delete": 0.15},
-        ),
-    }
+    writer = {"read": 0.55, "insert": 0.15, "update": 0.15, "delete": 0.15}
+    profiles = {"public": TestProfile("public", None, {"read": 1.0})}
+    for view, (username, password) in CREDENTIALS.items():
+        profiles[view] = TestProfile(view, Credentials(username, password), dict(writer))
+    return profiles
 
 
 @dataclass(frozen=True)
@@ -97,7 +90,7 @@ def _step_data(rng: random.Random, node: Node, action: str) -> dict:
         if form.op == action:
             for name in form.fields:
                 if name.endswith("_id") or name == "credits":
-                    data[name] = str(rng.randrange(1, 10))
+                    data[name] = str(rng.choice(_COURSE_IDS))
                 else:
                     data[name] = f"v{rng.randrange(1_000_000)}"
             break

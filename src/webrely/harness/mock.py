@@ -10,6 +10,14 @@ check for; seeded faults break the response in one of three ways:
     error-marker    respond 200 but embed the fault marker string
     missing-marker  respond 200 without the page marker
 
+Each page is one row of the _PAGES table: the view its session must hold
+(None for public pages), its title, its body, its write ops (op -> a
+mutation that returns the note shown above the forms) and the note for a
+POSTed op the page lacks.  GET and POST take one request path, _serve:
+POST /login logs in; an unknown path, or a POST to a page without write
+ops, is 404; a missing or wrong session is 403; the op's mutation and the
+body run under the state lock; the fault on (path, op) picks the rendering.
+
 CRUD handlers are tolerant (updating or deleting a missing row, or
 inserting into a full course table, renders a normal page), so outcomes
 depend only on the fault table and never on request interleaving.  The
@@ -20,8 +28,10 @@ are queued by the kernel, never refused.
 
 from __future__ import annotations
 
+import sys
 import threading
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
@@ -38,7 +48,8 @@ CREDENTIALS = {
 
 VIEW_HOMES = {"professor": "/professor", "student": "/student"}
 
-# generated test cases draw course ids 1-9, so their deletes reach every inserted row
+# the ids an insert fills; generated test cases draw theirs from here too, so
+# their deletes reach every inserted row
 _COURSE_IDS = range(1, 10)
 
 
@@ -73,6 +84,9 @@ def _page(path: str, title: str, body: str) -> str:
     )
 
 
+_FORBIDDEN = "<html><body><h1>Forbidden</h1></body></html>\n"
+
+
 class _State:
     def __init__(self):
         self.lock = threading.Lock()
@@ -83,21 +97,147 @@ class _State:
         self.sessions: dict[str, str] = {}
 
 
+def _add_course(state: _State, form: dict) -> str:
+    free = [i for i in _COURSE_IDS if i not in state.courses]
+    if not free:
+        return ""
+    state.courses[free[0]] = {"name": form.get("name", f"course-{free[0]}"),
+                              "credits": form.get("credits", "0")}
+    return f"<p>added course {free[0]}</p>"
+
+
+def _rename_course(state: _State, form: dict) -> str:
+    cid = _to_int(form.get("course_id"))
+    if cid not in state.courses:
+        return "<p>no change</p>"
+    state.courses[cid]["name"] = form.get("name", state.courses[cid]["name"])
+    return f"<p>updated course {cid}</p>"
+
+
+def _delete_course(state: _State, form: dict) -> str:
+    removed = state.courses.pop(_to_int(form.get("course_id")), None)
+    return "<p>deleted</p>" if removed else "<p>nothing deleted</p>"
+
+
+def _grade(state: _State, form: dict) -> str:
+    key = (form.get("student", ""), _to_int(form.get("course_id")))
+    if key not in state.registrations:
+        return "<p>no such registration</p>"
+    state.registrations[key]["grade"] = form.get("grade", "")
+    return "<p>grade recorded</p>"
+
+
+def _register(state: _State, form: dict) -> str:
+    cid = _to_int(form.get("course_id"))
+    state.registrations[("stud", cid)] = {"grade": ""}
+    return f"<p>registered for {cid}</p>"
+
+
+def _update_profile(state: _State, form: dict) -> str:
+    state.profiles["stud"]["email"] = form.get("email", "")
+    return "<p>profile updated</p>"
+
+
+def _drop(state: _State, form: dict) -> str:
+    removed = state.registrations.pop(("stud", _to_int(form.get("course_id"))), None)
+    return "<p>dropped</p>" if removed else "<p>nothing dropped</p>"
+
+
+def _catalog(state: _State, note: str, query: str) -> str:
+    rows = "".join(f'<li><a href="/courses/view?id={cid}">{c["name"]}</a></li>'
+                   for cid, c in sorted(state.courses.items()))
+    return f"<ul>{rows}</ul>"
+
+
+def _course_detail(state: _State, note: str, query: str) -> str:
+    course = state.courses.get(_to_int(parse_qs(query).get("id", ["0"])[0]))
+    detail = f'{course["name"]} ({course["credits"]} credits)' if course else "no course selected"
+    return f'<p>{detail}</p>\n<a href="/courses">Back to catalog</a>'
+
+
+def _course_names(state: _State) -> str:
+    return "".join(f"<li>{c['name']}</li>" for c in state.courses.values())
+
+
+def _grades(state: _State) -> str:
+    return "".join(f"<li>{s} in {cid}: {r['grade'] or 'ungraded'}</li>"
+                   for (s, cid), r in sorted(state.registrations.items()))
+
+
+def _form_page(path: str, listing: Callable[[_State], str] | None,
+               forms: list[tuple[str, tuple[str, ...], str]],
+               link: str) -> Callable[[_State, str, str], str]:
+    """Body of a page with forms: the listing, the note, each (op, fields,
+    button) form posting back to path, then the link."""
+    html = [f'<form method="post" action="{path}"><input type="hidden" name="op" value="{op}">'
+            + "".join(f'<input name="{name}">' for name in fields)
+            + f"<button>{button}</button></form>" for op, fields, button in forms]
+
+    def body(state: _State, note: str, query: str) -> str:
+        head = f"<ul>{listing(state)}</ul>" if listing else ""
+        return "\n".join([head + note, *html, link])
+    return body
+
+
+@dataclass(frozen=True)
+class _Page:
+    view: str | None  # the session view the page requires; None for public pages
+    title: str
+    body: str | Callable[[_State, str, str], str]  # body(state, note, query string)
+    # op -> mutation(state, form), run under the state lock; returns the note
+    ops: dict[str, Callable[[_State, dict], str]] = field(default_factory=dict)
+    no_op_note: str = ""  # the note for a POSTed op the page lacks
+
+
+_PAGES = {
+    "/": _Page(None, "University Course Portal",
+               '<a href="/courses">Courses</a> <a href="/about">About</a>'),
+    "/courses": _Page(None, "Course Catalog", _catalog),
+    "/courses/view": _Page(None, "Course Detail", _course_detail),
+    "/about": _Page(None, "About", '<a href="/">Home</a>'),
+    "/professor": _Page("professor", "Professor Desk",
+                        '<a href="/professor/courses">My courses</a> '
+                        '<a href="/professor/students">Students</a>'),
+    "/professor/courses": _Page(
+        "professor", "Course Management",
+        _form_page("/professor/courses", _course_names, [("insert", ("name", "credits"), "Add")],
+                   '<a href="/professor/courses/edit">Edit courses</a>'),
+        {"insert": _add_course}),
+    "/professor/courses/edit": _Page(
+        "professor", "Edit Courses",
+        _form_page("/professor/courses/edit", None,
+                   [("update", ("course_id", "name"), "Update"),
+                    ("delete", ("course_id",), "Delete")],
+                   '<a href="/professor/courses">Back</a>'),
+        {"update": _rename_course, "delete": _delete_course}, "<p>no change</p>"),
+    "/professor/students": _Page(
+        "professor", "Student Registrations",
+        _form_page("/professor/students", _grades,
+                   [("update", ("student", "course_id", "grade"), "Grade")],
+                   '<a href="/professor">Desk</a>'),
+        {"update": _grade}),
+    "/student": _Page("student", "Student Desk",
+                      '<a href="/student/courses">Register</a> '
+                      '<a href="/student/profile">Profile</a>'),
+    "/student/courses": _Page(
+        "student", "Course Registration",
+        _form_page("/student/courses", _course_names, [("insert", ("course_id",), "Register")],
+                   '<a href="/student">Desk</a>'),
+        {"insert": _register}),
+    "/student/profile": _Page(
+        "student", "Student Profile",
+        _form_page("/student/profile", None,
+                   [("update", ("email",), "Update"), ("delete", ("course_id",), "Drop")],
+                   '<a href="/student">Desk</a>'),
+        {"update": _update_profile, "delete": _drop}),
+}
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "MockTarget/0.1"
 
-    # --- plumbing -------------------------------------------------------
-
     def log_message(self, fmt, *args):  # silence request logging
         pass
-
-    @property
-    def faults(self) -> dict[tuple[str, str], str]:
-        return self.server.faults  # type: ignore[attr-defined]
-
-    @property
-    def state(self) -> _State:
-        return self.server.state  # type: ignore[attr-defined]
 
     def _send(self, status: int, html: str, headers: dict | None = None):
         payload = html.encode("utf-8")
@@ -109,281 +249,65 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
-    def _render(self, path: str, action: str, title: str, body: str):
-        behavior = self.faults.get((path, action))
-        if behavior == "http-500":
-            self._send(500, "<html><body><h1>Internal Server Error</h1></body></html>\n")
-        elif behavior == "error-marker":
-            self._send(200, _page(path, title, body + f"\n<p>{FAULT_MARKER}</p>"))
-        elif behavior == "missing-marker":
-            self._send(200, f"<html><body><h1>{title}</h1>\n{body}\n</body></html>\n")
-        else:
-            self._send(200, _page(path, title, body))
-
-    def _session_view(self) -> str | None:
+    def _session_view(self, state: _State) -> str | None:
         cookie = self.headers.get("Cookie", "")
         for part in cookie.split(";"):
             name, _, value = part.strip().partition("=")
             if name == "session":
-                return self.state.sessions.get(value)
+                return state.sessions.get(value)
         return None
 
-    def _deny(self):
-        self._send(403, "<html><body><h1>Forbidden</h1></body></html>\n")
-
-    # --- request entry points -------------------------------------------
-
     def do_GET(self):
-        path = urlparse(self.path).path
-        handler = _GET_ROUTES.get(path)
-        if handler is None:
-            self._send(404, "<html><body><h1>Not Found</h1></body></html>\n")
-            return
-        handler(self)
+        self._serve(None)
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
         raw = self.rfile.read(length).decode("utf-8")
-        form = {k: v[0] for k, v in parse_qs(raw).items()}
-        path = urlparse(self.path).path
-        if path == "/login":
-            self._login(form)
+        self._serve({k: v[0] for k, v in parse_qs(raw).items()})
+
+    def _serve(self, form: dict | None):
+        """Answer a GET (form None) or a POST of form."""
+        url = urlparse(self.path)
+        state: _State = self.server.state  # type: ignore[attr-defined]
+        if form is not None and url.path == "/login":
+            self._login(state, form)
             return
-        handler = _POST_ROUTES.get(path)
-        if handler is None:
+        page = _PAGES.get(url.path)
+        if page is None or (form is not None and not page.ops):
             self._send(404, "<html><body><h1>Not Found</h1></body></html>\n")
             return
-        handler(self, form)
+        if page.view is not None and self._session_view(state) != page.view:
+            self._send(403, _FORBIDDEN)
+            return
+        op = "read" if form is None else form.get("op", "read")
+        with state.lock:
+            if form is None:
+                note = ""
+            else:
+                mutate = page.ops.get(op)
+                note = mutate(state, form) if mutate else page.no_op_note
+            body = page.body(state, note, url.query) if callable(page.body) else page.body
+        behavior = self.server.faults.get((url.path, op))  # type: ignore[attr-defined]
+        if behavior == "http-500":
+            self._send(500, "<html><body><h1>Internal Server Error</h1></body></html>\n")
+        elif behavior == "error-marker":
+            self._send(200, _page(url.path, page.title, body + f"\n<p>{FAULT_MARKER}</p>"))
+        elif behavior == "missing-marker":
+            self._send(200, f"<html><body><h1>{page.title}</h1>\n{body}\n</body></html>\n")
+        else:
+            self._send(200, _page(url.path, page.title, body))
 
-    # --- auth -------------------------------------------------------------
-
-    def _login(self, form: dict):
+    def _login(self, state: _State, form: dict):
         view = form.get("view", "")
         expected = CREDENTIALS.get(view)
         if not expected or (form.get("username"), form.get("password")) != expected:
-            self._deny()
+            self._send(403, _FORBIDDEN)
             return
-        with self.state.lock:
-            token = f"{view}-{len(self.state.sessions)}"
-            self.state.sessions[token] = view
-        self._send(
-            302,
-            "",
-            {"Location": VIEW_HOMES[view], "Set-Cookie": f"session={token}; Path=/"},
-        )
-
-    def _require(self, view: str) -> bool:
-        if self._session_view() != view:
-            self._deny()
-            return False
-        return True
-
-    # --- public view ------------------------------------------------------
-
-    def _home(self):
-        body = '<a href="/courses">Courses</a> <a href="/about">About</a>'
-        self._render("/", "read", "University Course Portal", body)
-
-    def _courses(self):
-        with self.state.lock:
-            rows = "".join(
-                f'<li><a href="/courses/view?id={cid}">{c["name"]}</a></li>'
-                for cid, c in sorted(self.state.courses.items())
-            )
-        self._render("/courses", "read", "Course Catalog", f"<ul>{rows}</ul>")
-
-    def _courses_view(self):
-        query = parse_qs(urlparse(self.path).query)
-        cid = _to_int(query.get("id", ["0"])[0])
-        with self.state.lock:
-            course = self.state.courses.get(cid)
-        detail = (
-            f'{course["name"]} ({course["credits"]} credits)'
-            if course
-            else "no course selected"
-        )
-        self._render("/courses/view", "read", "Course Detail",
-                     f"<p>{detail}</p>\n<a href=\"/courses\">Back to catalog</a>")
-
-    def _about(self):
-        self._render("/about", "read", "About", '<a href="/">Home</a>')
-
-    # --- professor view -----------------------------------------------------
-
-    def _professor_home(self):
-        if not self._require("professor"):
-            return
-        body = ('<a href="/professor/courses">My courses</a> '
-                '<a href="/professor/students">Students</a>')
-        self._render("/professor", "read", "Professor Desk", body)
-
-    def _professor_courses(self, form: dict | None = None):
-        if not self._require("professor"):
-            return
-        action = "read"
-        note = ""
-        if form is not None:
-            action = form.get("op", "read")
-            if action == "insert":
-                with self.state.lock:
-                    free = [i for i in _COURSE_IDS if i not in self.state.courses]
-                    if free:
-                        self.state.courses[free[0]] = {
-                            "name": form.get("name", f"course-{free[0]}"),
-                            "credits": form.get("credits", "0"),
-                        }
-                        note = f"<p>added course {free[0]}</p>"
-        with self.state.lock:
-            rows = "".join(f"<li>{c['name']}</li>" for c in self.state.courses.values())
-        body = (
-            f"<ul>{rows}</ul>{note}"
-            '\n<form method="post" action="/professor/courses">'
-            '<input type="hidden" name="op" value="insert">'
-            '<input name="name"><input name="credits"><button>Add</button></form>'
-            '\n<a href="/professor/courses/edit">Edit courses</a>'
-        )
-        self._render("/professor/courses", action, "Course Management", body)
-
-    def _professor_courses_edit(self, form: dict | None = None):
-        if not self._require("professor"):
-            return
-        action = "read"
-        note = ""
-        if form is not None:
-            action = form.get("op", "read")
-            cid = _to_int(form.get("course_id"))
-            with self.state.lock:
-                if action == "update" and cid in self.state.courses:
-                    self.state.courses[cid]["name"] = form.get("name", self.state.courses[cid]["name"])
-                    note = f"<p>updated course {cid}</p>"
-                elif action == "delete":
-                    removed = self.state.courses.pop(cid, None)
-                    note = "<p>deleted</p>" if removed else "<p>nothing deleted</p>"
-                else:
-                    note = "<p>no change</p>"
-        body = (
-            f"{note}"
-            '\n<form method="post" action="/professor/courses/edit">'
-            '<input type="hidden" name="op" value="update">'
-            '<input name="course_id"><input name="name"><button>Update</button></form>'
-            '\n<form method="post" action="/professor/courses/edit">'
-            '<input type="hidden" name="op" value="delete">'
-            '<input name="course_id"><button>Delete</button></form>'
-            '\n<a href="/professor/courses">Back</a>'
-        )
-        self._render("/professor/courses/edit", action, "Edit Courses", body)
-
-    def _professor_students(self, form: dict | None = None):
-        if not self._require("professor"):
-            return
-        action = "read"
-        note = ""
-        if form is not None:
-            action = form.get("op", "read")
-            if action == "update":
-                key = (form.get("student", ""), _to_int(form.get("course_id")))
-                with self.state.lock:
-                    if key in self.state.registrations:
-                        self.state.registrations[key]["grade"] = form.get("grade", "")
-                        note = "<p>grade recorded</p>"
-                    else:
-                        note = "<p>no such registration</p>"
-        with self.state.lock:
-            rows = "".join(
-                f"<li>{s} in {cid}: {r['grade'] or 'ungraded'}</li>"
-                for (s, cid), r in sorted(self.state.registrations.items())
-            )
-        body = (
-            f"<ul>{rows}</ul>{note}"
-            '\n<form method="post" action="/professor/students">'
-            '<input type="hidden" name="op" value="update">'
-            '<input name="student"><input name="course_id"><input name="grade">'
-            "<button>Grade</button></form>"
-            '\n<a href="/professor">Desk</a>'
-        )
-        self._render("/professor/students", action, "Student Registrations", body)
-
-    # --- student view ---------------------------------------------------------
-
-    def _student_home(self):
-        if not self._require("student"):
-            return
-        body = ('<a href="/student/courses">Register</a> '
-                '<a href="/student/profile">Profile</a>')
-        self._render("/student", "read", "Student Desk", body)
-
-    def _student_courses(self, form: dict | None = None):
-        if not self._require("student"):
-            return
-        action = "read"
-        note = ""
-        if form is not None:
-            action = form.get("op", "read")
-            if action == "insert":
-                cid = _to_int(form.get("course_id"))
-                with self.state.lock:
-                    self.state.registrations[("stud", cid)] = {"grade": ""}
-                note = f"<p>registered for {cid}</p>"
-        with self.state.lock:
-            rows = "".join(f"<li>{c['name']}</li>" for c in self.state.courses.values())
-        body = (
-            f"<ul>{rows}</ul>{note}"
-            '\n<form method="post" action="/student/courses">'
-            '<input type="hidden" name="op" value="insert">'
-            '<input name="course_id"><button>Register</button></form>'
-            '\n<a href="/student">Desk</a>'
-        )
-        self._render("/student/courses", action, "Course Registration", body)
-
-    def _student_profile(self, form: dict | None = None):
-        if not self._require("student"):
-            return
-        action = "read"
-        note = ""
-        if form is not None:
-            action = form.get("op", "read")
-            with self.state.lock:
-                if action == "update":
-                    self.state.profiles["stud"]["email"] = form.get("email", "")
-                    note = "<p>profile updated</p>"
-                elif action == "delete":
-                    cid = _to_int(form.get("course_id"))
-                    removed = self.state.registrations.pop(("stud", cid), None)
-                    note = "<p>dropped</p>" if removed else "<p>nothing dropped</p>"
-        body = (
-            f"{note}"
-            '\n<form method="post" action="/student/profile">'
-            '<input type="hidden" name="op" value="update">'
-            '<input name="email"><button>Update</button></form>'
-            '\n<form method="post" action="/student/profile">'
-            '<input type="hidden" name="op" value="delete">'
-            '<input name="course_id"><button>Drop</button></form>'
-            '\n<a href="/student">Desk</a>'
-        )
-        self._render("/student/profile", action, "Student Profile", body)
-
-
-_GET_ROUTES = {
-    "/": _Handler._home,
-    "/courses": _Handler._courses,
-    "/courses/view": _Handler._courses_view,
-    "/about": _Handler._about,
-    "/professor": _Handler._professor_home,
-    "/professor/courses": lambda h: h._professor_courses(None),
-    "/professor/courses/edit": lambda h: h._professor_courses_edit(None),
-    "/professor/students": lambda h: h._professor_students(None),
-    "/student": _Handler._student_home,
-    "/student/courses": lambda h: h._student_courses(None),
-    "/student/profile": lambda h: h._student_profile(None),
-}
-
-_POST_ROUTES = {
-    "/professor/courses": _Handler._professor_courses,
-    "/professor/courses/edit": _Handler._professor_courses_edit,
-    "/professor/students": _Handler._professor_students,
-    "/student/courses": _Handler._student_courses,
-    "/student/profile": _Handler._student_profile,
-}
+        with state.lock:
+            token = f"{view}-{len(state.sessions)}"
+            state.sessions[token] = view
+        self._send(302, "", {"Location": VIEW_HOMES[view],
+                             "Set-Cookie": f"session={token}; Path=/"})
 
 
 class _QuietServer(ThreadingHTTPServer):
@@ -392,8 +316,6 @@ class _QuietServer(ThreadingHTTPServer):
     request_queue_size = 1024
 
     def handle_error(self, request, client_address):
-        import sys
-
         exc = sys.exc_info()[1]
         if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
             return  # client hung up mid-write; routine under concurrency
@@ -403,14 +325,9 @@ class _QuietServer(ThreadingHTTPServer):
 class MockTarget:
     """In-process HTTP fixture; start on port 0 for an ephemeral port."""
 
-    def __init__(self, faults: dict[tuple[str, str], str] | list[SeededFault] | None = None,
+    def __init__(self, faults: list[SeededFault] | None = None,
                  host: str = "127.0.0.1", port: int = 0):
-        if isinstance(faults, list):
-            table = {(f.path, f.action): f.behavior for f in faults}
-        else:
-            table = dict(faults or {})
-        for (path, action), behavior in table.items():
-            SeededFault(path, action, behavior)  # validates
+        table = {(f.path, f.action): f.behavior for f in faults or ()}
         self._server = _QuietServer((host, port), _Handler)
         self._server.faults = table  # type: ignore[attr-defined]
         self._server.state = _State()  # type: ignore[attr-defined]

@@ -52,12 +52,10 @@ class SimState:
     events: list = field(default_factory=list)
     seq: int = 0
     arrivals_scheduled: int = 0
-    arrivals_processed: int = 0
     admitted: int = 0
     rejected: int = 0
     departed: int = 0
     errors: int = 0
-    truncated_services: int = 0
     view_counts: dict = field(default_factory=dict)
 
     def schedule(self, when: float, kind: str, payload=None) -> None:
@@ -88,7 +86,6 @@ def _choose_view(state: SimState, cfg: SimConfig) -> str:
 def arrive(state: SimState, cfg: SimConfig) -> SimState:
     """Process one arrival: schedule the next one, apply admit_decision, and
     hand admitted users to add_departure."""
-    state.arrivals_processed += 1
     if state.arrivals_scheduled < cfg.events_per_run:
         gap = state.rng.expovariate(1.0 / cfg.interarrival_mean)
         state.schedule(state.clock + gap, ARRIVAL)
@@ -111,7 +108,6 @@ def add_departure(state: SimState, cfg: SimConfig, view: str) -> SimState:
     t = state.rng.normalvariate(cfg.service_mean, cfg.service_std)
     if t < SERVICE_FLOOR:
         t = SERVICE_FLOOR
-        state.truncated_services += 1
     faulted = state.rng.random() < cfg.fault_probability
     at = state.rng.random() * t  # consumed even without a fault: keeps
     # streams aligned across fault_probability settings
@@ -138,7 +134,6 @@ class RunResult:
     defect_density: int
     admitted: int
     rejected: int
-    duration: float
 
 
 def run_single(cfg: SimConfig, run_index: int, trace=None) -> RunResult:
@@ -148,7 +143,7 @@ def run_single(cfg: SimConfig, run_index: int, trace=None) -> RunResult:
     every processed event.
     """
     if cfg.events_per_run == 0:
-        return RunResult(0, 0, 0, 0.0)
+        return RunResult(0, 0, 0)
     state = init_run(cfg, run_index)
     while state.events:
         when, _, kind, _ = heapq.heappop(state.events)
@@ -169,5 +164,4 @@ def run_single(cfg: SimConfig, run_index: int, trace=None) -> RunResult:
         defect_density=state.errors,
         admitted=state.admitted,
         rejected=state.rejected,
-        duration=state.clock,
     )

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from webrely.errors import AuthFailed, Unreachable
@@ -9,6 +11,7 @@ from webrely.harness import (
     crawl_site,
 )
 from webrely.harness.crawler import Session, post_login
+from webrely.stats.serialize import read_json
 
 AUTH = {
     "public": None,
@@ -47,6 +50,12 @@ def test_form_actions_discovered(crawled):
     assert by_path["/professor/courses/edit"].actions == ("read", "delete", "update")
     insert_forms = [f for f in by_path["/professor/courses"].forms if f.op == "insert"]
     assert insert_forms and set(insert_forms[0].fields) == {"name", "credits"}
+
+
+def test_whole_site_model_of_the_clean_mock(crawled):
+    # every view's nodes, actions, form fields and edges
+    model, _ = crawled
+    assert model.to_dict() == read_json(Path(__file__).parent / "data" / "mock_site_model.json")
 
 
 def test_entry_points_follow_login_redirects(crawled):

@@ -5,8 +5,11 @@ from concurrent.futures import ThreadPoolExecutor
 from http.cookies import SimpleCookie
 from urllib.parse import urlencode, urlparse
 
+import pytest
+
 from webrely.harness import FAULT_MARKER, MockTarget, SeededFault
 from webrely.harness.crawler import Session
+from webrely.harness.mock import CREDENTIALS
 
 
 def test_public_pages_carry_markers():
@@ -67,9 +70,64 @@ def test_concurrent_logins_get_distinct_sessions():
     assert len(set(tokens)) == logins
 
 
-def test_unknown_path_is_404():
+@pytest.mark.parametrize("method, path", [
+    ("GET", "/nope"),
+    ("GET", "/login"),  # login only takes a POST
+    ("POST", "/"),  # the read-only pages take no POST
+    ("POST", "/about"),
+    ("POST", "/courses/view"),
+    ("POST", "/nope"),
+])
+def test_unknown_path_is_404(method, path):
+    form = None if method == "GET" else {}
     with MockTarget() as target:
-        assert Session().fetch(target.base_url + "/nope", timeout=5).status == 404
+        assert Session().fetch(target.base_url + path, form, timeout=5).status == 404
+
+
+# each form page with a write that would show in the catalog or the grade list
+FORM_POSTS = {
+    "/professor/courses": ("professor", {"op": "insert", "name": "x", "credits": "1"}),
+    "/professor/courses/edit": ("professor", {"op": "delete", "course_id": "1"}),
+    "/professor/students": (
+        "professor", {"op": "update", "student": "stud", "course_id": "1", "grade": "A"}),
+    "/student/courses": ("student", {"op": "insert", "course_id": "2"}),
+    "/student/profile": ("student", {"op": "delete", "course_id": "1"}),
+}
+
+
+def _login(target, view: str) -> Session:
+    s = Session()
+    username, password = CREDENTIALS[view]
+    r = s.fetch(target.base_url + "/login",
+                {"view": view, "username": username, "password": password}, timeout=5)
+    assert r.status == 200
+    return s
+
+
+@pytest.mark.parametrize("path", sorted(FORM_POSTS))
+def test_form_post_without_the_view_session_is_403(path):
+    view, form = FORM_POSTS[path]
+    with MockTarget() as target:
+        prof = _login(target, "professor")
+
+        def tables():
+            return (Session().fetch(target.base_url + "/courses", timeout=5).text,
+                    prof.fetch(target.base_url + "/professor/students", timeout=5).text)
+
+        before = tables()
+        other = _login(target, "student" if view == "professor" else "professor")
+        for session in (Session(), other):
+            assert session.fetch(target.base_url + path, form, timeout=5).status == 403
+        assert tables() == before
+
+
+def test_unknown_op_changes_nothing():
+    with MockTarget() as target:
+        s = _login(target, "professor")
+        r = s.fetch(target.base_url + "/professor/courses/edit",
+                    {"op": "bogus", "course_id": "1"}, timeout=5)
+        assert r.status == 200
+        assert "page:/professor/courses/edit" in r.text and "<p>no change</p>" in r.text
 
 
 def test_crud_roundtrip():
@@ -152,8 +210,6 @@ def test_fault_scoped_to_action():
 
 
 def test_invalid_fault_behavior_rejected():
-    import pytest
-
     with pytest.raises(ValueError):
         MockTarget([SeededFault("/", "read", "explode")])
 
