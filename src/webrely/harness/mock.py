@@ -261,8 +261,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._serve(None)
 
     def do_POST(self):
-        length = int(self.headers.get("Content-Length", "0"))
-        raw = self.rfile.read(length).decode("utf-8")
+        length = self.headers.get("Content-Length", "0").strip()
+        if not (length.isascii() and length.isdigit()):  # junk or negative
+            self._send(400, "<html><body><h1>Bad Request</h1></body></html>\n")
+            return
+        raw = self.rfile.read(int(length)).decode("utf-8")
         self._serve({k: v[0] for k, v in parse_qs(raw).items()})
 
     def _serve(self, form: dict | None):

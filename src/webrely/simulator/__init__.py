@@ -1,16 +1,13 @@
 """Discrete-event simulation of the system under ideal conditions."""
 
-from .campaign import run_campaign, run_campaign_detailed, write_trace_csv
+from .campaign import run_campaign, write_trace_csv
 from .config import SimConfig, sim_config_to_dict
-from .engine import admit_decision, arrive, init_run, run_single, stream_for_run
+from .engine import admit_decision, run_single, stream_for_run
 
 __all__ = [
     "SimConfig",
     "admit_decision",
-    "arrive",
-    "init_run",
     "run_campaign",
-    "run_campaign_detailed",
     "run_single",
     "sim_config_to_dict",
     "stream_for_run",

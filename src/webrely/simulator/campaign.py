@@ -9,20 +9,15 @@ from ..stats import DefectSampleSet
 from .config import SimConfig
 from .engine import RunResult, run_single
 
-__all__ = ["run_campaign", "run_campaign_detailed", "write_trace_csv"]
-
-
-def run_campaign_detailed(cfg: SimConfig) -> list[RunResult]:
-    """All runs in index order.  Runs share nothing, so this could be
-    farmed out to workers; results are keyed by run index either way."""
-    return [run_single(cfg, i) for i in range(cfg.runs)]
+__all__ = ["run_campaign", "write_trace_csv"]
 
 
 def run_campaign(cfg: SimConfig, source_label: str = "ideal") -> DefectSampleSet:
-    results = run_campaign_detailed(cfg)
-    return DefectSampleSet(
-        tuple(float(r.defect_density) for r in results), (), source_label
-    )
+    """One defect density per run, in run index order.  Runs share nothing,
+    so this could be farmed out to workers; results are keyed by run index
+    either way."""
+    values = tuple(float(run_single(cfg, i).defect_density) for i in range(cfg.runs))
+    return DefectSampleSet(values, (), source_label)
 
 
 def write_trace_csv(cfg: SimConfig, run_index: int, path: str | Path) -> RunResult:

@@ -10,6 +10,7 @@ import pytest
 from webrely.harness import FAULT_MARKER, MockTarget, SeededFault
 from webrely.harness.crawler import Session
 from webrely.harness.mock import CREDENTIALS
+from webrely.harness.runner import HarnessConfig
 
 
 def test_public_pages_carry_markers():
@@ -236,3 +237,17 @@ def test_listen_backlog_absorbs_connection_burst():
         target.stop()
         for sock in socks:
             sock.close()
+
+
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_bad_content_length_is_400(length):
+    # a POST whose Content-Length is not a count of bytes gets an answer,
+    # not a dropped connection or a read that waits for the client to close
+    with MockTarget() as target:
+        url = urlparse(target.base_url)
+        timeout = HarnessConfig().request_timeout_s
+        with socket.create_connection((url.hostname, url.port), timeout=timeout) as sock:
+            sock.sendall(f"POST /login HTTP/1.0\r\nContent-Length: {length}\r\n\r\n".encode())
+            with sock.makefile("rb") as response:
+                status_line = response.readline()
+    assert status_line.split()[1] == b"400"
