@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -28,7 +29,6 @@ from . import errors
 from .project import Analysis, EiProject
 from .psp import load_records, trend_report, trend_series_csv
 from .simulator import SimConfig, run_campaign, sim_config_to_dict, write_trace_csv
-from .simulator.config import VIEWS
 from .stats import compare_models, weibull_pdf
 from .stats.serialize import (
     comparison_to_dict,
@@ -62,23 +62,23 @@ COMPARE_CURVE_POINTS = 512
 # absent key leaves its field at the dataclass default.
 
 
-def _parse_view_mix(value: str) -> dict[str, float]:
-    weights = [float(w) for w in value.split(",")]
-    if len(weights) != 3:
-        raise ValueError("view_mix needs 3 weights (professor,student,public)")
-    return dict(zip(VIEWS, weights))
+def _finite(value: str) -> float:
+    """float(value), refusing nan and +-inf: every float key takes a finite number."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
 
 
 SIM_KEYS = {
-    "interarrival_mean": ("interarrival_mean", float),
-    "service_mean": ("service_mean", float),
-    "service_std": ("service_std", float),
+    "interarrival_mean": ("interarrival_mean", _finite),
+    "service_mean": ("service_mean", _finite),
+    "service_std": ("service_std", _finite),
     "capacity": ("capacity", int),
     "events_per_run": ("events_per_run", int),
     "runs": ("runs", int),
-    "fault_probability": ("fault_probability", float),
+    "fault_probability": ("fault_probability", _finite),
     "seed": ("seed", int),
-    "view_mix": ("view_mix", _parse_view_mix),
 }
 CAMPAIGN_KEYS = {
     "evaluations": ("evaluations", int),
@@ -87,10 +87,10 @@ CAMPAIGN_KEYS = {
     "seed": ("seed", int),
 }
 HARNESS_KEYS = {
-    "duration": ("duration_s", float),
-    "arrival_mean": ("arrival_mean_s", float),
+    "duration": ("duration_s", _finite),
+    "arrival_mean": ("arrival_mean_s", _finite),
     "workers": ("workers", int),
-    "request_timeout": ("request_timeout_s", float),
+    "request_timeout": ("request_timeout_s", _finite),
 }
 CRAWL_KEYS = {
     "max_depth": ("max_depth", int),
@@ -98,11 +98,11 @@ CRAWL_KEYS = {
 }
 ANALYSIS_KEYS = {
     "policy": ("policy", str),
-    "policy_k": ("policy_k", float),
-    "bin_width": ("bin_width", float),
-    "origin": ("origin", float),
+    "policy_k": ("policy_k", _finite),
+    "bin_width": ("bin_width", _finite),
+    "origin": ("origin", _finite),
     "gof_method": ("gof_method", str),
-    "significance": ("significance", float),
+    "significance": ("significance", _finite),
 }
 
 
@@ -295,8 +295,6 @@ def cmd_fit(args) -> int:
 
 def _curves_csv(model_a, model_b) -> str:
     # grid spans to the 99.9th percentile of the wider model
-    import math
-
     hi = max(
         m.scale * math.log(1000.0) ** (1.0 / m.shape) for m in (model_a, model_b)
     )

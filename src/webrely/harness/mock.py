@@ -235,6 +235,9 @@ _PAGES = {
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "MockTarget/0.1"
+    # seconds a connection may sit silent, for example mid-way through a
+    # body shorter than its Content-Length; then the server hangs up
+    timeout = 10.0
 
     def log_message(self, fmt, *args):  # silence request logging
         pass
@@ -320,8 +323,8 @@ class _QuietServer(ThreadingHTTPServer):
 
     def handle_error(self, request, client_address):
         exc = sys.exc_info()[1]
-        if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
-            return  # client hung up mid-write; routine under concurrency
+        if isinstance(exc, (BrokenPipeError, ConnectionResetError, TimeoutError)):
+            return  # client hung up or went silent; routine under concurrency
         super().handle_error(request, client_address)
 
 

@@ -40,6 +40,8 @@ class HarnessConfig:
             raise ValueError("duration and arrival mean must be positive")
         if self.workers < 1:
             raise ValueError("need at least one worker")
+        if self.request_timeout_s <= 0:
+            raise ValueError("request timeout must be positive")
 
 
 def _now_ms() -> int:

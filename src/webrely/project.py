@@ -30,7 +30,7 @@ from .stats import (
     fit_weibull,
     goodness_of_fit,
 )
-from .stats.gof import GOF_METHODS
+from .stats.gof import GOF_METHODS, KS_SIGNIFICANCES
 from .stats.serialize import (
     dump_json,
     fit_report_from_dict,
@@ -65,6 +65,10 @@ class Analysis:
             raise ValueError(f"unknown goodness-of-fit method {self.gof_method!r}")
         if not 0.0 < self.significance < 1.0:
             raise ValueError(f"significance must be in (0, 1), got {self.significance}")
+        if self.gof_method == "ks" and self.significance not in KS_SIGNIFICANCES:
+            raise ValueError(
+                f"ks significance must be one of {KS_SIGNIFICANCES}, got {self.significance}"
+            )
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass, field
-
-VIEWS = ("professor", "student", "public")
-
-
-def _default_view_mix() -> dict[str, float]:
-    return {"professor": 0.3, "student": 0.4, "public": 0.3}
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
@@ -30,7 +23,6 @@ class SimConfig:
     runs: int = 500
     fault_probability: float = 0.03
     seed: int = 0
-    view_mix: dict[str, float] = field(default_factory=_default_view_mix)
 
     def __post_init__(self):
         if self.interarrival_mean <= 0 or self.service_mean <= 0 or self.service_std <= 0:
@@ -41,11 +33,6 @@ class SimConfig:
             raise ValueError("events_per_run and runs must be >= 0")
         if not 0.0 <= self.fault_probability <= 1.0:
             raise ValueError("fault_probability must be in [0, 1]")
-        if set(self.view_mix) != set(VIEWS):
-            raise ValueError(f"view_mix must weight exactly {VIEWS}")
-        total = sum(self.view_mix.values())
-        if any(w < 0 for w in self.view_mix.values()) or not math.isclose(total, 1.0, rel_tol=1e-9):
-            raise ValueError("view_mix weights must be non-negative and sum to 1")
 
 
 def sim_config_to_dict(cfg: SimConfig) -> dict:

@@ -81,9 +81,9 @@ def run_single(cfg: SimConfig, run_index: int, trace=None) -> RunResult:
                 seq += 1
                 unscheduled -= 1
             if admit_decision(queue, cfg.capacity, rng):
-                # the view uniform: view_mix does not yet shape a user's
-                # behaviour, but the draw keeps every later draw where the
-                # documented order puts it
+                # the view uniform: no simulated count depends on the view,
+                # but the draw keeps every later draw where the documented
+                # order puts it
                 rng.random()
                 queue += 1
                 admitted += 1

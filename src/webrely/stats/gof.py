@@ -1,10 +1,12 @@
 """Goodness-of-fit checks of a histogram or sample against a fitted model.
 
 Two methods: Pearson chi-square on merged histogram bins (the default) and
-Kolmogorov-Smirnov on the raw retained values for small samples.  The
-statistics are computed here, the critical values in _quantiles: Newton's
-method on the incomplete gamma for chi-square (Numerical Recipes section
-6.2) and the exact KS law of Simard & L'Ecuyer (J. Stat. Softw. 39(11), 2011).
+Kolmogorov-Smirnov on the raw retained values.  The statistics are
+computed here, the critical values in _quantiles: Newton's method on the
+incomplete gamma for chi-square (Numerical Recipes section 6.2), and for
+KS a lookup in one of two tables, for a model given from outside or for a
+Weibull fitted to the same data (Lilliefors, JASA 62, 1967).  KS takes
+only the significances in KS_SIGNIFICANCES.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ import math
 from dataclasses import dataclass
 
 from ..errors import InsufficientData
-from ._quantiles import chi2_ppf, ks_ppf
+from ._quantiles import KS_SIGNIFICANCES, chi2_ppf, ks_critical
 from .samples import DefectSampleSet, Histogram
 from .weibull import WeibullModel, _cdf, weibull_cdf
 
-__all__ = ["GOF_METHODS", "GofResult", "goodness_of_fit"]
+__all__ = ["GOF_METHODS", "KS_SIGNIFICANCES", "GofResult", "goodness_of_fit"]
 
 GOF_METHODS = ("chi-square", "ks")
 MIN_EXPECTED_PER_BIN = 5.0
@@ -49,9 +51,10 @@ def goodness_of_fit(
     """Decide whether the model is compatible with the observed data.
 
     chi-square works on the histogram; ks works on the raw retained sample
-    (pass samples=).  fitted_params removes degrees of freedom when the
-    model parameters were estimated from this same data (2 for a Weibull
-    fit, 0 when testing an externally given model).
+    (pass samples=).  fitted_params counts the model parameters estimated
+    from this same data (2 for a Weibull fit, 0 when testing an externally
+    given model): chi-square loses that many degrees of freedom, and ks
+    takes its critical value from the table for that count, 0 or 2.
     """
     if not 0.0 < significance < 1.0:
         raise ValueError("significance must be in (0, 1)")
@@ -62,7 +65,7 @@ def goodness_of_fit(
     if method == "ks":
         if samples is None:
             raise ValueError("ks requires the raw retained samples")
-        return _ks(samples, model, significance)
+        return _ks(samples, model, significance, fitted_params)
     raise ValueError(f"unknown goodness-of-fit method {method!r}")
 
 
@@ -138,10 +141,12 @@ def _chi_square(
     )
 
 
-def _ks(samples: DefectSampleSet, model: WeibullModel, significance: float) -> GofResult:
+def _ks(samples: DefectSampleSet, model: WeibullModel, significance: float,
+        fitted_params: int) -> GofResult:
     n = samples.n
     if n < 5:
         raise InsufficientData(f"ks needs >= 5 samples, got {n}")
+    threshold = ks_critical(n, significance, fitted_params)
     xs = sorted(samples.values)
     shape, log_scale = model.shape, math.log(model.scale)
     d = 0.0
@@ -154,7 +159,6 @@ def _ks(samples: DefectSampleSet, model: WeibullModel, significance: float) -> G
         below = f - (i - 1) / n
         if below > d:
             d = below
-    threshold = ks_ppf(1.0 - significance, n)
     return GofResult(
         statistic=d,
         threshold=threshold,

@@ -115,6 +115,7 @@ def test_simulate_unknown_config_key(tmp_path):
 BAD_VALUES = [
     "gof_method = KS", "significance = 1.5", "policy = bogus",
     "policy_k = 0", "bin_width = 0", "runs = many",
+    "interarrival_mean = nan", "service_std = inf", "origin = -inf",
 ]
 
 
@@ -122,7 +123,10 @@ BAD_VALUES = [
     "command,line",
     [("simulate", line) for line in BAD_VALUES]
     + [("fit", line) for line in BAD_VALUES]
-    + [("evaluate", "policy = bogus")],
+    + [("evaluate", "policy = bogus"), ("evaluate", "request_timeout = 0"),
+       ("evaluate", "request_timeout = nan")]
+    # the ks tables have four significance columns only
+    + [pytest.param("fit", "gof_method = ks\nsignificance = 0.2", id="fit-ks significance 0.2")],
 )
 def test_bad_config_value_fails_before_any_work(tmp_path, fixed_sample, command, line):
     project = tmp_path / "proj"
@@ -511,8 +515,6 @@ SIM_KEY_PINS = [
     ("runs", "40", "sim", "runs", 40),
     ("fault_probability", "0.05", "sim", "fault_probability", 0.05),
     ("seed", "7", "sim", "seed", 7),
-    ("view_mix", "0.2,0.5,0.3", "sim", "view_mix",
-     {"professor": 0.2, "student": 0.5, "public": 0.3}),
 ]
 ANALYSIS_KEY_PINS = [
     ("policy", "zscore", "analysis", "policy", "zscore"),

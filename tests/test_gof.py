@@ -1,17 +1,24 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, kstwo
 
 from webrely.errors import InsufficientData
+from webrely.project import Analysis
 from webrely.stats import (
     DefectSampleSet,
     WeibullModel,
     build_histogram,
+    fit_weibull,
     goodness_of_fit,
+    sample,
     weibull_cdf,
 )
-from webrely.stats._quantiles import chi2_ppf, ks_ppf
+from webrely.stats._quantiles import _KS_SIZES, _KS_TABLES, chi2_ppf, ks_critical
+from webrely.stats.gof import KS_SIGNIFICANCES
 
 from conftest import FIXTURE_MODEL
 
@@ -130,7 +137,8 @@ def test_stricter_significance_loosens_threshold(fixture_hist):
 
 # scipy is the oracle here and a test dependency only
 CHI2_DOFS = [*range(1, 31), 100, 200, 1000, 5000, 20000]
-KS_SIZES = [5, 6, 17, 40, 139, 140, 141, 1000, 100000]
+KS_SIZES = [*range(5, 60), 73, 99, 101, 141, 199, 201, 350, 499, 501, 999, 1000, 1001, 2000,
+            5000, 20000, 100000]
 
 
 @pytest.mark.parametrize("significance", [0.5, 0.05, 0.001])
@@ -140,8 +148,77 @@ def test_chi2_quantile_matches_scipy(significance):
         assert chi2_ppf(1.0 - significance, dof) == pytest.approx(expected, rel=1e-12), dof
 
 
-@pytest.mark.parametrize("significance", [0.95, 0.9, 0.5, 0.05, 0.001])
+@pytest.mark.parametrize("significance", KS_SIGNIFICANCES)
 def test_ks_quantile_matches_scipy(significance):
+    # the table for a model given from outside freezes kstwo.ppf at eight
+    # sizes; the lookup between and beyond them stays near the exact law
     for n in KS_SIZES:
         expected = kstwo.ppf(1.0 - significance, n)
-        assert ks_ppf(1.0 - significance, n) == pytest.approx(expected, rel=0, abs=1e-10), n
+        assert ks_critical(n, significance, 0) == pytest.approx(expected, rel=5e-3), n
+
+
+@pytest.mark.parametrize("fitted_params,significance", [(1, 0.05), (3, 0.05), (2, 0.2), (0, 0.001)])
+def test_ks_outside_its_tables_is_rejected(fixed_sample, fitted_params, significance):
+    with pytest.raises(ValueError):
+        goodness_of_fit(None, FIXTURE_MODEL, "ks", significance, samples=fixed_sample,
+                        fitted_params=fitted_params)
+
+
+def test_analysis_checks_ks_significance():
+    Analysis(gof_method="chi-square", significance=0.2)
+    for significance in KS_SIGNIFICANCES:
+        Analysis(gof_method="ks", significance=significance)
+    with pytest.raises(ValueError):
+        Analysis(gof_method="ks", significance=0.2)
+
+
+def unit_weibull(n: int, rng: random.Random) -> list[float]:
+    return sample(WeibullModel(1.0, 1.0), n, rng)
+
+
+def fitted_ks(n: int, draws: int, rng: random.Random, draw=unit_weibull) -> list:
+    """KS at 0.05 on draws samples of n values, each judged against the
+    Weibull fitted to it; with the default draw, the generator of the
+    fitted table."""
+    results = []
+    for _ in range(draws):
+        values = DefectSampleSet(tuple(draw(n, rng)))
+        fit = fit_weibull(values)
+        results.append(goodness_of_fit(None, fit.model, "ks", 0.05, samples=values,
+                                       fitted_params=2))
+    return results
+
+
+@pytest.mark.parametrize("row", range(len(_KS_SIZES)))
+def test_fitted_table_rederived_by_monte_carlo(row):
+    # fresh draws, fewer where a draw costs more: the table's 0.05 point
+    # must lie between the order statistics 3 binomial sigma either side
+    # of the 95 % rank
+    n = _KS_SIZES[row]
+    draws = 4000 if n <= 200 else 2000
+    half_width = 3.0 * math.sqrt(draws * 0.05 * 0.95)
+    points = sorted(math.sqrt(n) * r.statistic
+                    for r in fitted_ks(n, draws, random.Random(f"recheck/{n}")))
+    lo = points[math.floor(0.95 * draws - half_width)]
+    hi = points[math.ceil(0.95 * draws + half_width)]
+    assert lo <= _KS_TABLES[2][row][KS_SIGNIFICANCES.index(0.05)] <= hi, (lo, hi)
+
+
+def _rejection_rate(results) -> float:
+    return sum(not r.passed for r in results) / len(results)
+
+
+@pytest.mark.parametrize("n", [10, 50, 200])
+def test_fitted_ks_size_matches_significance(n):
+    # true Weibull data at the default operating point, not the table's
+    # unit model: with fitted parameters the law of D_n depends on n alone
+    draws = 2000
+    rate = _rejection_rate(fitted_ks(n, draws, random.Random(f"size/{n}"),
+                                     lambda k, rng: sample(FIXTURE_MODEL, k, rng)))
+    assert abs(rate - 0.05) <= 3.0 * math.sqrt(0.05 * 0.95 / draws), rate
+
+
+def test_fitted_ks_rejects_lognormal():
+    rate = _rejection_rate(fitted_ks(200, 200, random.Random("power"),
+                                     lambda k, rng: [rng.lognormvariate(0.0, 0.6) for _ in range(k)]))
+    assert rate >= 0.8, rate

@@ -1,13 +1,14 @@
 import http.client
 import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from http.cookies import SimpleCookie
 from urllib.parse import urlencode, urlparse
 
 import pytest
 
-from webrely.harness import FAULT_MARKER, MockTarget, SeededFault
+from webrely.harness import FAULT_MARKER, MockTarget, SeededFault, mock
 from webrely.harness.crawler import Session
 from webrely.harness.mock import CREDENTIALS
 from webrely.harness.runner import HarnessConfig
@@ -251,3 +252,19 @@ def test_bad_content_length_is_400(length):
             with sock.makefile("rb") as response:
                 status_line = response.readline()
     assert status_line.split()[1] == b"400"
+
+
+def test_short_body_is_dropped_after_read_timeout(monkeypatch, capsys):
+    # a body shorter than its Content-Length must not hold a server thread
+    # until the client gives up: the handler's read timeout hangs up on it,
+    # no later than the harness's own default request timeout
+    assert 0.0 < mock._Handler.timeout <= HarnessConfig().request_timeout_s
+    monkeypatch.setattr(mock._Handler, "timeout", 0.2)
+    with MockTarget() as target:
+        url = urlparse(target.base_url)
+        with socket.create_connection((url.hostname, url.port), timeout=5.0) as sock:
+            sock.sendall(b"POST /login HTTP/1.0\r\nContent-Length: 100\r\n\r\nview=p")
+            started = time.monotonic()
+            assert sock.recv(1024) == b""  # closed with no answer, well before 5 s
+            assert time.monotonic() - started < 4.0
+    assert "Traceback" not in capsys.readouterr().err
