@@ -52,18 +52,6 @@ class MissingPhase(WebrelyError):
     """A comparison referenced a phase label with no persisted fit report."""
 
 
-class ZeroLoc(WebrelyError):
-    """Program record has no new/changed LOC; density is undefined."""
-
-
-class ZeroTime(WebrelyError):
-    """Defects were injected/removed in phases with zero recorded time."""
-
-
-class ZeroFailureTime(WebrelyError):
-    """Compile plus test time is zero; A/FR is undefined."""
-
-
 class RecordParseError(WebrelyError):
     """A PSP record file failed to parse; carries row/column position."""
 

@@ -9,8 +9,6 @@ from .cases import (
     TestProfile,
     default_profiles,
     generate_test_cases,
-    load_cases,
-    save_cases,
 )
 from .crawler import Credentials, CrawlLimits, crawl_site
 from .mock import FAULT_MARKER, MockTarget, SeededFault, load_fault_table
@@ -39,7 +37,6 @@ __all__ = [
     "crawl_site",
     "default_profiles",
     "generate_test_cases",
-    "load_cases",
     "load_fault_table",
     "node_id",
     "parse_log_file",
@@ -47,5 +44,4 @@ __all__ = [
     "predict_faults",
     "run_campaign",
     "run_evaluation",
-    "save_cases",
 ]

@@ -1,4 +1,6 @@
-"""Activity-log analysis: defect density, MTTF, fault signatures."""
+"""Activity logs: their one line format (ActivityRecord.to_line, read back
+by parse_log_file), and their analysis into defect density, MTTF and fault
+signatures."""
 
 from __future__ import annotations
 
@@ -17,6 +19,13 @@ class ActivityRecord:
     action: str
     outcome: str
     node: str
+
+    def to_line(self) -> str:
+        """One tab-separated log line, newline included, in field order."""
+        return (
+            f"{self.timestamp_ms}\t{self.tester_id}\t{self.test_case_id}\t{self.step_index}"
+            f"\t{self.action}\t{self.outcome}\t{self.node}\n"
+        )
 
 
 @dataclass
@@ -71,8 +80,8 @@ class ErrorLog:
 
 
 def parse_log_file(path: str | Path) -> tuple[list[ActivityRecord], list[str]]:
-    """Parse one tab-separated activity log; malformed lines are skipped
-    and reported, never fatal."""
+    """Parse one activity log of ActivityRecord.to_line() lines; malformed
+    lines are skipped and reported, never fatal."""
     records: list[ActivityRecord] = []
     skipped: list[str] = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):

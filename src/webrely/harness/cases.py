@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..errors import EmptyModel
-from ..stats.serialize import dump_json, read_json
 from .crawler import Credentials
 from .mock import _COURSE_IDS, CREDENTIALS
 from .model import Node, SiteModel
@@ -19,8 +17,6 @@ __all__ = [
     "TestProfile",
     "default_profiles",
     "generate_test_cases",
-    "load_cases",
-    "save_cases",
 ]
 
 ACTIONS = ("read", "insert", "update", "delete")
@@ -141,30 +137,3 @@ def generate_test_cases(
             node = model.nodes[outgoing[rng.randrange(len(outgoing))]]
         cases.append(TestCase(id=f"case-{i:05d}", view=view, seed=seed, steps=tuple(steps)))
     return cases
-
-
-def save_cases(cases: list[TestCase], path: str | Path) -> None:
-    doc = [
-        {
-            "id": c.id,
-            "view": c.view,
-            "seed": c.seed,
-            "steps": [
-                {"node": s.node_path, "action": s.action, "data": s.data} for s in c.steps
-            ],
-        }
-        for c in cases
-    ]
-    dump_json(doc, path)
-
-
-def load_cases(path: str | Path) -> list[TestCase]:
-    return [
-        TestCase(
-            id=c["id"],
-            view=c["view"],
-            seed=int(c["seed"]),
-            steps=tuple(Step(s["node"], s["action"], dict(s["data"])) for s in c["steps"]),
-        )
-        for c in read_json(path)
-    ]

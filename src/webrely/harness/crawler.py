@@ -1,9 +1,10 @@
-"""Breadth-first site discovery, one pass per view.
+"""Breadth-first site discovery, one pass per view, and the login rule.
 
 Authenticated views log in first and start from wherever the login
 redirects; the public view starts at the crawl root.  Links and form
 targets are visited in sorted order and node identities are sorted paths,
-so repeated crawls of a static site produce identical models.
+so repeated crawls of a static site produce identical models.  login is
+the one login rule of the harness: the crawl and every tester call it.
 """
 
 from __future__ import annotations
@@ -21,16 +22,17 @@ from urllib.request import HTTPCookieProcessor, HTTPRedirectHandler, build_opene
 from ..errors import AuthFailed, Unreachable
 from .model import FormSpec, Node, SiteModel, node_id
 
-__all__ = ["CLIENT_ERRORS", "Credentials", "CrawlLimits", "Session", "crawl_site", "post_login"]
+__all__ = ["CLIENT_ERRORS", "Credentials", "CrawlLimits", "Session", "crawl_site", "login"]
 
 log = logging.getLogger(__name__)
+
+LOGIN_PATH = "/login"
 
 
 @dataclass(frozen=True)
 class Credentials:
     username: str
     password: str
-    login_path: str = "/login"
 
 
 @dataclass(frozen=True)
@@ -133,22 +135,22 @@ class Session:
                         body.decode(charset, "replace"))
 
 
-def post_login(session: Session, root: str, view: str, creds: Credentials,
-               timeout: float) -> Page:
-    """POST the login form without following its redirect, so the landing
-    page's own health stays a separate observation from the login."""
-    return session.fetch(
-        urljoin(root, creds.login_path),
-        {"view": view, "username": creds.username, "password": creds.password},
-        timeout=timeout,
-        follow=False,
-    )
+def login(session: Session, root: str, view: str, creds: Credentials,
+          timeout: float) -> str:
+    """POST the login form and return the entry path it redirects to.
 
-
-def _login(session: Session, root: str, view: str, creds: Credentials) -> str:
-    """Log in; returns the entry path the target redirects to."""
+    The redirect is not followed, so the landing page's own health stays a
+    separate observation from the login.  Raises Unreachable when no answer
+    comes back, and AuthFailed unless the answer is a 200, 302 or 303 that
+    carries a Location.
+    """
     try:
-        response = post_login(session, root, view, creds, timeout=10)
+        response = session.fetch(
+            urljoin(root, LOGIN_PATH),
+            {"view": view, "username": creds.username, "password": creds.password},
+            timeout=timeout,
+            follow=False,
+        )
     except CLIENT_ERRORS as exc:
         raise Unreachable(f"login for view {view!r} failed to connect: {exc}") from exc
     if response.status not in (200, 302, 303):
@@ -181,7 +183,7 @@ def crawl_site(
         if creds is None:
             entry_path = urlparse(root).path or "/"
         else:
-            entry_path = _login(session, root, view, creds)
+            entry_path = login(session, root, view, creds, timeout=10)
         entry_points[view] = node_id(view, entry_path)
 
         seen: set[str] = {entry_path}

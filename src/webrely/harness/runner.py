@@ -6,11 +6,12 @@ the immutable case list and the target address.  A step's outcome is
 decided by three rules: 2xx status class, the page marker for the node
 must be present, and the fixture fault marker must be absent.  A step
 that gets no answer (one of crawler.CLIENT_ERRORS) is a nav_error.
+Testers of authenticated views log in through crawler.login, the rule the
+crawl uses, and write their logs as analyzer.ActivityRecord lines.
 """
 
 from __future__ import annotations
 
-import logging
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,14 +19,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urljoin
 
-from ..errors import TargetDown
+from ..errors import AuthFailed, TargetDown, Unreachable
+from .analyzer import ActivityRecord
 from .cases import TestCase, TestProfile
-from .crawler import CLIENT_ERRORS, Credentials, Session, post_login
+from .crawler import CLIENT_ERRORS, Session, login
 from .mock import FAULT_MARKER
 
 __all__ = ["HarnessConfig", "run_evaluation"]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -42,25 +42,6 @@ class HarnessConfig:
             raise ValueError("need at least one worker")
         if self.request_timeout_s <= 0:
             raise ValueError("request timeout must be positive")
-
-
-def _now_ms() -> int:
-    return int(time.time() * 1000)
-
-
-class _TesterLog:
-    def __init__(self, path: Path, tester_id: int):
-        self.path = path
-        self.tester_id = tester_id
-        self._fh = open(path, "w", encoding="utf-8")
-
-    def record(self, case_id: str, step_index: int, action: str, outcome: str, node: str):
-        self._fh.write(
-            f"{_now_ms()}\t{self.tester_id}\t{case_id}\t{step_index}\t{action}\t{outcome}\t{node}\n"
-        )
-
-    def close(self):
-        self._fh.close()
 
 
 def _classify(status: int, text: str, node_path: str) -> str:
@@ -84,15 +65,6 @@ def _execute_step(session: Session, target: str, step, cfg: HarnessConfig) -> st
     return _classify(page.status, page.text, step.node_path)
 
 
-def _login(session: Session, target: str, view: str, creds: Credentials,
-           cfg: HarnessConfig) -> bool:
-    try:
-        page = post_login(session, target, view, creds, cfg.request_timeout_s)
-    except CLIENT_ERRORS:
-        return False
-    return page.status < 400
-
-
 def _run_tester(
     tester_id: int,
     case: TestCase,
@@ -107,23 +79,30 @@ def _run_tester(
     if delay > 0:
         time.sleep(delay)
     deadline = t0 + cfg.duration_s
-    tlog = _TesterLog(log_path, tester_id)
-    try:
-        tlog.record(case.id, -1, "begin", "ok", "-")
-        session = Session()
-        if profile.credentials is not None:
-            ok = _login(session, target, case.view, profile.credentials, cfg)
-            tlog.record(case.id, -1, "login", "ok" if ok else "nav_error", "-")
-            if not ok:
-                return
-        for index, step in enumerate(case.steps):
-            if time.monotonic() >= deadline:
-                break
-            outcome = _execute_step(session, target, step, cfg)
-            tlog.record(case.id, index, step.action, outcome, step.node_path)
-    finally:
-        tlog.record(case.id, -1, "end", "ok", "-")
-        tlog.close()
+    with open(log_path, "w", encoding="utf-8") as fh:
+
+        def record(step_index: int, action: str, outcome: str, node: str) -> None:
+            fh.write(ActivityRecord(int(time.time() * 1000), tester_id, case.id,
+                                    step_index, action, outcome, node).to_line())
+
+        record(-1, "begin", "ok", "-")
+        try:
+            session = Session()
+            if profile.credentials is not None:
+                try:
+                    login(session, target, case.view, profile.credentials,
+                          cfg.request_timeout_s)
+                except (Unreachable, AuthFailed):
+                    record(-1, "login", "nav_error", "-")
+                    return
+                record(-1, "login", "ok", "-")
+            for index, step in enumerate(case.steps):
+                if time.monotonic() >= deadline:
+                    break
+                outcome = _execute_step(session, target, step, cfg)
+                record(index, step.action, outcome, step.node_path)
+        finally:
+            record(-1, "end", "ok", "-")
 
 
 def run_evaluation(
@@ -140,7 +119,8 @@ def run_evaluation(
     is, when Session.fetch raises one of crawler.CLIENT_ERRORS: a refused
     connection, a timeout or a URL that is not http(s).  Mid-run client
     errors degrade to nav_error outcomes so one flaky page never kills an
-    evaluation.  A failed login is logged as a login meta record with
+    evaluation.  A login that crawler.login refuses (no answer, or no
+    200/302/303 with a Location) is logged as a login meta record with
     outcome nav_error, which the analyzer counts, and the steps of that
     case do not run.
     """

@@ -11,7 +11,6 @@ import csv
 import io
 from dataclasses import dataclass
 
-from ..errors import ZeroFailureTime, ZeroLoc, ZeroTime
 from .records import INJECTION_PHASES, PHASES, REMOVAL_PHASES, PspProgramRecord
 
 __all__ = [
@@ -41,43 +40,43 @@ def yield_percent(rec: PspProgramRecord) -> float | None:
     return 100.0 * removed / injected
 
 
-def defects_per_kloc(rec: PspProgramRecord) -> float:
+def defects_per_kloc(rec: PspProgramRecord) -> float | None:
+    """Defects per thousand new/changed LOC; None without such LOC."""
     if rec.loc_new_changed <= 0:
-        raise ZeroLoc(f"program {rec.program_number} has no new/changed LOC")
+        return None
     return 1000.0 * len(rec.defects) / rec.loc_new_changed
 
 
-def elimination_rate(rec: PspProgramRecord) -> float:
-    """Defects removed in review/compile/test per hour spent there."""
+def elimination_rate(rec: PspProgramRecord) -> float | None:
+    """Defects removed in review/compile/test per hour spent there; None
+    when defects were removed but no time was recorded there."""
     removed = rec.removed_in(REMOVAL_PHASES)
     if removed == 0:
         return 0.0
     minutes = rec.time_in(REMOVAL_PHASES)
     if minutes <= 0:
-        raise ZeroTime(
-            f"program {rec.program_number}: defects removed but no time in removal phases"
-        )
+        return None
     return removed / (minutes / 60.0)
 
 
-def introduction_rate(rec: PspProgramRecord) -> float:
-    """Defects injected in design/code per hour spent there."""
+def introduction_rate(rec: PspProgramRecord) -> float | None:
+    """Defects injected in design/code per hour spent there; None when
+    defects were injected but no time was recorded there."""
     injected = rec.injected_in(INJECTION_PHASES)
     if injected == 0:
         return 0.0
     minutes = rec.time_in(INJECTION_PHASES)
     if minutes <= 0:
-        raise ZeroTime(
-            f"program {rec.program_number}: defects injected but no time in design/code"
-        )
+        return None
     return injected / (minutes / 60.0)
 
 
-def appraisal_failure_ratio(rec: PspProgramRecord) -> float:
-    """Review minutes over compile-plus-test minutes."""
+def appraisal_failure_ratio(rec: PspProgramRecord) -> float | None:
+    """Review minutes over compile-plus-test minutes; None without
+    compile or test time."""
     failure = rec.time_in(("compile", "test"))
     if failure <= 0:
-        raise ZeroFailureTime(f"program {rec.program_number} has no compile/test time")
+        return None
     appraisal = rec.time_in(("design_review", "code_review"))
     return appraisal / failure
 
@@ -119,8 +118,8 @@ def _least_squares_slope(xs: list[float], ys: list[float]) -> float | None:
 
 def trend_report(records) -> PspTrendReport:
     """Per-program series for all five metrics plus a least-squares slope
-    per metric.  Per-record errors become None entries rather than killing
-    the whole report."""
+    per metric over the programs where the metric applies; a metric that
+    does not apply to a record is a None entry."""
     records = list(records)
     if not records:
         raise ValueError("need at least one program record")
@@ -131,12 +130,7 @@ def trend_report(records) -> PspTrendReport:
     series: dict[str, tuple[float | None, ...]] = {}
     slopes: dict[str, float | None] = {}
     for name, metric in _METRICS.items():
-        column: list[float | None] = []
-        for rec in records:
-            try:
-                column.append(metric(rec))
-            except (ZeroLoc, ZeroTime, ZeroFailureTime):
-                column.append(None)
+        column = [metric(rec) for rec in records]
         series[name] = tuple(column)
         points = [(n, v) for n, v in zip(numbers, column) if v is not None]
         slopes[name] = _least_squares_slope([p[0] for p in points], [p[1] for p in points])

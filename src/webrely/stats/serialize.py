@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 from .compare import ComparisonReport
@@ -63,17 +64,24 @@ def load_samples_csv(path: str | Path, column: str, source_label: str = "") -> D
 
 
 def sample_set_to_dict(samples: DefectSampleSet) -> dict:
+    """An aborted round's discard (NaN) is written as null: JSON has no NaN."""
     return {
         "source_label": samples.source_label,
         "retained": list(samples.values),
-        "discarded": [{"value": d.value, "reason": d.reason} for d in samples.discarded],
+        "discarded": [
+            {"value": None if math.isnan(d.value) else d.value, "reason": d.reason}
+            for d in samples.discarded
+        ],
     }
 
 
 def sample_set_from_dict(doc: dict) -> DefectSampleSet:
     return DefectSampleSet(
         tuple(float(v) for v in doc["retained"]),
-        tuple(DiscardRecord(float(d["value"]), str(d["reason"])) for d in doc.get("discarded", [])),
+        tuple(
+            DiscardRecord(math.nan if d["value"] is None else float(d["value"]), str(d["reason"]))
+            for d in doc.get("discarded", [])
+        ),
         str(doc.get("source_label", "")),
     )
 

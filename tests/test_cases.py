@@ -8,8 +8,6 @@ from webrely.harness import (
     crawl_site,
     default_profiles,
     generate_test_cases,
-    load_cases,
-    save_cases,
 )
 
 AUTH = {
@@ -93,9 +91,3 @@ def test_count_validation(model):
     with pytest.raises(ValueError):
         generate_test_cases(model, default_profiles(), 0, seed=1)
 
-
-def test_case_file_roundtrip(model, tmp_path):
-    cases = generate_test_cases(model, default_profiles(), 20, seed=3)
-    path = tmp_path / "cases.json"
-    save_cases(cases, path)
-    assert load_cases(path) == cases

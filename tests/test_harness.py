@@ -2,6 +2,7 @@ import http.client
 import json
 import random
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import urlparse
@@ -15,6 +16,8 @@ from webrely.harness import (
     HarnessConfig,
     MockTarget,
     SeededFault,
+    Step,
+    TestCase,
     TestProfile,
     analyze_logs,
     crawl_site,
@@ -87,8 +90,6 @@ def test_three_seeded_faults_three_signatures(tmp_path, clean_model):
 
 def test_missing_node_is_nav_error_not_abort(tmp_path, clean_model):
     # point one generated step at a path the target does not serve
-    from webrely.harness import Step, TestCase
-
     cases = generate_test_cases(clean_model, default_profiles(), 3, seed=2)
     broken = TestCase(
         id="case-broken",
@@ -109,26 +110,40 @@ def test_missing_node_is_nav_error_not_abort(tmp_path, clean_model):
     assert walked == ["/", "/ghost", "/about"]
 
 
+class _Page(BaseHTTPRequestHandler):
+    """Base of the small hand-written targets below."""
+
+    def log_message(self, *a):
+        pass
+
+    def _send(self, code, headers, body=b""):
+        self.send_response(code)
+        for key, value in headers.items():
+            self.send_header(key, value)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@contextmanager
+def _serving(handler):
+    """Serve handler on a free local port; yields the base URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield "http://%s:%d" % server.server_address[:2]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.mark.parametrize("status,landing,outcome", [
     (303, "/healthy", "ok"),
     (303, "/broken", "fault:http-500"),
     (307, "/healthy", "nav_error"),  # urllib does not re-send a POST elsewhere
 ])
 def test_post_step_redirect_classified_by_landing_page(tmp_path, status, landing, outcome):
-    from webrely.harness import Step, TestCase
-
-    class Handler(BaseHTTPRequestHandler):
-        def log_message(self, *a):
-            pass
-
-        def _send(self, code, headers, body=b""):
-            self.send_response(code)
-            for key, value in headers.items():
-                self.send_header(key, value)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
+    class Handler(_Page):
         def do_POST(self):
             self.rfile.read(int(self.headers["Content-Length"]))
             self._send(status, {"Location": landing})
@@ -139,19 +154,41 @@ def test_post_step_redirect_classified_by_landing_page(tmp_path, status, landing
             else:
                 self._send(200, {"Content-Type": "text/html"}, b"<!-- page:/form -->")
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     case = TestCase(id="case-r", view="public", seed=0,
                     steps=(Step("/form", "insert", {"name": "x"}),))
-    try:
-        url = "http://%s:%d" % server.server_address[:2]
+    with _serving(Handler) as url:
         paths = run_evaluation(url, [case], default_profiles(), FAST, tmp_path, seed=0)
-    finally:
-        server.shutdown()
-        server.server_close()
     records, _ = parse_log_file(paths[0])
     assert [r.outcome for r in records if r.step_index >= 0] == [outcome]
+
+
+def test_login_answered_by_its_form_again_is_nav_error(tmp_path):
+    # the target answers a bad password by rendering its login form again
+    # with 200, and sends anonymous requests to that form; the steps after
+    # such a login would only see the form, so they must not run
+    form = b"<form method=post action=/login><input name=username></form>"
+
+    class Handler(_Page):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self._send(200, {"Content-Type": "text/html"}, form)
+
+        def do_GET(self):
+            if self.path == "/login":
+                self._send(200, {"Content-Type": "text/html"}, form)
+            else:
+                self._send(302, {"Location": "/login"})
+
+    case = TestCase(id="case-l", view="professor", seed=0,
+                    steps=(Step("/professor", "read", {}), Step("/professor/courses", "read", {})))
+    with _serving(Handler) as url:
+        paths = run_evaluation(url, [case], default_profiles(), FAST, tmp_path, seed=0)
+    records, _ = parse_log_file(paths[0])
+    assert [(r.action, r.outcome) for r in records] == [
+        ("begin", "ok"), ("login", "nav_error"), ("end", "ok"),
+    ]
+    log = analyze_logs(paths)
+    assert (log.defect_density, log.nav_errors) == (0, 1)
 
 
 def test_log_isolation_and_order_independence(tmp_path, clean_model):

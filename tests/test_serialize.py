@@ -1,9 +1,12 @@
+import json
 import math
 
 import pytest
 
+from webrely.project import Analysis, EiProject
 from webrely.stats import (
     DefectSampleSet,
+    DiscardRecord,
     WeibullModel,
     build_histogram,
     compare_models,
@@ -29,6 +32,23 @@ def test_samples_text_roundtrip(tmp_path):
     back = load_samples_text(path, "ideal")
     assert back.values == ss.values
     assert back.source_label == "ideal"
+
+
+def _no_constants(token):
+    raise AssertionError(f"{token} is not JSON")
+
+
+def test_aborted_round_discard_is_json_null(tmp_path):
+    aborted = DiscardRecord(math.nan, "round 1 aborted: target did not answer the probe")
+    raw = DefectSampleSet((2.0, 3.0, 3.0, 4.0, 5.0, 6.0), (aborted,), "real")
+    EiProject(tmp_path).persist_phase("real", raw, {"command": "evaluate"}, Analysis())
+    text = (tmp_path / "phases/real/sample_set.json").read_text()
+    doc = json.loads(text, parse_constant=_no_constants)
+    assert doc["discarded"] == [{"value": None, "reason": aborted.reason}]
+    back = sample_set_from_dict(doc)
+    assert math.isnan(back.discarded[0].value)
+    assert back.discarded[0].reason == aborted.reason
+    assert back.values == raw.values
 
 
 def test_samples_text_skips_comments(tmp_path):
