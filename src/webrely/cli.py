@@ -316,12 +316,6 @@ def cmd_compare(args) -> int:
         report = compare_models(fit_a.model, fit_b.model)
         directory = project.compare_dir(args.label_a, args.label_b)
         doc = comparison_to_dict(report, args.label_a, args.label_b)
-        if report.verdict == "equal":
-            doc["improvement"] = "equal"
-        elif report.verdict == "a more reliable":
-            doc["improvement"] = "improved"
-        else:
-            doc["improvement"] = "worsened"
         dump_json(doc, directory / "report.json")
         (directory / "curves.csv").write_text(_curves_csv(fit_a.model, fit_b.model))
     print(

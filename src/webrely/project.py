@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import InsufficientData, LockHeld, MissingPhase
+from .errors import AllDiscarded, EmptySample, InsufficientData, LockHeld, MissingPhase
 from .stats import (
     AnomalyPolicy,
     DefectSampleSet,
@@ -122,42 +122,54 @@ class EiProject:
         config_doc: dict,
         analysis: Analysis = Analysis(),
     ) -> PhaseResult:
-        """Run the shared tail of every evaluation phase: discard anomalies,
-        bin, fit, validate, persist.
+        """Run the shared tail of every evaluation phase as one sequence of
+        stages: the anomaly policy with its sample artifacts, then the
+        histogram and fit, then goodness of fit.
 
-        A failed fit (for example an all-zero sample) still persists the
-        sample artifacts together with a fit_error.json describing why.
+        The sample artifacts are written before anything can stop the
+        phase.  A stage that fails writes fit_error.json with its name and
+        the error, then re-raises; the one exception is goodness of fit
+        with too little data, which is recorded as skipped and leaves the
+        fit standing.
         """
         directory = self.phase_dir(label)
         dump_json(config_doc, directory / "config.json")
 
-        cleaned = apply_policy(raw_samples, AnomalyPolicy(analysis.policy, analysis.policy_k))
-        save_samples_text(cleaned, directory / "samples.txt")
-        dump_json(sample_set_to_dict(cleaned), directory / "sample_set.json")
-
-        fit_error = None
+        stage = "anomaly policy"
         try:
+            cleaned = apply_policy(raw_samples, AnomalyPolicy(analysis.policy, analysis.policy_k))
+            save_samples_text(cleaned, directory / "samples.txt")
+            dump_json(sample_set_to_dict(cleaned), directory / "sample_set.json")
+            if raw_samples.n == 0:
+                raise EmptySample("cannot apply an anomaly policy to an empty sample")
+            if cleaned.n == 0:
+                raise AllDiscarded(
+                    f"policy {analysis.policy}(k={analysis.policy_k:g}) "
+                    f"discarded all {raw_samples.n} values"
+                )
+
+            stage = "fit"
             hist = build_histogram(cleaned, analysis.bin_width, analysis.origin)
             (directory / "histogram.csv").write_text(histogram_to_csv(hist))
             fit = fit_weibull(cleaned)
-            try:
-                gof = goodness_of_fit(
-                    hist, fit.model, analysis.gof_method, analysis.significance,
-                    samples=cleaned, fitted_params=2,
-                )
-                fit = fit.with_gof(gof)
-            except InsufficientData as exc:  # too little data to test must not void the fit
-                fit_error = f"goodness-of-fit skipped: {type(exc).__name__}: {exc}"
-            dump_json(fit_report_to_dict(fit), directory / "fit.json")
-            if fit_error:
-                dump_json(
-                    {"stage": "goodness-of-fit", "error": fit_error},
-                    directory / "fit_error.json",
-                )
+
+            stage = "goodness-of-fit"
+            gof = goodness_of_fit(
+                hist, fit.model, analysis.gof_method, analysis.significance,
+                samples=cleaned, fitted_params=2,
+            )
+            fit = replace(fit, gof=gof)
         except Exception as exc:
-            fit_error = f"{type(exc).__name__}: {exc}"
-            dump_json({"stage": "fit", "error": fit_error}, directory / "fit_error.json")
-            raise
+            # too little data to test must not void the fit
+            skipped = stage == "goodness-of-fit" and isinstance(exc, InsufficientData)
+            error = f"{type(exc).__name__}: {exc}"
+            dump_json(
+                {"stage": stage, "error": f"goodness-of-fit skipped: {error}" if skipped else error},
+                directory / "fit_error.json",
+            )
+            if not skipped:
+                raise
+        dump_json(fit_report_to_dict(fit), directory / "fit.json")
         return PhaseResult(cleaned, fit)
 
     def load_fit(self, label: str) -> FitReport:

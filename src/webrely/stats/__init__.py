@@ -1,7 +1,7 @@
 """Statistics: sample handling, Weibull MLE fitting, validation, comparison."""
 
 from .compare import ComparisonReport, compare_models
-from .fitting import FitReport, SolverConfig, fit_weibull, score
+from .fitting import FitReport, fit_weibull, score
 from .gof import GofResult, goodness_of_fit
 from .samples import (
     AnomalyPolicy,
@@ -10,9 +10,8 @@ from .samples import (
     Histogram,
     apply_policy,
     build_histogram,
-    discard_anomalies,
 )
-from .weibull import WeibullModel, gamma, sample, weibull_cdf, weibull_mean, weibull_pdf
+from .weibull import WeibullModel, sample, weibull_cdf, weibull_mean, weibull_pdf
 
 __all__ = [
     "AnomalyPolicy",
@@ -22,14 +21,11 @@ __all__ = [
     "FitReport",
     "GofResult",
     "Histogram",
-    "SolverConfig",
     "WeibullModel",
     "apply_policy",
     "build_histogram",
     "compare_models",
-    "discard_anomalies",
     "fit_weibull",
-    "gamma",
     "goodness_of_fit",
     "sample",
     "score",

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import EmptySample, NoConvergence, NonIdentifiable
 from .gof import GofResult
 from .samples import DefectSampleSet
 from .weibull import WeibullModel
 
-__all__ = ["SolverConfig", "FitReport", "fit_weibull", "score"]
+__all__ = ["FitReport", "fit_weibull", "score"]
 
 log = logging.getLogger(__name__)
 
@@ -39,12 +39,11 @@ _LOG_SPACE_LIMIT = 600.0
 _BISECT_LO = 1e-3
 _BISECT_HI = 1e3
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tolerance: float = 1e-9
-    max_iterations: int = 100
-    initial_shape: float = 1.0
+# |g| at which a shape is accepted, the iteration budget of each solver,
+# and Newton-Raphson's starting shape
+TOLERANCE = 1e-9
+MAX_ITERATIONS = 100
+INITIAL_SHAPE = 1.0
 
 
 @dataclass(frozen=True)
@@ -64,9 +63,6 @@ class FitReport:
     zeros_excluded: int = 0
     source_label: str = ""
     gof: GofResult | None = None
-
-    def with_gof(self, gof: GofResult) -> "FitReport":
-        return replace(self, gof=gof)
 
 
 def _sums(log_xs: list[float], max_abs_log: float, a: float) -> tuple[float, float, float]:
@@ -126,7 +122,7 @@ def _scale_for(values: list[float], log_xs: list[float], max_abs_log: float, a: 
     return math.exp((log_s0 - math.log(n)) / a)
 
 
-def fit_weibull(samples: DefectSampleSet, cfg: SolverConfig = SolverConfig()) -> FitReport:
+def fit_weibull(samples: DefectSampleSet) -> FitReport:
     """Fit shape and scale to the retained sample by maximum likelihood.
 
     Zero values are excluded (with a logged warning and a count in the
@@ -155,18 +151,18 @@ def fit_weibull(samples: DefectSampleSet, cfg: SolverConfig = SolverConfig()) ->
     max_abs_log = _max_abs(log_xs)
     mean_log = sum(log_xs) / len(log_xs)
 
-    a = cfg.initial_shape
+    a = INITIAL_SHAPE
     iterations = 0
     method = "newton-raphson"
     best_a, best_g = a, math.inf
     polish = 0
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         iterations += 1
         g, g_prime = _score_and_slope(log_xs, max_abs_log, mean_log, a)
         if abs(g) < best_g:
             best_g, best_a = abs(g), a
         step = g / g_prime
-        if abs(g) <= cfg.tolerance:
+        if abs(g) <= TOLERANCE:
             # where g is flat (near-identical samples) |g| <= tol still
             # leaves the root loose, so polish until the step stalls
             if g == 0.0 or abs(step) <= 1e-13 * max(1.0, a) or polish >= 3:
@@ -178,15 +174,15 @@ def fit_weibull(samples: DefectSampleSet, cfg: SolverConfig = SolverConfig()) ->
         a = a_next
 
     a, residual = best_a, best_g
-    if best_g > cfg.tolerance:
+    if best_g > TOLERANCE:
         method = "bisection"
-        a, extra = _bisect(log_xs, max_abs_log, mean_log, cfg)
+        a, extra = _bisect(log_xs, max_abs_log, mean_log)
         iterations += extra
         residual = abs(_score_and_slope(log_xs, max_abs_log, mean_log, a)[0])
 
-    if residual > cfg.tolerance:
+    if residual > TOLERANCE:
         raise NoConvergence(
-            f"residual |g| = {residual:.3e} above tolerance {cfg.tolerance:g} "
+            f"residual |g| = {residual:.3e} above tolerance {TOLERANCE:g} "
             f"after {iterations} iterations"
         )
     scale = _scale_for(positive, log_xs, max_abs_log, a)
@@ -201,9 +197,7 @@ def fit_weibull(samples: DefectSampleSet, cfg: SolverConfig = SolverConfig()) ->
     )
 
 
-def _bisect(
-    log_xs: list[float], max_abs_log: float, mean_log: float, cfg: SolverConfig
-) -> tuple[float, int]:
+def _bisect(log_xs: list[float], max_abs_log: float, mean_log: float) -> tuple[float, int]:
     lo, hi = _BISECT_LO, _BISECT_HI
     g_lo = _score_and_slope(log_xs, max_abs_log, mean_log, lo)[0]
     g_hi = _score_and_slope(log_xs, max_abs_log, mean_log, hi)[0]
@@ -214,11 +208,11 @@ def _bisect(
         )
     steps = 0
     # the default 100 halvings shrink the bracket below 1e-27, past tolerance
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         steps += 1
         mid = 0.5 * (lo + hi)
         g_mid = _score_and_slope(log_xs, max_abs_log, mean_log, mid)[0]
-        if abs(g_mid) <= cfg.tolerance and (hi - lo) <= 1e-12 * max(1.0, mid):
+        if abs(g_mid) <= TOLERANCE and (hi - lo) <= 1e-12 * max(1.0, mid):
             return mid, steps
         if g_mid < 0.0:
             lo = mid

@@ -4,16 +4,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..errors import AllDiscarded, EmptySample
+from ..errors import EmptySample
 
 __all__ = [
     "AnomalyPolicy",
     "DefectSampleSet",
     "DiscardRecord",
     "Histogram",
-    "discard_anomalies",
     "apply_policy",
     "build_histogram",
 ]
@@ -109,13 +108,13 @@ def _tukey(values: list[float], policy: AnomalyPolicy) -> tuple[list[float], lis
     Each pass keeps a contiguous window s[i:j] of the sorted values (equal
     values fall on the same side of a fence), so a pass's quartiles come
     from the current window and its fences move i and j by bisection.
-    Records come out grouped by pass, in input order within a pass; an
-    empty kept list means the fences discarded every value.
+    Records come out grouped by pass, in input order within a pass; when a
+    pass's fences exclude the whole window, every value is discarded.
     """
     s = sorted(values)
     i, j = 0, len(s)
     fences: list[tuple[float, float]] = []
-    while True:
+    while i < j:
         window = s[i:j]
         q1 = _quantile(window, 0.25)
         q3 = _quantile(window, 0.75)
@@ -126,12 +125,10 @@ def _tukey(values: list[float], policy: AnomalyPolicy) -> tuple[list[float], lis
         j_next = bisect_right(s, hi, i, j)
         if i_next == i and j_next == j:
             break
-        if i_next >= j_next:
-            return [], []
         fences.append((lo, hi))
         i, j = i_next, j_next
 
-    first, last = s[i], s[j - 1]
+    first, last = (s[i], s[j - 1]) if i < j else (math.inf, -math.inf)
     kept: list[float] = []
     by_pass: list[list[DiscardRecord]] = [[] for _ in fences]
     reasons = [f"tukey(k={policy.k:g}): outside [{lo:g}, {hi:g}]" for lo, hi in fences]
@@ -146,23 +143,21 @@ def _tukey(values: list[float], policy: AnomalyPolicy) -> tuple[list[float], lis
     return kept, [record for records in by_pass for record in records]
 
 
-def discard_anomalies(
-    raw, policy: AnomalyPolicy = AnomalyPolicy(), source_label: str = ""
-) -> DefectSampleSet:
-    """Split raw run values into retained and discarded per the policy.
+def apply_policy(samples: DefectSampleSet, policy: AnomalyPolicy) -> DefectSampleSet:
+    """Split the retained values into kept and discarded per the policy.
 
     The policy is re-applied until it stops discarding (a fixed point), so
-    running discard_anomalies on its own retained output never discards
-    anything further.  For tukey the fixed point uses one sort: every pass
-    narrows a window of the same sorted values.  Deterministic: input order
-    is preserved among the retained values, records are grouped by the pass
-    that discarded them, and each reason records that pass's fences.
+    applying it to its own output never discards anything further.  For
+    tukey the fixed point uses one sort: every pass narrows a window of the
+    same sorted values.  Deterministic: input order is preserved among the
+    retained values, new records follow the set's earlier ones grouped by
+    the pass that discarded them, and each reason records that pass's fences.
 
-    Raises EmptySample on empty input and AllDiscarded if no value survives.
+    Raises ValueError on a value that is not finite and >= 0.  An empty
+    input, or one the policy discards entirely, comes back with no retained
+    values; deciding that this is an error is the caller's job.
     """
-    values = [float(v) for v in raw]
-    if not values:
-        raise EmptySample("cannot apply an anomaly policy to an empty sample")
+    values = [float(v) for v in samples.values]
     for v in values:
         if not math.isfinite(v) or v < 0.0:
             raise ValueError(f"raw defect densities must be finite and >= 0, got {v}")
@@ -177,18 +172,7 @@ def discard_anomalies(
                 break
             dropped.extend(dropped_now)
             kept = kept_next
-    if not kept:
-        raise AllDiscarded(f"policy {policy.method}(k={policy.k:g}) discarded all {len(values)} values")
-
-    return DefectSampleSet(tuple(kept), tuple(dropped), source_label)
-
-
-def apply_policy(samples: DefectSampleSet, policy: AnomalyPolicy) -> DefectSampleSet:
-    """discard_anomalies over an existing set, merging prior discard records."""
-    cleaned = discard_anomalies(samples.values, policy, samples.source_label)
-    return DefectSampleSet(
-        cleaned.values, samples.discarded + cleaned.discarded, samples.source_label
-    )
+    return DefectSampleSet(tuple(kept), samples.discarded + tuple(dropped), samples.source_label)
 
 
 @dataclass(frozen=True)
@@ -203,13 +187,7 @@ class Histogram:
     bin_width: float
     origin: float
     bins: tuple[tuple[float, int], ...]
-    total: int = field(default=0)
-
-    def edges(self) -> list[float]:
-        out = [lower for lower, _ in self.bins]
-        if self.bins:
-            out.append(self.bins[-1][0] + self.bin_width)
-        return out
+    total: int = 0
 
 
 def build_histogram(samples: DefectSampleSet, bin_width: float = 1.0, origin: float = 0.0) -> Histogram:

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 from .compare import ComparisonReport
@@ -86,17 +87,6 @@ def sample_set_from_dict(doc: dict) -> DefectSampleSet:
     )
 
 
-def _gof_to_dict(gof: GofResult) -> dict:
-    return {
-        "method": gof.method,
-        "statistic": gof.statistic,
-        "threshold": gof.threshold,
-        "dof": gof.dof,
-        "significance": gof.significance,
-        "passed": gof.passed,
-    }
-
-
 def _gof_from_dict(doc: dict) -> GofResult:
     return GofResult(
         statistic=float(doc["statistic"]),
@@ -118,7 +108,7 @@ def fit_report_to_dict(report: FitReport) -> dict:
         "method": report.method,
         "zeros_excluded": report.zeros_excluded,
         "source_label": report.source_label,
-        "gof": _gof_to_dict(report.gof) if report.gof is not None else None,
+        "gof": asdict(report.gof) if report.gof is not None else None,
     }
 
 
@@ -138,6 +128,10 @@ def fit_report_from_dict(doc: dict) -> FitReport:
     )
 
 
+# the verdict read with phase a as the newer phase
+_IMPROVEMENT = {"equal": "equal", "a more reliable": "improved", "b more reliable": "worsened"}
+
+
 def comparison_to_dict(report: ComparisonReport, label_a: str = "a", label_b: str = "b") -> dict:
     return {
         "label_a": label_a,
@@ -151,6 +145,7 @@ def comparison_to_dict(report: ComparisonReport, label_a: str = "a", label_b: st
         "mean_ratio": report.mean_ratio,
         "sup_cdf_distance": report.sup_cdf_distance,
         "verdict": report.verdict,
+        "improvement": _IMPROVEMENT[report.verdict],
     }
 
 
@@ -159,8 +154,14 @@ def histogram_to_csv(hist: Histogram) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["lower_edge", "count"])
     for lower, count in hist.bins:
-        writer.writerow([f"{lower:g}", count])
+        writer.writerow([_edge(lower), count])
     return buf.getvalue()
+
+
+def _edge(lower: float) -> str:
+    """The short %g form when it reads back as the same float, else repr."""
+    text = f"{lower:g}"
+    return text if float(text) == lower else repr(lower)
 
 
 def dump_json(doc: dict | list, path: str | Path) -> None:

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-__all__ = ["WeibullModel", "weibull_pdf", "weibull_cdf", "weibull_mean", "gamma", "sample"]
+__all__ = ["WeibullModel", "weibull_pdf", "weibull_cdf", "weibull_mean", "sample"]
 
 
 @dataclass(frozen=True)
@@ -75,44 +75,9 @@ def _cdf(shape: float, log_scale: float, x: float) -> float:
     return -math.expm1(-math.exp(log_z_pow))
 
 
-# Lanczos approximation of the gamma function, g = 7 with 9 coefficients.
-# These are the classic double-precision coefficients (Godfrey's tables);
-# relative error is below 1e-13 on the positive real axis, comfortably
-# inside the 1e-10 requirement on [1, 2] that the mean computation needs.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma(z: float) -> float:
-    """Gamma function via the Lanczos series above.
-
-    Uses the reflection formula for z < 0.5 so the series is only ever
-    evaluated on [0.5, inf).
-    """
-    if z < 0.5:
-        # gamma(z) * gamma(1-z) = pi / sin(pi z)
-        return math.pi / (math.sin(math.pi * z) * gamma(1.0 - z))
-    z -= 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
 def weibull_mean(model: WeibullModel) -> float:
     """Expected value scale * gamma(1 + 1/shape)."""
-    return model.scale * gamma(1.0 + 1.0 / model.shape)
+    return model.scale * math.gamma(1.0 + 1.0 / model.shape)
 
 
 def sample(model: WeibullModel, n: int, rng: random.Random) -> list[float]:

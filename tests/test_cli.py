@@ -284,6 +284,38 @@ def test_evaluate_target_down_exit_code(tmp_path):
     assert code == 3
 
 
+def test_evaluate_all_rounds_aborted_records_why(tmp_path):
+    cfg = write(tmp_path / "eval.cfg", EVAL_CFG)
+    project = tmp_path / "proj"
+    code = run_cli("--project-dir", project, "evaluate", "--target", "http://127.0.0.1:9",
+                   "--config", cfg, "--model", DATA / "mock_site_model.json")
+    assert code == 3
+    sample_set = json.loads((project / "phases/real/sample_set.json").read_text())
+    assert sample_set["retained"] == []
+    assert [d["value"] for d in sample_set["discarded"]] == [None, None, None]
+    assert all("aborted" in d["reason"] for d in sample_set["discarded"])
+    error = json.loads((project / "phases/real/fit_error.json").read_text())
+    assert error["stage"] == "anomaly policy"
+    assert error["error"].startswith("EmptySample:")
+
+
+def test_fit_all_discarded_records_why(tmp_path):
+    samples = write(tmp_path / "s.txt", "0\n2\n")
+    cfg = write(tmp_path / "fit.cfg", "policy = zscore\npolicy_k = 0.1\n")
+    project = tmp_path / "proj"
+    code = run_cli("--project-dir", project, "--config", cfg, "fit",
+                   "--samples", samples, "--label", "x")
+    assert code == 9
+    sample_set = json.loads((project / "phases/x/sample_set.json").read_text())
+    assert sample_set["retained"] == []
+    assert sorted(d["value"] for d in sample_set["discarded"]) == [0.0, 2.0]
+    assert (project / "phases/x/samples.txt").read_text() == ""
+    error = json.loads((project / "phases/x/fit_error.json").read_text())
+    assert error["stage"] == "anomaly policy"
+    assert error["error"].startswith("AllDiscarded:")
+    assert not (project / "phases/x/fit.json").exists()
+
+
 def test_psp_golden_report(tmp_path):
     project = tmp_path / "proj"
     assert run_cli("--project-dir", project, "psp", "--records", DATA / "psp_records.csv") == 0

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from webrely.errors import EmptySample, NoConvergence, NonIdentifiable
-from webrely.stats import DefectSampleSet, SolverConfig, fit_weibull
+from webrely.stats import DefectSampleSet, fit_weibull, fitting
 from webrely.stats.fitting import score
 
 
@@ -92,9 +92,10 @@ def test_newton_falls_back_to_bisection():
     assert report.residual <= 1e-9
 
 
-def test_no_convergence_with_tiny_budget():
+def test_no_convergence_with_tiny_budget(monkeypatch):
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 4)
     with pytest.raises(NoConvergence):
-        fit_weibull(DefectSampleSet((1.0, math.e)), SolverConfig(max_iterations=4))
+        fit_weibull(DefectSampleSet((1.0, math.e)))
 
 
 def test_score_log_space_path_finite():

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from webrely.errors import AllDiscarded, EmptySample
+from webrely.project import Analysis, EiProject
 from webrely.stats import (
     AnomalyPolicy,
     DefectSampleSet,
@@ -13,11 +14,14 @@ from webrely.stats import (
     WeibullModel,
     apply_policy,
     build_histogram,
-    discard_anomalies,
     sample,
 )
 
 TUKEY3 = AnomalyPolicy("tukey", 3.0)
+
+
+def discard(raw, policy):
+    return apply_policy(DefectSampleSet(tuple(raw)), policy)
 
 
 def test_policy_validation():
@@ -28,14 +32,14 @@ def test_policy_validation():
 
 
 def test_no_spread_retains_everything():
-    out = discard_anomalies([1.0, 1.0, 1.0, 1.0], TUKEY3)
+    out = discard([1.0, 1.0, 1.0, 1.0], TUKEY3)
     assert out.values == (1.0, 1.0, 1.0, 1.0)
     assert out.discarded == ()
 
 
 def test_single_extreme_outlier_discarded():
     # Q1 = Q3 = 1 so the fences collapse to [1, 1] and 1000 falls outside
-    out = discard_anomalies([1.0, 1.0, 1.0, 1.0, 1000.0], TUKEY3)
+    out = discard([1.0, 1.0, 1.0, 1.0, 1000.0], TUKEY3)
     assert out.values == (1.0, 1.0, 1.0, 1.0)
     assert [d.value for d in out.discarded] == [1000.0]
     assert "tukey" in out.discarded[0].reason
@@ -49,42 +53,49 @@ def test_505_run_fixture_discards_exactly_five():
     rng = random.Random(FIXTURE_SEED)
     base = sample(WeibullModel(1.63, 2.4), 500, rng)
     planted = [20.0, 25.0, 30.0, 35.0, 40.0]
-    out = discard_anomalies(base + planted, TUKEY3)
+    out = discard(base + planted, TUKEY3)
     assert out.n == 500
     assert sorted(d.value for d in out.discarded) == planted
 
 
 def test_zscore_policy():
-    out = discard_anomalies([1.0, 2.0, 3.0, 2.0, 1.0, 500.0], AnomalyPolicy("zscore", 2.0))
+    out = discard([1.0, 2.0, 3.0, 2.0, 1.0, 500.0], AnomalyPolicy("zscore", 2.0))
     assert 500.0 not in out.values
     assert out.n == 5
 
 
 def test_none_policy_keeps_all():
-    out = discard_anomalies([1.0, 2.0, 1000.0], AnomalyPolicy("none"))
+    out = discard([1.0, 2.0, 1000.0], AnomalyPolicy("none"))
     assert out.n == 3
 
 
-def test_all_discarded_raises():
+def test_all_discarded_raises(tmp_path):
     # with k < 1 both points sit exactly one standard deviation out
     with pytest.raises(AllDiscarded):
-        discard_anomalies([0.0, 1.0], AnomalyPolicy("zscore", 0.5))
+        EiProject(tmp_path).persist_phase(
+            "x", DefectSampleSet((0.0, 1.0)), {}, Analysis("zscore", 0.5)
+        )
 
 
-def test_empty_input_raises():
+def test_empty_input_raises(tmp_path):
     with pytest.raises(EmptySample):
-        discard_anomalies([], TUKEY3)
+        EiProject(tmp_path).persist_phase("x", DefectSampleSet(()), {})
+
+
+def test_infinite_input_rejected():
+    with pytest.raises(ValueError):
+        discard([1.0, math.inf], TUKEY3)
 
 
 def test_negative_input_rejected():
     with pytest.raises(ValueError):
-        discard_anomalies([1.0, -2.0], TUKEY3)
+        discard([1.0, -2.0], TUKEY3)
 
 
 def test_discard_is_deterministic():
     data = [random.Random(3).uniform(0, 10) for _ in range(100)] + [400.0]
-    a = discard_anomalies(data, TUKEY3)
-    b = discard_anomalies(data, TUKEY3)
+    a = discard(data, TUKEY3)
+    b = discard(data, TUKEY3)
     assert a == b
 
 
@@ -96,11 +107,8 @@ def test_discard_is_deterministic():
 )
 def test_discard_idempotent(raw, method, k):
     policy = AnomalyPolicy(method, k)
-    try:
-        first = discard_anomalies(raw, policy)
-    except AllDiscarded:
-        return
-    again = discard_anomalies(first.values, policy)
+    first = discard(raw, policy)
+    again = discard(first.values, policy)
     assert again.values == first.values
     assert again.discarded == ()
 
@@ -150,11 +158,10 @@ TUKEY_VALUES = st.one_of(
 @example(raw=[0.0, 1.0], k=1.0)
 def test_one_sort_tukey_matches_multi_pass_reference(raw, k):
     expected = reference_tukey(raw, k)
+    out = discard(raw, AnomalyPolicy("tukey", k))
     if expected is None:
-        with pytest.raises(AllDiscarded):
-            discard_anomalies(raw, AnomalyPolicy("tukey", k))
+        assert out.values == ()
         return
-    out = discard_anomalies(raw, AnomalyPolicy("tukey", k))
     assert (out.values, out.discarded) == expected
 
 
@@ -162,7 +169,7 @@ def test_tukey_records_grouped_by_pass_in_input_order():
     # pass 1 drops 1000 and 200; pass 2 (fences from the remaining values)
     # drops 30 and 25, each pass listing its values in input order
     raw = [5.0, 1000.0, 6.0, 30.0, 4.0, 5.0, 200.0, 6.0, 25.0, 5.0, 4.0, 6.0, 5.0]
-    out = discard_anomalies(raw, AnomalyPolicy("tukey", 1.5))
+    out = discard(raw, AnomalyPolicy("tukey", 1.5))
     assert [d.value for d in out.discarded] == [1000.0, 200.0, 30.0, 25.0]
     assert out.discarded == reference_tukey(raw, 1.5)[1]
     assert len({d.reason for d in out.discarded}) == 2
@@ -170,7 +177,7 @@ def test_tukey_records_grouped_by_pass_in_input_order():
 
 def test_partition_covers_raw_input():
     data = [5.0, 5.0, 5.0, 5.0, 5.0, 99.0, 5.0]
-    out = discard_anomalies(data, TUKEY3)
+    out = discard(data, TUKEY3)
     assert sorted(out.values + tuple(d.value for d in out.discarded)) == sorted(data)
 
 
@@ -214,7 +221,6 @@ def test_interior_gaps_kept_edges_contiguous():
     ss = DefectSampleSet((0.5, 4.5))
     hist = build_histogram(ss, 1.0, 0.0)
     assert hist.bins == ((0.0, 1), (1.0, 0), (2.0, 0), (3.0, 0), (4.0, 1))
-    assert hist.edges() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_origin_and_width_respected():

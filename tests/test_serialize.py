@@ -67,9 +67,9 @@ def test_samples_csv_column(tmp_path):
 
 
 def test_sample_set_dict_roundtrip():
-    from webrely.stats import discard_anomalies
+    from webrely.stats import AnomalyPolicy, apply_policy
 
-    ss = discard_anomalies([1.0, 1.0, 1.0, 1.0, 99.0], source_label="real")
+    ss = apply_policy(DefectSampleSet((1.0, 1.0, 1.0, 1.0, 99.0), (), "real"), AnomalyPolicy())
     back = sample_set_from_dict(sample_set_to_dict(ss))
     assert back == ss
 
@@ -101,3 +101,22 @@ def test_comparison_dict_fields():
 def test_histogram_csv():
     hist = build_histogram(DefectSampleSet((0.2, 0.7, 1.5)), 1.0, 0.0)
     assert histogram_to_csv(hist) == "lower_edge,count\n0,2\n1,1\n"
+
+
+def test_histogram_csv_edges_read_back_exactly():
+    # %g keeps six significant digits, which would print all three edges
+    # as 1.23457e+06; an edge %g cannot carry is written with repr
+    hist = build_histogram(DefectSampleSet((1234567.0, 1234568.5, 1234569.2)), 1.0, 0.0)
+    assert histogram_to_csv(hist) == (
+        "lower_edge,count\n1234567.0,1\n1234568.0,1\n1234569.0,1\n"
+    )
+
+
+def test_histogram_csv_inexact_width_edges():
+    hist = build_histogram(DefectSampleSet((0.0, 0.4)), 0.1234567, 0.0)
+    assert histogram_to_csv(hist) == (
+        "lower_edge,count\n0,1\n0.1234567,0\n0.2469134,0\n0.37037010000000004,1\n"
+    )
+    # edges that %g renders exactly keep the short form
+    hist = build_histogram(DefectSampleSet((0.5, 1.7)), 0.5, 0.0)
+    assert histogram_to_csv(hist) == "lower_edge,count\n0.5,1\n1,0\n1.5,1\n"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from webrely.stats import WeibullModel, gamma, sample, weibull_cdf, weibull_mean, weibull_pdf
+from webrely.stats import WeibullModel, sample, weibull_cdf, weibull_mean, weibull_pdf
 
 
 def test_model_rejects_nonpositive_params():
@@ -74,23 +74,6 @@ def test_cdf_monotone():
     cs = [weibull_cdf(m, x) for x in xs]
     assert all(b >= a for a, b in zip(cs, cs[1:]))
     assert all(0.0 <= c <= 1.0 for c in cs)
-
-
-def test_gamma_known_values():
-    assert gamma(1.5) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-12)
-    for n in range(1, 11):
-        assert gamma(float(n)) == pytest.approx(math.factorial(n - 1), rel=1e-12)
-
-
-def test_gamma_accuracy_on_unit_interval():
-    # mean() only ever evaluates gamma on (1, 2]; require 1e-10 there
-    for i in range(101):
-        z = 1.0 + i / 100.0
-        assert abs(gamma(z) - math.gamma(z)) / math.gamma(z) < 1e-10
-
-
-def test_gamma_reflection_branch():
-    assert gamma(0.25) == pytest.approx(math.gamma(0.25), rel=1e-10)
 
 
 def test_mean_exponential_special_case():
