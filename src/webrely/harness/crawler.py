@@ -10,15 +10,17 @@ the one login rule of the harness: the crawl and every tester call it.
 from __future__ import annotations
 
 import logging
+import select
+import string
 from collections import deque
 from dataclasses import dataclass
 from html.parser import HTMLParser
-from http.client import HTTPException
+from http.client import HTTPConnection, HTTPException, HTTPSConnection, InvalidURL
 from http.cookiejar import CookieJar
-from urllib.error import HTTPError, URLError
-from urllib.parse import urlencode, urljoin, urlparse
-from urllib.request import HTTPCookieProcessor, HTTPRedirectHandler, build_opener
+from urllib.parse import quote, urlencode, urljoin, urlparse
+from urllib.request import Request
 
+from .. import __version__
 from ..errors import AuthFailed, Unreachable
 from .model import FormSpec, Node, SiteModel, node_id
 
@@ -92,8 +94,13 @@ class _PageScan(HTMLParser):
             self._form = None
 
 
-# raised by Session.fetch when no answer arrives; URLError and timeouts are OSErrors
+# raised by Session.fetch when no answer arrives; timeouts and refused or
+# dropped connections are OSErrors
 CLIENT_ERRORS = (OSError, HTTPException)
+
+MAX_REDIRECTS = 10
+_HEADERS = {"User-Agent": f"webrely/{__version__}"}
+_FORM_HEADERS = {**_HEADERS, "Content-Type": "application/x-www-form-urlencoded"}
 
 
 @dataclass(frozen=True)
@@ -103,36 +110,100 @@ class Page:
     text: str
 
 
-class _NoRedirect(HTTPRedirectHandler):
-    def redirect_request(self, *args):
-        return None  # the 3xx itself becomes the answer
+def _is_http(url: str) -> bool:
+    parts = urlparse(url)
+    return parts.scheme in ("http", "https") and bool(parts.netloc)
+
+
+def _hung_up(sock) -> bool:
+    """True when an idle kept-alive socket has something to read: the
+    server's EOF or reset, or bytes that no request asked for.  Either way
+    the connection cannot carry another request."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 class Session:
-    """HTTP client with one cookie jar, for one crawl view or one tester."""
+    """HTTP/1.1 client with one cookie jar, for one crawl view or one tester.
+
+    It keeps one connection per (scheme, host) open until close().  Proxy
+    environment variables are not honoured: a proxy's failures must never
+    count as the target's.
+    """
 
     def __init__(self):
-        jar = CookieJar()
-        self._follow = build_opener(HTTPCookieProcessor(jar))
-        self._stay = build_opener(HTTPCookieProcessor(jar), _NoRedirect)
+        self._jar = CookieJar()
+        self._connections: dict[tuple[str, str], HTTPConnection] = {}
+
+    def __enter__(self) -> "Session":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        for connection in self._connections.values():
+            connection.close()
+        self._connections.clear()
 
     def fetch(self, url: str, form: dict | None = None, *, timeout: float,
               follow: bool = True) -> Page:
         """GET url, or POST form to it; every answer, whatever its status, is
         a Page.  Raises one of CLIENT_ERRORS when no answer comes back,
-        including for a URL that is not http(s)."""
-        if urlparse(url).scheme not in ("http", "https"):
-            raise URLError(f"not an http(s) URL: {url!r}")
+        including for a URL that is not http(s).
+
+        Redirects follow urllib's rules: a GET follows 301, 302, 303, 307
+        and 308; a POST follows only 301, 302 and 303, as a GET without its
+        body.  The answer after MAX_REDIRECTS hops, a redirect to a URL that
+        is not http(s), and with follow=False every 3xx, is the Page.  No
+        request is sent twice.
+        """
+        if not _is_http(url):
+            raise InvalidURL(f"not an http(s) URL: {url!r}")
         data = None if form is None else urlencode(form).encode()
+        page = self._exchange(url, data, timeout)
+        for _ in range(MAX_REDIRECTS):
+            moved = page.status in (301, 302, 303) or (page.status in (307, 308) and data is None)
+            if not (follow and moved and page.location):
+                break
+            url = urljoin(url, quote(page.location, string.punctuation, "iso-8859-1"))
+            if not _is_http(url):
+                break
+            data = None
+            page = self._exchange(url, data, timeout)
+        return page
+
+    def _exchange(self, url: str, data: bytes | None, timeout: float) -> Page:
+        """One request and its answer over the kept-alive connection."""
+        request = Request(url, data, _HEADERS if data is None else _FORM_HEADERS)
+        self._jar.add_cookie_header(request)
+        connection = self._connection(request.type, request.host, timeout)
         try:
-            response = (self._follow if follow else self._stay).open(url, data, timeout)
-        except HTTPError as answer:  # urllib raises every non-2xx answer
-            response = answer
-        with response:
+            connection.request(request.get_method(), request.selector, data,
+                               dict(request.header_items()))
+            response = connection.getresponse()
             body = response.read()
-            charset = response.headers.get_content_charset() or "utf-8"
-            return Page(response.status, response.headers.get("Location"),
-                        body.decode(charset, "replace"))
+        except BaseException:
+            connection.close()  # half a request or answer: the next one reconnects
+            raise
+        self._jar.extract_cookies(response, request)
+        charset = response.headers.get_content_charset() or "utf-8"
+        return Page(response.status, response.getheader("Location"),
+                    body.decode(charset, "replace"))
+
+    def _connection(self, scheme: str, host: str, timeout: float) -> HTTPConnection:
+        connection = self._connections.get((scheme, host))
+        if connection is None:
+            kind = HTTPSConnection if scheme == "https" else HTTPConnection
+            connection = self._connections[(scheme, host)] = kind(host, timeout=timeout)
+        elif connection.sock is not None and _hung_up(connection.sock):
+            connection.close()  # the server hung up while idle; request() reconnects
+        if connection.timeout != timeout:
+            connection.timeout = timeout
+            if connection.sock is not None:
+                connection.sock.settimeout(timeout)
+        return connection
 
 
 def login(session: Session, root: str, view: str, creds: Credentials,
@@ -179,60 +250,60 @@ def crawl_site(
 
     for view in sorted(auth):
         creds = auth[view]
-        session = Session()
-        if creds is None:
-            entry_path = urlparse(root).path or "/"
-        else:
-            entry_path = login(session, root, view, creds, timeout=10)
-        entry_points[view] = node_id(view, entry_path)
+        with Session() as session:
+            if creds is None:
+                entry_path = urlparse(root).path or "/"
+            else:
+                entry_path = login(session, root, view, creds, timeout=10)
+            entry_points[view] = node_id(view, entry_path)
 
-        seen: set[str] = {entry_path}
-        frontier: deque[tuple[str, int]] = deque([(entry_path, 0)])
-        pages = 0
-        while frontier:
-            path, depth = frontier.popleft()
-            if pages >= limits.max_pages_per_view:
-                truncated = True
-                log.info("view %s: page cap %d reached", view, limits.max_pages_per_view)
-                break
-            pages += 1
-            try:
-                response = session.fetch(urljoin(root, path), timeout=10)
-            except CLIENT_ERRORS as exc:
-                if path == entry_path:
-                    raise Unreachable(f"crawl root {root} unreachable: {exc}") from exc
-                log.warning("view %s: %s unreachable during crawl, skipped", view, path)
-                continue
-            if response.status != 200:
-                if path == entry_path:
-                    raise Unreachable(
-                        f"entry {path} for view {view!r} answered {response.status}"
-                    )
-                log.warning("view %s: %s answered %d", view, path, response.status)
-                continue
+            seen: set[str] = {entry_path}
+            frontier: deque[tuple[str, int]] = deque([(entry_path, 0)])
+            pages = 0
+            while frontier:
+                path, depth = frontier.popleft()
+                if pages >= limits.max_pages_per_view:
+                    truncated = True
+                    log.info("view %s: page cap %d reached", view, limits.max_pages_per_view)
+                    break
+                pages += 1
+                try:
+                    response = session.fetch(urljoin(root, path), timeout=10)
+                except CLIENT_ERRORS as exc:
+                    if path == entry_path:
+                        raise Unreachable(f"crawl root {root} unreachable: {exc}") from exc
+                    log.warning("view %s: %s unreachable during crawl, skipped", view, path)
+                    continue
+                if response.status != 200:
+                    if path == entry_path:
+                        raise Unreachable(
+                            f"entry {path} for view {view!r} answered {response.status}"
+                        )
+                    log.warning("view %s: %s answered %d", view, path, response.status)
+                    continue
 
-            scan = _PageScan(path)
-            scan.feed(response.text)
+                scan = _PageScan(path)
+                scan.feed(response.text)
 
-            ops = sorted({f["op"] for f in scan.forms if f["op"] != "read"})
-            forms = tuple(
-                FormSpec(f["action_path"], f["method"], f["op"], tuple(f["fields"]))
-                for f in scan.forms
-            )
-            nodes[node_id(view, path)] = Node(
-                view=view, path=path, actions=tuple(["read"] + ops), forms=forms
-            )
+                ops = sorted({f["op"] for f in scan.forms if f["op"] != "read"})
+                forms = tuple(
+                    FormSpec(f["action_path"], f["method"], f["op"], tuple(f["fields"]))
+                    for f in scan.forms
+                )
+                nodes[node_id(view, path)] = Node(
+                    view=view, path=path, actions=tuple(["read"] + ops), forms=forms
+                )
 
-            targets = set(scan.links)
-            targets.update(f["action_path"] for f in scan.forms if f["action_path"] != path)
-            for target in sorted(targets):
-                edges.add((node_id(view, path), node_id(view, target)))
-                if target not in seen:
-                    if depth + 1 <= limits.max_depth:
-                        seen.add(target)
-                        frontier.append((target, depth + 1))
-                    else:
-                        truncated = True
+                targets = set(scan.links)
+                targets.update(f["action_path"] for f in scan.forms if f["action_path"] != path)
+                for target in sorted(targets):
+                    edges.add((node_id(view, path), node_id(view, target)))
+                    if target not in seen:
+                        if depth + 1 <= limits.max_depth:
+                            seen.add(target)
+                            frontier.append((target, depth + 1))
+                        else:
+                            truncated = True
 
     # drop edges pointing at pages that were never fetched (cap or depth cut)
     edges = {(s, d) for s, d in edges if s in nodes and d in nodes}

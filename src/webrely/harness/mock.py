@@ -23,11 +23,14 @@ inserting into a full course table, renders a normal page), so outcomes
 depend only on the fault table and never on request interleaving.  The
 listen backlog (1024) is far above the harness's burst of at most one
 connection per worker (100 by default), so testers that start together
-are queued by the kernel, never refused.
+are queued by the kernel, never refused.  The mock speaks HTTP/1.1 and
+keeps each connection open until its client hangs up; stop() hangs up on
+every open connection.
 """
 
 from __future__ import annotations
 
+import socket
 import sys
 import threading
 from collections.abc import Callable
@@ -235,6 +238,11 @@ _PAGES = {
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "MockTarget/0.1"
+    # keep-alive, as browsers use it; every answer carries a Content-Length
+    protocol_version = "HTTP/1.1"
+    # headers and body go out in two writes; with Nagle's algorithm the body
+    # of a kept-alive answer waits for the client's delayed ACK (about 40 ms)
+    disable_nagle_algorithm = True
     # seconds a connection may sit silent, for example mid-way through a
     # body shorter than its Content-Length; then the server hangs up
     timeout = 10.0
@@ -260,13 +268,24 @@ class _Handler(BaseHTTPRequestHandler):
                 return state.sessions.get(value)
         return None
 
+    # The handler reads a body only as the Content-Length bytes of a POST.
+    # Bytes of any other body would be read as the next request, so the
+    # connection ends after the answer instead.
+
     def do_GET(self):
+        if "Content-Length" in self.headers or "Transfer-Encoding" in self.headers:
+            self.close_connection = True
         self._serve(None)
 
     def do_POST(self):
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
         length = self.headers.get("Content-Length", "0").strip()
         if not (length.isascii() and length.isdigit()):  # junk or negative
-            self._send(400, "<html><body><h1>Bad Request</h1></body></html>\n")
+            # the body cannot be skipped, so it would be read as the next
+            # request: hang up after the answer (the header sets close_connection)
+            self._send(400, "<html><body><h1>Bad Request</h1></body></html>\n",
+                       {"Connection": "close"})
             return
         raw = self.rfile.read(int(length)).decode("utf-8")
         self._serve({k: v[0] for k, v in parse_qs(raw).items()})
@@ -320,6 +339,33 @@ class _QuietServer(ThreadingHTTPServer):
     # socketserver's default backlog of 5 drops connections when dozens of
     # testers start at once; the kernel caps this at net.core.somaxconn
     request_queue_size = 1024
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        # an idle kept-alive connection holds its handler thread, which
+        # server_close joins, until the client hangs up or the read timeout
+        # passes; a stopped target hangs up on every client at once
+        with self._open_lock:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # already reset by the client
+        super().server_close()
 
     def handle_error(self, request, client_address):
         exc = sys.exc_info()[1]

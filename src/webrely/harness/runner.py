@@ -87,20 +87,20 @@ def _run_tester(
 
         record(-1, "begin", "ok", "-")
         try:
-            session = Session()
-            if profile.credentials is not None:
-                try:
-                    login(session, target, case.view, profile.credentials,
-                          cfg.request_timeout_s)
-                except (Unreachable, AuthFailed):
-                    record(-1, "login", "nav_error", "-")
-                    return
-                record(-1, "login", "ok", "-")
-            for index, step in enumerate(case.steps):
-                if time.monotonic() >= deadline:
-                    break
-                outcome = _execute_step(session, target, step, cfg)
-                record(index, step.action, outcome, step.node_path)
+            with Session() as session:
+                if profile.credentials is not None:
+                    try:
+                        login(session, target, case.view, profile.credentials,
+                              cfg.request_timeout_s)
+                    except (Unreachable, AuthFailed):
+                        record(-1, "login", "nav_error", "-")
+                        return
+                    record(-1, "login", "ok", "-")
+                for index, step in enumerate(case.steps):
+                    if time.monotonic() >= deadline:
+                        break
+                    outcome = _execute_step(session, target, step, cfg)
+                    record(index, step.action, outcome, step.node_path)
         finally:
             record(-1, "end", "ok", "-")
 
@@ -127,7 +127,8 @@ def run_evaluation(
     log_dir = Path(log_dir)
     log_dir.mkdir(parents=True, exist_ok=True)
     try:
-        Session().fetch(target, timeout=cfg.request_timeout_s)
+        with Session() as probe:
+            probe.fetch(target, timeout=cfg.request_timeout_s)
     except CLIENT_ERRORS as exc:
         raise TargetDown(f"target {target} did not answer the probe: {exc}") from exc
 

@@ -45,6 +45,12 @@ __all__ = ["Analysis", "EiProject", "PhaseResult"]
 
 LOCK_NAME = ".webrely.lock"
 
+# what persist_phase derives from a sample; cleared before each run, so a
+# rerun under the same label never leaves an earlier run's results behind
+# (model.json and logs/, written by evaluate before the phase, stay)
+DERIVED_ARTIFACTS = ("samples.txt", "sample_set.json", "histogram.csv", "fit.json",
+                     "fit_error.json")
+
 
 @dataclass(frozen=True)
 class Analysis:
@@ -126,13 +132,16 @@ class EiProject:
         stages: the anomaly policy with its sample artifacts, then the
         histogram and fit, then goodness of fit.
 
-        The sample artifacts are written before anything can stop the
-        phase.  A stage that fails writes fit_error.json with its name and
-        the error, then re-raises; the one exception is goodness of fit
-        with too little data, which is recorded as skipped and leaves the
-        fit standing.
+        The DERIVED_ARTIFACTS of an earlier run are deleted first.  The
+        sample artifacts are written before anything can stop the phase.
+        A stage that fails writes fit_error.json with its name and the
+        error, then re-raises; the one exception is goodness of fit with
+        too little data, which is recorded as skipped and leaves the fit
+        standing.
         """
         directory = self.phase_dir(label)
+        for name in DERIVED_ARTIFACTS:
+            (directory / name).unlink(missing_ok=True)
         dump_json(config_doc, directory / "config.json")
 
         stage = "anomaly policy"

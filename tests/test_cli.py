@@ -316,6 +316,32 @@ def test_fit_all_discarded_records_why(tmp_path):
     assert not (project / "phases/x/fit.json").exists()
 
 
+def test_fit_rerun_all_discarded_leaves_no_stale_fit(tmp_path, fixed_sample):
+    good = write(tmp_path / "good.txt", "".join(f"{v}\n" for v in fixed_sample.values))
+    project = tmp_path / "proj"
+    assert run_cli("--project-dir", project, "fit", "--samples", good, "--label", "x") == 0
+    assert (project / "phases/x/fit.json").exists()
+    bad = write(tmp_path / "s.txt", "0\n2\n")
+    cfg = write(tmp_path / "fit.cfg", "policy = zscore\npolicy_k = 0.1\n")
+    assert run_cli("--project-dir", project, "--config", cfg, "fit",
+                   "--samples", bad, "--label", "x") == 9
+    assert not (project / "phases/x/fit.json").exists()
+    assert not (project / "phases/x/histogram.csv").exists()
+    # compare finds no fit for x rather than the first run's
+    assert run_cli("--project-dir", project, "compare", "x", "x") == 7
+
+
+def test_fit_clean_rerun_leaves_no_stale_fit_error(tmp_path, fixed_sample):
+    two_bins = write(tmp_path / "two.txt", "0.2\n0.5\n0.7\n1.2\n1.5\n1.8\n")
+    project = tmp_path / "proj"
+    assert run_cli("--project-dir", project, "fit", "--samples", two_bins, "--label", "x") == 0
+    assert (project / "phases/x/fit_error.json").exists()
+    good = write(tmp_path / "good.txt", "".join(f"{v}\n" for v in fixed_sample.values))
+    assert run_cli("--project-dir", project, "fit", "--samples", good, "--label", "x") == 0
+    assert not (project / "phases/x/fit_error.json").exists()
+    assert json.loads((project / "phases/x/fit.json").read_text())["gof"]["passed"] is True
+
+
 def test_psp_golden_report(tmp_path):
     project = tmp_path / "proj"
     assert run_cli("--project-dir", project, "psp", "--records", DATA / "psp_records.csv") == 0

@@ -1,3 +1,7 @@
+import threading
+import time
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -6,11 +10,18 @@ from webrely.errors import AuthFailed, Unreachable
 from webrely.harness import (
     CrawlLimits,
     Credentials,
+    HarnessConfig,
     MockTarget,
     SiteModel,
+    Step,
+    TestCase,
     crawl_site,
+    default_profiles,
+    parse_log_file,
+    run_evaluation,
 )
-from webrely.harness.crawler import Session, login
+from webrely.harness import mock
+from webrely.harness.crawler import MAX_REDIRECTS, Session, login
 from webrely.stats.serialize import read_json
 
 AUTH = {
@@ -106,3 +117,156 @@ def test_page_cap_marks_truncated():
 def test_limit_validation():
     with pytest.raises(ValueError):
         CrawlLimits(max_depth=0)
+
+
+@contextmanager
+def _counting_accepts(target: MockTarget):
+    """Yields a list that gets one entry per connection the target accepts."""
+    accepted = []
+    server = target._server
+    process = server.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        process(request, client_address)
+
+    server.process_request = counting
+    try:
+        yield accepted
+    finally:
+        del server.process_request
+
+
+def test_tester_keeps_one_connection(tmp_path):
+    steps = (
+        Step("/professor", "read", {}),
+        Step("/professor/courses", "read", {}),
+        Step("/professor/courses", "insert", {"name": "x", "credits": "1"}),
+        Step("/professor/courses/edit", "read", {}),
+        Step("/professor/courses/edit", "update", {"course_id": "1", "name": "y"}),
+        Step("/professor/students", "read", {}),
+    )
+    case = TestCase(id="case-k", view="professor", seed=0, steps=steps)
+    cfg = HarnessConfig(duration_s=60.0, arrival_mean_s=0.001, workers=1)
+    with MockTarget() as target, _counting_accepts(target) as accepted:
+        paths = run_evaluation(target.base_url, [case], default_profiles(), cfg, tmp_path, 0)
+    records, _ = parse_log_file(paths[0])
+    assert [(r.action, r.outcome) for r in records if r.action not in ("begin", "end")] == [
+        ("login", "ok")] + [(step.action, "ok") for step in steps]
+    # one for the probe, one for the tester's login and its six steps
+    assert len(accepted) == 2
+
+
+def test_connection_closed_while_idle_is_replaced(monkeypatch):
+    monkeypatch.setattr(mock._Handler, "timeout", 0.2)
+    posts = []
+    do_post = mock._Handler.do_POST
+
+    def counting_post(handler):
+        posts.append(handler.path)
+        do_post(handler)
+
+    monkeypatch.setattr(mock._Handler, "do_POST", counting_post)
+    with MockTarget() as target, _counting_accepts(target) as accepted, Session() as session:
+        login(session, target.base_url, "professor", AUTH["professor"], 5)
+        time.sleep(0.6)  # the mock hangs up on the idle connection
+        assert session.fetch(target.base_url + "/professor", timeout=5).status == 200
+        time.sleep(0.6)
+        page = session.fetch(target.base_url + "/professor/courses",
+                             {"op": "insert", "name": "Once", "credits": "1"}, timeout=5)
+        assert page.status == 200 and "added course" in page.text
+        catalog = session.fetch(target.base_url + "/courses", timeout=5).text
+    assert posts == ["/login", "/professor/courses"]
+    assert catalog.count("Once") == 1
+    assert len(accepted) == 3
+
+
+class _Redirects(BaseHTTPRequestHandler):
+    """GET /loop/<n> redirects to /loop/<n + 1> forever; POST /see-other
+    answers 303, POST /temporary answers 307, both to /landing."""
+
+    protocol_version = "HTTP/1.1"
+    seen: list  # (method, path, request body)
+
+    def log_message(self, *a):
+        pass
+
+    def _answer(self, status, location=None, body=b""):
+        self.send_response(status)
+        if location:
+            self.send_header("Location", location)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self):
+        self.seen.append(("GET", self.path, self.headers.get("Content-Length")))
+        if self.path.startswith("/loop/"):
+            self._answer(302, f"/loop/{int(self.path.rsplit('/', 1)[1]) + 1}")
+        else:
+            self._answer(200, body=b"landed")
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.seen.append(("POST", self.path, body))
+        self._answer(303 if self.path == "/see-other" else 307, "/landing")
+
+
+@pytest.fixture
+def redirects():
+    """Yields (base URL, requests seen) for a _Redirects server."""
+    seen = []
+    handler = type("Handler", (_Redirects,), {"seen": seen})
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield "http://%s:%d" % server.server_address[:2], seen
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def test_post_redirected_by_303_lands_with_a_get(redirects):
+    url, seen = redirects
+    with Session() as session:
+        page = session.fetch(url + "/see-other", {"a": "1"}, timeout=5)
+    assert (page.status, page.text) == (200, "landed")
+    assert seen == [("POST", "/see-other", b"a=1"), ("GET", "/landing", None)]
+
+
+def test_post_answered_307_is_not_resent(redirects):
+    url, seen = redirects
+    with Session() as session:
+        page = session.fetch(url + "/temporary", {"a": "1"}, timeout=5)
+    assert (page.status, page.location) == (307, "/landing")
+    assert seen == [("POST", "/temporary", b"a=1")]
+
+
+def test_redirect_loop_stops_after_max_hops(redirects):
+    url, seen = redirects
+    with Session() as session:
+        page = session.fetch(url + "/loop/0", timeout=5)
+    assert MAX_REDIRECTS == 10
+    assert (page.status, page.location) == (302, "/loop/11")
+    assert [path for _, path, _ in seen] == [f"/loop/{i}" for i in range(11)]
+
+
+def test_unfollowed_redirect_keeps_its_location(redirects):
+    url, seen = redirects
+    with Session() as session:
+        page = session.fetch(url + "/loop/0", timeout=5, follow=False)
+    assert (page.status, page.location) == (302, "/loop/1")
+    assert len(seen) == 1
+
+
+def test_kept_alive_requests_do_not_stall():
+    # with Nagle's algorithm on in the mock, each answer's body waits for
+    # the client's delayed ACK (about 40 ms): 100 requests would take 4 s
+    with MockTarget() as target, Session() as session:
+        started = time.monotonic()
+        for _ in range(100):
+            assert session.fetch(target.base_url + "/about", timeout=5).status == 200
+        elapsed = time.monotonic() - started
+    assert elapsed < 2.0

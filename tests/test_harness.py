@@ -305,7 +305,9 @@ def test_added_fault_never_lowers_density(tmp_path, clean_model):
     assert densities[1] >= densities[0] > 0
 
 
-@pytest.mark.parametrize("target", ["http://127.0.0.1:9", "file:///etc/hostname"])
+@pytest.mark.parametrize(
+    "target", ["http://127.0.0.1:9", "file:///etc/hostname", "http:///nohost"]
+)
 def test_target_down_raises(tmp_path, clean_model, target):
     cases = generate_test_cases(clean_model, default_profiles(), 3, seed=1)
     with pytest.raises(TargetDown):

@@ -243,15 +243,38 @@ def test_listen_backlog_absorbs_connection_burst():
 @pytest.mark.parametrize("length", ["abc", "-1"])
 def test_bad_content_length_is_400(length):
     # a POST whose Content-Length is not a count of bytes gets an answer,
-    # not a dropped connection or a read that waits for the client to close
+    # not a dropped connection or a read that waits for the client to close;
+    # then the mock hangs up, since it cannot tell where the body ends and
+    # would read it as the next request
     with MockTarget() as target:
         url = urlparse(target.base_url)
         timeout = HarnessConfig().request_timeout_s
         with socket.create_connection((url.hostname, url.port), timeout=timeout) as sock:
-            sock.sendall(f"POST /login HTTP/1.0\r\nContent-Length: {length}\r\n\r\n".encode())
+            sock.sendall(f"POST /login HTTP/1.1\r\nHost: mock\r\nContent-Length: {length}"
+                         "\r\n\r\nview=professor".encode())
             with sock.makefile("rb") as response:
                 status_line = response.readline()
+                # well before the mock's own 10 s read timeout would hang up
+                sock.settimeout(3.0)
+                rest = response.read()  # to EOF
     assert status_line.split()[1] == b"400"
+    assert b"HTTP/1." not in rest  # one answer, then EOF
+
+
+@pytest.mark.parametrize("head", [
+    "GET /about HTTP/1.1\r\nContent-Length: 34",
+    "POST /login HTTP/1.1\r\nTransfer-Encoding: chunked",
+])
+def test_unread_body_ends_the_connection(head):
+    # a body the mock does not read must not be taken for the next request
+    body = "GET /nope HTTP/1.1\r\nHost: mock\r\n\r\n"
+    with MockTarget() as target:
+        url = urlparse(target.base_url)
+        with socket.create_connection((url.hostname, url.port), timeout=3.0) as sock:
+            sock.sendall(f"{head}\r\nHost: mock\r\n\r\n{body}".encode())
+            with sock.makefile("rb") as response:
+                answers = response.read().count(b"HTTP/1.1 ")  # to EOF
+    assert answers == 1
 
 
 def test_short_body_is_dropped_after_read_timeout(monkeypatch, capsys):
