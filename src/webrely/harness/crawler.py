@@ -157,7 +157,9 @@ class Session:
         and 308; a POST follows only 301, 302 and 303, as a GET without its
         body.  The answer after MAX_REDIRECTS hops, a redirect to a URL that
         is not http(s), and with follow=False every 3xx, is the Page.  No
-        request is sent twice.
+        request is sent twice.  The text is the body decoded by its charset,
+        or as UTF-8 when it names none or one with no codec; bytes that do
+        not decode become U+FFFD.
         """
         if not _is_http(url):
             raise InvalidURL(f"not an http(s) URL: {url!r}")
@@ -189,8 +191,12 @@ class Session:
             raise
         self._jar.extract_cookies(response, request)
         charset = response.headers.get_content_charset() or "utf-8"
-        return Page(response.status, response.getheader("Location"),
-                    body.decode(charset, "replace"))
+        try:
+            text = body.decode(charset, "replace")
+        except (LookupError, ValueError):
+            # no text codec by that name (a NUL in the name is a ValueError)
+            text = body.decode("utf-8", "replace")
+        return Page(response.status, response.getheader("Location"), text)
 
     def _connection(self, scheme: str, host: str, timeout: float) -> HTTPConnection:
         connection = self._connections.get((scheme, host))

@@ -55,6 +55,11 @@ VIEW_HOMES = {"professor": "/professor", "student": "/student"}
 # their deletes reach every inserted row
 _COURSE_IDS = range(1, 10)
 
+# seconds between serve_forever's checks for a shutdown request, so about
+# the longest stop() waits; socketserver's default, 0.5 s, would add half
+# a second to every stop
+_POLL_INTERVAL = 0.02
+
 
 @dataclass(frozen=True)
 class SeededFault:
@@ -395,7 +400,8 @@ class MockTarget:
         return f"http://{host}:{port}"
 
     def start(self) -> "MockTarget":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        args=(_POLL_INTERVAL,), daemon=True)
         self._thread.start()
         return self
 

@@ -3,6 +3,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -531,19 +532,27 @@ def test_mock_serve_subprocess():
         stdout=subprocess.PIPE,
         text=True,
     )
-    try:
-        line = proc.stdout.readline()
-        url = line.split()[-4]  # "mock target serving on <url> (Ctrl-C to stop)"
-        assert url.startswith("http://")
-        response = Session().fetch(url + "/courses", timeout=5)
-        assert response.status == 200
-        assert "page:/courses" in response.text
-    finally:
-        proc.send_signal(signal.SIGINT)
+    # the session stays open, so Ctrl-C meets an idle kept-alive client
+    with Session() as session:
         try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
+            line = proc.stdout.readline()
+            url = line.split()[-4]  # "mock target serving on <url> (Ctrl-C to stop)"
+            assert url.startswith("http://")
+            response = session.fetch(url + "/courses", timeout=5)
+            assert response.status == 200
+            assert "page:/courses" in response.text
+        finally:
+            proc.send_signal(signal.SIGINT)
+            started = time.monotonic()
+            try:
+                code = proc.wait(timeout=2)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+                raise
+            took = time.monotonic() - started
+    assert code == 0
+    assert took < 0.25  # half of socketserver's default poll
 
 
 def test_cli_imports_no_third_party_package():

@@ -1,7 +1,6 @@
-import threading
 import time
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
@@ -213,19 +212,11 @@ class _Redirects(BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def redirects():
+def redirects(serving):
     """Yields (base URL, requests seen) for a _Redirects server."""
     seen = []
-    handler = type("Handler", (_Redirects,), {"seen": seen})
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield "http://%s:%d" % server.server_address[:2], seen
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+    with serving(type("Handler", (_Redirects,), {"seen": seen})) as url:
+        yield url, seen
 
 
 def test_post_redirected_by_303_lands_with_a_get(redirects):
@@ -270,3 +261,35 @@ def test_kept_alive_requests_do_not_stall():
             assert session.fetch(target.base_url + "/about", timeout=5).status == 200
         elapsed = time.monotonic() - started
     assert elapsed < 2.0
+
+
+class _OddCharset(BaseHTTPRequestHandler):
+    """Answers every GET with a page whose Content-Type names charset."""
+
+    protocol_version = "HTTP/1.1"
+    charset: str
+
+    def log_message(self, *a):
+        pass
+
+    def do_GET(self):
+        body = f"<html><body>\n<!-- page:{self.path} -->\n</body></html>\n".encode()
+        self.send_response(200)
+        self.send_header("Content-Type", f"text/html; charset={self.charset}")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@pytest.mark.parametrize("charset", ["bogus-8", "utf\x00-8"])
+def test_unknown_charset_is_read_as_utf8(charset, serving, tmp_path):
+    handler = type("Handler", (_OddCharset,), {"charset": charset})
+    case = TestCase(id="case-c", view="public", seed=0, steps=(Step("/odd", "read", {}),))
+    cfg = HarnessConfig(duration_s=60.0, arrival_mean_s=0.001, workers=1)
+    with serving(handler) as url:
+        with Session() as session:
+            page = session.fetch(url + "/odd", timeout=5)
+        paths = run_evaluation(url, [case], default_profiles(), cfg, tmp_path, 0)
+    assert page.status == 200 and "page:/odd" in page.text
+    records, _ = parse_log_file(paths[0])
+    assert [(r.action, r.outcome) for r in records if r.action == "read"] == [("read", "ok")]

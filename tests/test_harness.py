@@ -2,7 +2,6 @@ import http.client
 import json
 import random
 import threading
-from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import urlparse
@@ -125,24 +124,13 @@ class _Page(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
 
-@contextmanager
-def _serving(handler):
-    """Serve handler on a free local port; yields the base URL."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        yield "http://%s:%d" % server.server_address[:2]
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
 @pytest.mark.parametrize("status,landing,outcome", [
     (303, "/healthy", "ok"),
     (303, "/broken", "fault:http-500"),
     (307, "/healthy", "nav_error"),  # urllib does not re-send a POST elsewhere
 ])
-def test_post_step_redirect_classified_by_landing_page(tmp_path, status, landing, outcome):
+def test_post_step_redirect_classified_by_landing_page(tmp_path, serving, status, landing,
+                                                        outcome):
     class Handler(_Page):
         def do_POST(self):
             self.rfile.read(int(self.headers["Content-Length"]))
@@ -156,13 +144,13 @@ def test_post_step_redirect_classified_by_landing_page(tmp_path, status, landing
 
     case = TestCase(id="case-r", view="public", seed=0,
                     steps=(Step("/form", "insert", {"name": "x"}),))
-    with _serving(Handler) as url:
+    with serving(Handler) as url:
         paths = run_evaluation(url, [case], default_profiles(), FAST, tmp_path, seed=0)
     records, _ = parse_log_file(paths[0])
     assert [r.outcome for r in records if r.step_index >= 0] == [outcome]
 
 
-def test_login_answered_by_its_form_again_is_nav_error(tmp_path):
+def test_login_answered_by_its_form_again_is_nav_error(tmp_path, serving):
     # the target answers a bad password by rendering its login form again
     # with 200, and sends anonymous requests to that form; the steps after
     # such a login would only see the form, so they must not run
@@ -181,7 +169,7 @@ def test_login_answered_by_its_form_again_is_nav_error(tmp_path):
 
     case = TestCase(id="case-l", view="professor", seed=0,
                     steps=(Step("/professor", "read", {}), Step("/professor/courses", "read", {})))
-    with _serving(Handler) as url:
+    with serving(Handler) as url:
         paths = run_evaluation(url, [case], default_profiles(), FAST, tmp_path, seed=0)
     records, _ = parse_log_file(paths[0])
     assert [(r.action, r.outcome) for r in records] == [
@@ -362,7 +350,9 @@ class _GateProxy:
                 self._forward("POST")
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll interval, so that stop() returns at once
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.02,),
+                                        daemon=True)
         self._thread.start()
 
     @property

@@ -1,5 +1,6 @@
 import http.client
 import socket
+import statistics
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -8,8 +9,8 @@ from urllib.parse import urlencode, urlparse
 
 import pytest
 
-from webrely.harness import FAULT_MARKER, MockTarget, SeededFault, mock
-from webrely.harness.crawler import Session
+from webrely.harness import FAULT_MARKER, MockTarget, SeededFault, default_profiles, mock
+from webrely.harness.crawler import Session, crawl_site
 from webrely.harness.mock import CREDENTIALS
 from webrely.harness.runner import HarnessConfig
 
@@ -291,3 +292,25 @@ def test_short_body_is_dropped_after_read_timeout(monkeypatch, capsys):
             assert sock.recv(1024) == b""  # closed with no answer, well before 5 s
             assert time.monotonic() - started < 4.0
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_stop_is_prompt_with_an_idle_client():
+    # stop() waits for serve_forever's next poll, and server_close joins
+    # every handler thread, so an idle kept-alive client would hold stop()
+    # for the handler's 10 s read timeout unless stop() hangs up on it
+    auth = {view: profile.credentials for view, profile in default_profiles().items()}
+    took = []
+    for _ in range(5):
+        target = MockTarget().start()
+        with Session() as session:
+            try:
+                crawl_site(target.base_url, auth)
+                assert session.fetch(target.base_url + "/courses", timeout=5).status == 200
+            finally:
+                started = time.monotonic()
+                target.stop()
+                took.append(time.monotonic() - started)
+            (connection,) = session._connections.values()
+            connection.sock.settimeout(1.0)
+            assert connection.sock.recv(1) == b""  # hung up on
+    assert statistics.median(took) < 0.25  # half of socketserver's default poll
