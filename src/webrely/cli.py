@@ -327,10 +327,17 @@ def cmd_compare(args) -> int:
 
 
 def cmd_mock_serve(args) -> int:
+    import signal
+
     from .harness import MockTarget, load_fault_table
 
     faults = load_fault_table(args.faults) if args.faults else None
     target = MockTarget(faults, port=args.port)
+    # a background job of a non-interactive shell starts with SIGINT ignored,
+    # and SIGTERM would end the process without stop(): route both through
+    # KeyboardInterrupt so either one stops the target and exits 0
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.default_int_handler)
     target.start()
     # flush so piped callers (tests, scripts) see the URL immediately
     print(f"mock target serving on {target.base_url} (Ctrl-C to stop)", flush=True)

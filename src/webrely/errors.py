@@ -21,7 +21,7 @@ class NonIdentifiable(WebrelyError):
 
 
 class NoConvergence(WebrelyError):
-    """Neither Newton-Raphson nor the bisection fallback converged."""
+    """The shape solver ran out of iterations above its tolerance."""
 
 
 class InsufficientData(WebrelyError):

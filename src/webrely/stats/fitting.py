@@ -4,17 +4,20 @@ The shape estimate solves the score equation
 
     g(a) = sum(x_i**a * ln x_i) / sum(x_i**a) - 1/a - mean(ln x_i) = 0
 
-by Newton-Raphson from a = 1, falling back to bisection on [1e-3, 1e3]
-when the iteration diverges or leaves (0, inf).  The scale then follows
+by Newton-Raphson from a = 1, kept inside a bracket (lo, hi) that starts
+at (0, inf): a step that leaves the bracket, or is not finite, becomes the
+bracket's midpoint, or doubles the shape while hi is still infinite
+("rtsafe", Numerical Recipes 3rd ed. section 9.4).  The scale then follows
 directly as (sum(x_i**a) / n) ** (1/a).
 
 g is strictly increasing (its derivative is a weighted variance of ln x
-plus 1/a**2), so whenever a root exists the bracketed fallback finds it.
+plus 1/a**2) and runs from -inf at 0+ to max(ln x) - mean(ln x) > 0, so
+every sample of two or more distinct positive values has exactly one
+root, and the bracketed iteration reaches it.
 
-The reported residual is |g| at the returned shape: for Newton-Raphson it
-is the smallest |g| the iteration evaluated (the one that chose the
-shape), so g is not evaluated again; after bisection it is g evaluated
-once more at the midpoint returned.
+The reported residual is |g| at the returned shape: the smallest |g| the
+iteration evaluated (the one that chose the shape), so g is not evaluated
+again.
 """
 
 from __future__ import annotations
@@ -36,11 +39,8 @@ log = logging.getLogger(__name__)
 # or underflow double precision, so sums switch to a shifted log-space form
 _LOG_SPACE_LIMIT = 600.0
 
-_BISECT_LO = 1e-3
-_BISECT_HI = 1e3
-
-# |g| at which a shape is accepted, the iteration budget of each solver,
-# and Newton-Raphson's starting shape
+# |g| at which a shape is accepted, the iteration budget and the starting
+# shape
 TOLERANCE = 1e-9
 MAX_ITERATIONS = 100
 INITIAL_SHAPE = 1.0
@@ -99,8 +99,7 @@ def _max_abs(log_xs: list[float]) -> float:
 def score(values, a: float) -> float:
     """g(a) for the given strictly positive sample; exposed for oracles."""
     log_xs = [math.log(v) for v in values]
-    ratio, _, _ = _sums(log_xs, _max_abs(log_xs), a)
-    return ratio - 1.0 / a - sum(log_xs) / len(log_xs)
+    return _score_and_slope(log_xs, _max_abs(log_xs), sum(log_xs) / len(log_xs), a)[0]
 
 
 def _score_and_slope(
@@ -128,7 +127,7 @@ def fit_weibull(samples: DefectSampleSet) -> FitReport:
     Zero values are excluded (with a logged warning and a count in the
     report); at least two strictly positive, not-all-equal values must
     remain.  Raises NonIdentifiable when all values are equal and
-    NoConvergence when both solvers fail.
+    NoConvergence when the iteration budget runs out above tolerance.
     """
     positive = [v for v in samples.values if v > 0.0]
     zeros = samples.n - len(positive)
@@ -152,10 +151,9 @@ def fit_weibull(samples: DefectSampleSet) -> FitReport:
     mean_log = sum(log_xs) / len(log_xs)
 
     a = INITIAL_SHAPE
-    iterations = 0
-    method = "newton-raphson"
+    lo, hi = 0.0, math.inf
     best_a, best_g = a, math.inf
-    polish = 0
+    iterations = polish = 0
     for _ in range(MAX_ITERATIONS):
         iterations += 1
         g, g_prime = _score_and_slope(log_xs, max_abs_log, mean_log, a)
@@ -164,22 +162,21 @@ def fit_weibull(samples: DefectSampleSet) -> FitReport:
         step = g / g_prime
         if abs(g) <= TOLERANCE:
             # where g is flat (near-identical samples) |g| <= tol still
-            # leaves the root loose, so polish until the step stalls
+            # leaves the root loose, so polish until the step stalls; the
+            # sign of g is rounding noise here, so the bracket stays put
             if g == 0.0 or abs(step) <= 1e-13 * max(1.0, a) or polish >= 3:
                 break
             polish += 1
+        elif g < 0.0:
+            lo = a
+        else:
+            hi = a
         a_next = a - step
-        if not math.isfinite(a_next) or a_next <= 0.0:
-            break
+        if not lo < a_next < hi:  # also catches inf and nan
+            a_next = 2.0 * a if hi == math.inf else 0.5 * (lo + hi)
         a = a_next
 
     a, residual = best_a, best_g
-    if best_g > TOLERANCE:
-        method = "bisection"
-        a, extra = _bisect(log_xs, max_abs_log, mean_log)
-        iterations += extra
-        residual = abs(_score_and_slope(log_xs, max_abs_log, mean_log, a)[0])
-
     if residual > TOLERANCE:
         raise NoConvergence(
             f"residual |g| = {residual:.3e} above tolerance {TOLERANCE:g} "
@@ -191,31 +188,7 @@ def fit_weibull(samples: DefectSampleSet) -> FitReport:
         sample_count=len(positive),
         iterations=iterations,
         residual=residual,
-        method=method,
         zeros_excluded=zeros,
         source_label=samples.source_label,
     )
 
-
-def _bisect(log_xs: list[float], max_abs_log: float, mean_log: float) -> tuple[float, int]:
-    lo, hi = _BISECT_LO, _BISECT_HI
-    g_lo = _score_and_slope(log_xs, max_abs_log, mean_log, lo)[0]
-    g_hi = _score_and_slope(log_xs, max_abs_log, mean_log, hi)[0]
-    if g_lo > 0.0 or g_hi < 0.0:
-        raise NoConvergence(
-            f"no sign change of g on [{_BISECT_LO:g}, {_BISECT_HI:g}] "
-            f"(g(lo) = {g_lo:.3e}, g(hi) = {g_hi:.3e})"
-        )
-    steps = 0
-    # the default 100 halvings shrink the bracket below 1e-27, past tolerance
-    for _ in range(MAX_ITERATIONS):
-        steps += 1
-        mid = 0.5 * (lo + hi)
-        g_mid = _score_and_slope(log_xs, max_abs_log, mean_log, mid)[0]
-        if abs(g_mid) <= TOLERANCE and (hi - lo) <= 1e-12 * max(1.0, mid):
-            return mid, steps
-        if g_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), steps

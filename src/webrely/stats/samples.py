@@ -38,8 +38,8 @@ class DefectSampleSet:
 
     def __post_init__(self):
         for v in self.values:
-            if not (v >= 0.0):
-                raise ValueError(f"retained defect density must be >= 0, got {v}")
+            if not 0.0 <= v < math.inf:  # also catches nan
+                raise ValueError(f"defect density must be finite and >= 0, got {v}")
 
     @property
     def n(self) -> int:
@@ -153,14 +153,10 @@ def apply_policy(samples: DefectSampleSet, policy: AnomalyPolicy) -> DefectSampl
     retained values, new records follow the set's earlier ones grouped by
     the pass that discarded them, and each reason records that pass's fences.
 
-    Raises ValueError on a value that is not finite and >= 0.  An empty
-    input, or one the policy discards entirely, comes back with no retained
-    values; deciding that this is an error is the caller's job.
+    An empty input, or one the policy discards entirely, comes back with no
+    retained values; deciding that this is an error is the caller's job.
     """
     values = [float(v) for v in samples.values]
-    for v in values:
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"raw defect densities must be finite and >= 0, got {v}")
 
     if policy.method == "tukey":
         kept, dropped = _tukey(values, policy)

@@ -39,11 +39,14 @@ __all__ = [
 
 def load_samples_text(path: str | Path, source_label: str = "") -> DefectSampleSet:
     values = []
-    for raw_line in Path(path).read_text().splitlines():
+    for number, raw_line in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        values.append(float(line))
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise ValueError(f"{path}:{number}: not a number: {line!r}") from None
     return DefectSampleSet(tuple(values), (), source_label)
 
 
@@ -60,7 +63,12 @@ def load_samples_csv(path: str | Path, column: str, source_label: str = "") -> D
         for row in reader:
             cell = (row[column] or "").strip()
             if cell:
-                values.append(float(cell))
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: not a number: {cell!r}"
+                    ) from None
     return DefectSampleSet(tuple(values), (), source_label)
 
 

@@ -373,6 +373,16 @@ def test_psp_single_record(tmp_path):
     assert all(slope is None for slope in doc["slopes"].values())
 
 
+@pytest.mark.parametrize("bad", ["abc", "inf", "nan", "-2"])
+def test_fit_rejects_bad_value_before_writing(tmp_path, capsys, bad):
+    samples = write(tmp_path / "s.txt", f"1.5\n2.5\n{bad}\n3.0\n")
+    project = tmp_path / "proj"
+    assert run_cli("--project-dir", project, "fit", "--samples", samples, "--label", "x") == 2
+    assert not (project / "phases/x").exists()
+    if bad == "abc":
+        assert f"{samples}:3" in capsys.readouterr().err
+
+
 def test_fit_text_samples(tmp_path, fixed_sample):
     samples = write(
         tmp_path / "s.txt", "".join(f"{v}\n" for v in fixed_sample.values)
@@ -526,33 +536,49 @@ def test_fault_table_file_roundtrip(tmp_path):
     assert faults[0].behavior == "http-500"
 
 
+def _ignore_sigint():
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+# (signal sent, run in the child before exec): Ctrl-C; a `kill -INT` to a
+# background job of a non-interactive shell, which starts with SIGINT
+# ignored; and SIGTERM
+MOCK_SERVE_STOPS = [
+    (signal.SIGINT, None),
+    (signal.SIGINT, _ignore_sigint),
+    (signal.SIGTERM, None),
+]
+
+
 def test_mock_serve_subprocess():
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "webrely.cli", "mock-serve", "--port", "0"],
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-    # the session stays open, so Ctrl-C meets an idle kept-alive client
-    with Session() as session:
-        try:
-            line = proc.stdout.readline()
-            url = line.split()[-4]  # "mock target serving on <url> (Ctrl-C to stop)"
-            assert url.startswith("http://")
-            response = session.fetch(url + "/courses", timeout=5)
-            assert response.status == 200
-            assert "page:/courses" in response.text
-        finally:
-            proc.send_signal(signal.SIGINT)
-            started = time.monotonic()
+    for signum, preexec_fn in MOCK_SERVE_STOPS:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "webrely.cli", "mock-serve", "--port", "0"],
+            stdout=subprocess.PIPE,
+            text=True,
+            preexec_fn=preexec_fn,
+        )
+        # the session stays open, so the signal meets an idle kept-alive client
+        with Session() as session:
             try:
-                code = proc.wait(timeout=2)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-                raise
-            took = time.monotonic() - started
-    assert code == 0
-    assert took < 0.25  # half of socketserver's default poll
+                line = proc.stdout.readline()
+                url = line.split()[-4]  # "mock target serving on <url> (Ctrl-C to stop)"
+                assert url.startswith("http://")
+                response = session.fetch(url + "/courses", timeout=5)
+                assert response.status == 200
+                assert "page:/courses" in response.text
+            finally:
+                proc.send_signal(signum)
+                started = time.monotonic()
+                try:
+                    code = proc.wait(timeout=2)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.wait()
+                    raise
+                took = time.monotonic() - started
+        assert code == 0, (signum, preexec_fn)
+        assert took < 0.25  # half of socketserver's default poll
 
 
 def test_cli_imports_no_third_party_package():

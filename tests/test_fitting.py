@@ -84,12 +84,23 @@ def test_scale_resubstitution_exact(fixed_sample):
     assert report.model.scale == (math.fsum(x**a for x in xs) / len(xs)) ** (1.0 / a)
 
 
-def test_newton_falls_back_to_bisection():
-    # nine decades of spread pushes the root far below the starting point
-    # and the first Newton step overshoots out of (0, inf)
-    report = fit_weibull(DefectSampleSet((1e-8, 1.0, 1e8)))
-    assert report.method == "bisection"
+def test_wide_spread_stays_newton_inside_the_bracket():
+    # sixteen decades of spread: the first Newton step from a = 1 leaves
+    # (0, inf), and the bracket turns it into a midpoint instead
+    values = (1e-8, 1.0, 1e8)
+    report = fit_weibull(DefectSampleSet(values))
+    assert report.method == "newton-raphson"
+    assert report.iterations <= 20
     assert report.residual <= 1e-9
+    assert report.model.shape == pytest.approx(bisect_oracle(values), rel=1e-9)
+
+
+def test_near_equal_sample_with_root_far_above_one_converges():
+    # the root is near 3.85e7: doubling while the bracket is open reaches it
+    values = [0.023518549418094812, 0.023518549418094812, 0.023518550711860032]
+    report = fit_weibull(DefectSampleSet(tuple(values)))
+    assert report.model.shape > 1e7
+    assert abs(score(values, report.model.shape)) <= 1e-9
 
 
 def test_no_convergence_with_tiny_budget(monkeypatch):
@@ -140,8 +151,7 @@ def test_newton_residual_is_score_at_estimate(values):
         report = fit_weibull(DefectSampleSet(tuple(values)))
     except (EmptySample, NonIdentifiable, NoConvergence):
         return
-    if report.method == "newton-raphson":
-        assert report.residual == abs(score(positive, report.model.shape))
+    assert report.residual == abs(score(positive, report.model.shape))
 
 
 def test_newton_residual_on_fixture(fixed_sample):

@@ -64,6 +64,9 @@ def test_samples_csv_column(tmp_path):
     assert ss.values == (3.0, 5.0)
     with pytest.raises(ValueError):
         load_samples_csv(path, "nope")
+    path.write_text("run,defect_density\n1,3\n2,x\n")
+    with pytest.raises(ValueError, match=r"s\.csv:3: not a number: 'x'"):
+        load_samples_csv(path, "defect_density")
 
 
 def test_sample_set_dict_roundtrip():
