@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from ..errors import EmptyModel
 from .crawler import Credentials
 from .mock import _COURSE_IDS, CREDENTIALS
-from .model import Node, SiteModel
+from .model import ACTIONS, Node, SiteModel
 
 __all__ = [
     "ACTIONS",
@@ -19,7 +19,6 @@ __all__ = [
     "generate_test_cases",
 ]
 
-ACTIONS = ("read", "insert", "update", "delete")
 WRITE_ACTIONS = ("insert", "update", "delete")
 
 

@@ -40,9 +40,11 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from ..stats.serialize import read_json
+from .model import ACTIONS
 
 FAULT_MARKER = "##FAULT-MARKER##"
 FAULT_BEHAVIORS = ("http-500", "error-marker", "missing-marker")
+_FAULT_KEYS = {"path", "action", "behavior"}
 
 CREDENTIALS = {
     "professor": ("prof", "prof123"),
@@ -64,17 +66,24 @@ _POLL_INTERVAL = 0.02
 @dataclass(frozen=True)
 class SeededFault:
     path: str
-    action: str  # read | insert | update | delete
+    action: str  # one of ACTIONS
     behavior: str  # one of FAULT_BEHAVIORS
 
     def __post_init__(self):
+        if self.action not in ACTIONS:
+            raise ValueError(f"unknown fault action {self.action!r}")
         if self.behavior not in FAULT_BEHAVIORS:
             raise ValueError(f"unknown fault behavior {self.behavior!r}")
 
 
 def load_fault_table(path: str | Path) -> list[SeededFault]:
-    """Fault file: JSON list of {"path", "action", "behavior"} objects."""
-    return [SeededFault(f["path"], f["action"], f["behavior"]) for f in read_json(path)]
+    """Fault file: JSON list of {"path", "action", "behavior"} objects; any
+    other shape, action or behavior raises ValueError before a target serves."""
+    doc = read_json(path)
+    if not (isinstance(doc, list)
+            and all(isinstance(f, dict) and _FAULT_KEYS <= f.keys() for f in doc)):
+        raise ValueError(f"{path}: expected a JSON list of {{path, action, behavior}} objects")
+    return [SeededFault(f["path"], f["action"], f["behavior"]) for f in doc]
 
 
 def _to_int(value: str | None) -> int:

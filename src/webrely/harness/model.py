@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 from ..errors import EmptyModel
 
-__all__ = ["FormSpec", "Node", "SiteModel", "node_id"]
+__all__ = ["ACTIONS", "FormSpec", "Node", "SiteModel", "node_id"]
+
+ACTIONS = ("read", "insert", "update", "delete")
 
 
 def node_id(view: str, path: str) -> str:

@@ -1,9 +1,8 @@
-"""Defect-density sample sets: anomaly discarding and histogram binning."""
+"""Defect-density sample sets: anomaly discarding to a fixed point, and histogram binning."""
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from ..errors import EmptySample
@@ -69,106 +68,90 @@ class AnomalyPolicy:
             raise ValueError("policy parameter k must be positive")
 
 
-def _quantile(sorted_values: list[float], q: float) -> float:
-    # linear interpolation between order statistics (the numpy/R default)
-    n = len(sorted_values)
+def _quantile(s: list[float], i: int, j: int, q: float) -> float:
+    # linear interpolation between the order statistics of s[i:j] (numpy/R default)
+    n = j - i
     if n == 1:
-        return sorted_values[0]
+        return s[i]
     h = (n - 1) * q
     lo = int(math.floor(h))
     if lo >= n - 1:
-        return sorted_values[-1]
-    return sorted_values[lo] + (h - lo) * (sorted_values[lo + 1] - sorted_values[lo])
+        return s[j - 1]
+    return s[i + lo] + (h - lo) * (s[i + lo + 1] - s[i + lo])
 
 
-def _one_pass(values: list[float], policy: AnomalyPolicy) -> tuple[list[float], list[DiscardRecord]]:
-    """One zscore pass (or the identity for "none"); tukey has _tukey."""
-    if policy.method == "none":
-        return list(values), []
-    n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
-    std = math.sqrt(var)
-    if std == 0.0:
-        return list(values), []
-    kept: list[float] = []
-    dropped: list[DiscardRecord] = []
-    for v in values:
-        z = abs(v - mean) / std
-        if z > policy.k:
-            dropped.append(DiscardRecord(v, f"zscore(k={policy.k:g}): |z| = {z:.3f}"))
-        else:
-            kept.append(v)
-    return kept, dropped
-
-
-def _tukey(values: list[float], policy: AnomalyPolicy) -> tuple[list[float], list[DiscardRecord]]:
-    """Tukey fences re-applied to a fixed point over a single sort.
-
-    Each pass keeps a contiguous window s[i:j] of the sorted values (equal
-    values fall on the same side of a fence), so a pass's quartiles come
-    from the current window and its fences move i and j by bisection.
-    Records come out grouped by pass, in input order within a pass; when a
-    pass's fences exclude the whole window, every value is discarded.
+def _rule(policy: AnomalyPolicy, s: list[float], i: int, j: int, inside: list[float]):
+    """The policy's rule on the window s[i:j]: (outside, reason), two
+    functions of a value, or None when it discards nothing ("none", or a
+    z-score window with no spread).  What either rule discards lies at the
+    window's ends: Tukey keeps an interval, and |z| grows with the distance
+    from the mean.  The z-score rule narrows inside, the values of an
+    enclosing window in input order, to this window and sums in that order.
     """
-    s = sorted(values)
-    i, j = 0, len(s)
-    fences: list[tuple[float, float]] = []
-    while i < j:
-        window = s[i:j]
-        q1 = _quantile(window, 0.25)
-        q3 = _quantile(window, 0.75)
-        spread = q3 - q1
-        lo = q1 - policy.k * spread
-        hi = q3 + policy.k * spread
-        i_next = bisect_left(s, lo, i, j)
-        j_next = bisect_right(s, hi, i, j)
-        if i_next == i and j_next == j:
-            break
-        fences.append((lo, hi))
-        i, j = i_next, j_next
-
-    first, last = (s[i], s[j - 1]) if i < j else (math.inf, -math.inf)
-    kept: list[float] = []
-    by_pass: list[list[DiscardRecord]] = [[] for _ in fences]
-    reasons = [f"tukey(k={policy.k:g}): outside [{lo:g}, {hi:g}]" for lo, hi in fences]
-    for v in values:
-        if first <= v <= last:
-            kept.append(v)
-            continue
-        for p, (lo, hi) in enumerate(fences):
-            if v < lo or v > hi:
-                by_pass[p].append(DiscardRecord(v, reasons[p]))
-                break
-    return kept, [record for records in by_pass for record in records]
+    k = policy.k
+    if policy.method == "tukey":
+        q1 = _quantile(s, i, j, 0.25)
+        q3 = _quantile(s, i, j, 0.75)
+        lo = q1 - k * (q3 - q1)
+        hi = q3 + k * (q3 - q1)
+        reason = f"tukey(k={k:g}): outside [{lo:g}, {hi:g}]"
+        return (lambda v: v < lo or v > hi), (lambda v: reason)
+    if policy.method == "zscore":
+        first, last = s[i], s[j - 1]
+        inside[:] = [v for v in inside if first <= v <= last]
+        mean = sum(inside) / len(inside)
+        std = math.sqrt(sum((v - mean) ** 2 for v in inside) / len(inside))
+        if std == 0.0:
+            return None
+        return (lambda v: abs(v - mean) / std > k,
+                lambda v: f"zscore(k={k:g}): |z| = {abs(v - mean) / std:.3f}")
+    return None
 
 
 def apply_policy(samples: DefectSampleSet, policy: AnomalyPolicy) -> DefectSampleSet:
     """Split the retained values into kept and discarded per the policy.
 
-    The policy is re-applied until it stops discarding (a fixed point), so
-    applying it to its own output never discards anything further.  For
-    tukey the fixed point uses one sort: every pass narrows a window of the
-    same sorted values.  Deterministic: input order is preserved among the
-    retained values, new records follow the set's earlier ones grouped by
-    the pass that discarded them, and each reason records that pass's fences.
+    The policy is re-applied until a pass discards nothing (a fixed point),
+    so applying it to its own output discards nothing further.  Each pass
+    narrows one window s[i:j] of the sorted values from both ends.
+    Deterministic: retained values keep their input order, and new records
+    follow the set's earlier ones grouped by pass, in input order within a
+    pass; each reason gives its pass's fences (tukey) or the value's |z|.
 
     An empty input, or one the policy discards entirely, comes back with no
     retained values; deciding that this is an error is the caller's job.
     """
     values = [float(v) for v in samples.values]
+    s = sorted(values)
+    i, j = 0, len(s)
+    inside = list(values)
+    # discarded value -> its pass; equal values always leave in the same pass
+    first_out: dict[float, int] = {}
+    reasons = []  # each pass's reason function
+    while i < j and (rule := _rule(policy, s, i, j, inside)) is not None:
+        outside, reason = rule
+        i0, j0 = i, j
+        while i < j and outside(s[i]):
+            first_out[s[i]] = len(reasons)
+            i += 1
+        while i < j and outside(s[j - 1]):
+            j -= 1
+            first_out[s[j]] = len(reasons)
+        if (i, j) == (i0, j0):
+            break
+        reasons.append(reason)
 
-    if policy.method == "tukey":
-        kept, dropped = _tukey(values, policy)
-    else:
-        kept, dropped = values, []
-        while kept:
-            kept_next, dropped_now = _one_pass(kept, policy)
-            if not dropped_now:
-                break
-            dropped.extend(dropped_now)
-            kept = kept_next
-    return DefectSampleSet(tuple(kept), samples.discarded + tuple(dropped), samples.source_label)
+    first, last = (s[i], s[j - 1]) if i < j else (math.inf, -math.inf)
+    kept: list[float] = []
+    by_pass: list[list[DiscardRecord]] = [[] for _ in reasons]
+    for v in values:
+        if first <= v <= last:
+            kept.append(v)
+        else:
+            p = first_out[v]
+            by_pass[p].append(DiscardRecord(v, reasons[p](v)))
+    dropped = tuple(record for records in by_pass for record in records)
+    return DefectSampleSet(tuple(kept), samples.discarded + dropped, samples.source_label)
 
 
 @dataclass(frozen=True)

@@ -581,6 +581,28 @@ def test_mock_serve_subprocess():
         assert took < 0.25  # half of socketserver's default poll
 
 
+# an unknown action, a missing key and an entry that is not an object
+BAD_FAULT_TABLES = [
+    '[{"path": "/", "action": "raed", "behavior": "http-500"}]',
+    '[{"path": "/", "behavior": "http-500"}]',
+    '["/"]',
+]
+
+
+@pytest.mark.parametrize("table", BAD_FAULT_TABLES, ids=["action", "missing-key", "not-object"])
+def test_mock_serve_rejects_bad_fault_table(tmp_path, table):
+    faults = write(tmp_path / "faults.json", table)
+    # a subprocess, so that a table accepted by mistake serves until the timeout
+    # instead of hanging the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "webrely.cli", "mock-serve", "--port", "0", "--faults", str(faults)],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:")
+    assert proc.stdout == ""
+
+
 def test_cli_imports_no_third_party_package():
     packages = "{'requests', 'urllib3', 'scipy', 'numpy'}"
     code = f"import sys, webrely.cli; print(sorted({packages} & set(sys.modules)))"

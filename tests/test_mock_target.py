@@ -217,6 +217,12 @@ def test_invalid_fault_behavior_rejected():
         MockTarget([SeededFault("/", "read", "explode")])
 
 
+def test_invalid_fault_action_rejected():
+    # a fault on an action no test step takes would never fire
+    with pytest.raises(ValueError, match="raed"):
+        SeededFault("/", "raed", "http-500")
+
+
 def test_listen_backlog_absorbs_connection_burst():
     # bound and listening but not accepting yet: every connection of the
     # burst must wait in the kernel's accept queue, independent of timing

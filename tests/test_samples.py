@@ -175,6 +175,51 @@ def test_tukey_records_grouped_by_pass_in_input_order():
     assert len({d.reason for d in out.discarded}) == 2
 
 
+def reference_zscore(values, k):
+    """The z-score rule as repeated passes: each pass takes the mean and
+    standard deviation of what the last one kept, summed in input order,
+    and drops, in input order, every value with |z| > k."""
+    kept, dropped = list(values), []
+    while kept:
+        n = len(kept)
+        mean = sum(kept) / n
+        std = math.sqrt(sum((v - mean) ** 2 for v in kept) / n)
+        if std == 0.0:
+            break
+        now = []
+        for v in kept:
+            z = abs(v - mean) / std
+            if z > k:
+                now.append(DiscardRecord(v, f"zscore(k={k:g}): |z| = {z:.3f}"))
+        if not now:
+            break
+        dropped.extend(now)
+        kept = [v for v in kept if abs(v - mean) / std <= k]
+    return tuple(kept), tuple(dropped)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TUKEY_VALUES, min_size=1, max_size=80), st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+@example(raw=[0.0, 1.0], k=0.5)
+@example(raw=[0.0, 0.0, 1.0, 1.0, 2.0, 50.0, 1e9], k=1.0)
+# |z| of the outlier is 2 to within rounding, so summing in sorted order
+# instead of input order keeps it
+@example(raw=[4.0, 1873.8269590821571, 564723231272.2075, 6.0, 0.0], k=2.0)
+def test_one_sort_zscore_matches_multi_pass_reference(raw, k):
+    out = discard(raw, AnomalyPolicy("zscore", k))
+    assert (out.values, out.discarded) == reference_zscore(raw, k)
+
+
+def test_zscore_records_grouped_by_pass_in_input_order():
+    # pass 1 drops 1e6; the rest then has mean 38.5 and std 78.5, so pass 2
+    # drops 200 and 210, listed in input order, each with its own |z|
+    raw = [1.0, 210.0, 2.0, 1e6, 1.0, 2.0, 200.0, 1.0, 2.0, 1.0, 2.0, 1.0]
+    out = discard(raw, AnomalyPolicy("zscore", 2.0))
+    assert [d.value for d in out.discarded] == [1e6, 210.0, 200.0]
+    assert out.discarded == reference_zscore(raw, 2.0)[1]
+    assert out.values == (1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0)
+
+
 def test_partition_covers_raw_input():
     data = [5.0, 5.0, 5.0, 5.0, 5.0, 99.0, 5.0]
     out = discard(data, TUKEY3)
