@@ -10,8 +10,8 @@ Subcommands
     mock-serve  start the bundled mock target
 
 Every documented error class exits with a fixed code (see EXIT_CODES); 0
-means success, 1 is reserved for unexpected failures, 2 for bad usage or
-bad config files.
+means success, 1 is reserved for unexpected failures, 2 for bad usage,
+bad config files or an input file that cannot be read.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .stats.serialize import (
 )
 
 EXIT_CODES: dict[type, int] = {
+    errors.UnreadableInput: 2,
     errors.EmptySample: 3,
     errors.NonIdentifiable: 4,
     errors.NoConvergence: 5,
@@ -106,6 +107,16 @@ ANALYSIS_KEYS = {
 }
 
 
+def _read_input(path, read, *args):
+    """read(path, *args) on a file the user named.  An OSError while reading
+    it becomes UnreadableInput (exit 2); one while writing artifacts is not
+    caught here and stays an unexpected failure."""
+    try:
+        return read(path, *args)
+    except OSError as exc:
+        raise errors.UnreadableInput(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _parse_kv(path: str | Path) -> dict[str, str]:
     """'key = value' lines, one pair per line, # comments."""
     pairs: dict[str, str] = {}
@@ -126,7 +137,7 @@ def _parse_kv(path: str | Path) -> dict[str, str]:
 def _read_config(args, *tables: dict) -> list[dict]:
     """Parse --config against the key tables; one dict of keyword arguments
     per table.  A key no table knows is an error."""
-    pairs = _parse_kv(args.config) if args.config else {}
+    pairs = _read_input(args.config, _parse_kv) if args.config else {}
     kwargs = []
     for table in tables:
         found = {}
@@ -225,7 +236,7 @@ def cmd_evaluate(args) -> int:
 
     with project.lock():
         if args.model:
-            model = SiteModel.from_dict(read_json(args.model))
+            model = SiteModel.from_dict(_read_input(args.model, read_json))
         else:
             model = crawl_site(args.target, _auth_from_profiles(campaign.profiles), limits)
         phase_dir = project.phase_dir(args.label)
@@ -256,7 +267,7 @@ def cmd_evaluate(args) -> int:
 def cmd_psp(args) -> int:
     project = EiProject(args.project_dir)
     with project.lock():
-        records = load_records(args.records)
+        records = _read_input(args.records, load_records)
         report = trend_report(records)
         directory = project.psp_dir(args.label)
         doc = {"command": "psp", "label": args.label, "records": Path(args.records).name}
@@ -277,9 +288,9 @@ def cmd_fit(args) -> int:
     project = EiProject(args.project_dir)
     analysis = Analysis(**_read_config(args, ANALYSIS_KEYS)[0])
     if args.column:
-        samples = load_samples_csv(args.samples, args.column, args.label)
+        samples = _read_input(args.samples, load_samples_csv, args.column, args.label)
     else:
-        samples = load_samples_text(args.samples, args.label)
+        samples = _read_input(args.samples, load_samples_text, args.label)
     with project.lock():
         config_doc = {
             "command": "fit",
@@ -331,7 +342,7 @@ def cmd_mock_serve(args) -> int:
 
     from .harness import MockTarget, load_fault_table
 
-    faults = load_fault_table(args.faults) if args.faults else None
+    faults = _read_input(args.faults, load_fault_table) if args.faults else None
     target = MockTarget(faults, port=args.port)
     # a background job of a non-interactive shell starts with SIGINT ignored,
     # and SIGTERM would end the process without stop(): route both through

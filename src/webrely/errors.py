@@ -62,5 +62,9 @@ class RecordParseError(WebrelyError):
         super().__init__(f"row {row}, column {column!r}: {reason}")
 
 
+class UnreadableInput(WebrelyError):
+    """An input file the user named is missing or cannot be read."""
+
+
 class LockHeld(WebrelyError):
     """Another command currently holds the project directory lock."""

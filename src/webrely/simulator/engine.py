@@ -1,21 +1,34 @@
 """Deterministic single-run event loop for the ideal-conditions model.
 
 One run is one function, run_single, over local state: the clock, the
-queue size, the counters and a heap of (when, seq, kind) events, where
-seq breaks ties in scheduling order.  Users arrive with exponential gaps
-and each arrival applies admit_decision: a user is admitted when the
-server has spare capacity AND an independent uniform draw clears the
-1/(n+1) rule for the current queue size n.  An admitted user holds a
-normally distributed service time and either departs normally or, with
-the configured fault probability, exits early at a uniform point inside
-its service interval, counting one error.
+queue size, the counters, the next arrival held aside as a (when, seq)
+pair, and a heap of (when, seq, kind) exits (departures and error exits)
+of the users in the system.  seq breaks ties in scheduling order: each
+step takes whichever of the next arrival and the earliest exit comes
+first by (when, seq).  Users arrive with exponential gaps and each
+arrival applies admit_decision: a user is admitted when the server has
+spare capacity AND an independent uniform draw clears the 1/(n+1) rule
+for the current queue size n.  An admitted user holds a normally
+distributed service time and either departs normally or, with the
+configured fault probability, exits early at a uniform point inside its
+service interval, counting one error.
 
 Replayability: every run owns a private RNG stream derived from
 (seed, run_index) and draws in a fixed documented order per arrival:
 next interarrival gap, admission uniform (only when below capacity), view
 uniform, service time, fault uniform, error-position uniform.  The view
 and error-position uniforms are drawn even when unused so that runs with
-different settings share all other randomness.
+different settings share all other randomness.  The engine writes its
+two non-uniform draws out in the loop, over the stream's random():
+
+    gap      -log(1.0 - random()) / rate, with rate = 1 / interarrival_mean
+    service  mu + z * sigma, z by the Kinderman-Monahan ratio of uniforms:
+             u1 = random(); u2 = 1.0 - random();
+             z = _NV_MAGICCONST * (u1 - 0.5) / u2, retried until
+             z * z / 4.0 <= -log(u2); then floored at SERVICE_FLOOR
+
+These are the operations of random.Random.expovariate and normalvariate,
+so a run draws the same numbers as it would through those methods.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from math import exp, log, sqrt
 
 from ..errors import InvariantBreach
 from .config import SimConfig
@@ -32,6 +46,7 @@ DEPARTURE = "departure"
 ERROR_EXIT = "error"
 
 SERVICE_FLOOR = 0.01  # seconds; Normal(3, 1) goes negative with p ~ 0.0013
+_NV_MAGICCONST = 4 * exp(-0.5) / sqrt(2.0)  # the service draw's ratio-of-uniforms bound
 
 
 def stream_for_run(seed: int, run_index: int) -> random.Random:
@@ -63,46 +78,66 @@ def run_single(cfg: SimConfig, run_index: int, trace=None) -> RunResult:
     if cfg.events_per_run == 0:
         return RunResult(0, 0, 0)
     rng = stream_for_run(cfg.seed, run_index)
+    random = rng.random
     rate = 1.0 / cfg.interarrival_mean
+    mu, sigma = cfg.service_mean, cfg.service_std
+    capacity, fault_probability = cfg.capacity, cfg.fault_probability
     push, pop = heapq.heappush, heapq.heappop
     clock = 0.0
     queue = admitted = rejected = errors = 0
-    events = [(rng.expovariate(rate), 0, ARRIVAL)]
+    exits = []
+    arrival = (-log(1.0 - random()) / rate, 0)
     seq = 1
-    unscheduled = cfg.events_per_run - 1
-    while events:
-        when, _, kind = pop(events)
-        if when < clock:
-            raise InvariantBreach("event time went backwards")
-        clock = when
-        if kind == ARRIVAL:
-            if unscheduled:
-                push(events, (clock + rng.expovariate(rate), seq, ARRIVAL))
-                seq += 1
-                unscheduled -= 1
-            if admit_decision(queue, cfg.capacity, rng):
-                # the view uniform: no simulated count depends on the view,
-                # but the draw keeps every later draw where the documented
-                # order puts it
-                rng.random()
-                queue += 1
-                admitted += 1
-                service = max(rng.normalvariate(cfg.service_mean, cfg.service_std), SERVICE_FLOOR)
-                faulted = rng.random() < cfg.fault_probability
-                at = rng.random() * service  # drawn even without a fault
-                if faulted:
-                    push(events, (clock + at, seq, ERROR_EXIT))
-                else:
-                    push(events, (clock + service, seq, DEPARTURE))
-                seq += 1
-            else:
-                rejected += 1
-        else:
+    arrivals_left = cfg.events_per_run  # the held arrival included
+    while True:
+        if exits and (not arrivals_left or exits[0] < arrival):
+            when, _, kind = pop(exits)
+            if when < clock:
+                raise InvariantBreach("event time went backwards")
+            clock = when
             if queue <= 0:
                 raise InvariantBreach("departure with empty queue: event ordering bug")
             queue -= 1
             if kind == ERROR_EXIT:
                 errors += 1
+        elif arrivals_left:
+            when = arrival[0]
+            if when < clock:
+                raise InvariantBreach("event time went backwards")
+            clock = when
+            kind = ARRIVAL
+            arrivals_left -= 1
+            if arrivals_left:
+                # clock + gap, with the gap -log(1.0 - random()) / rate
+                arrival = (clock - log(1.0 - random()) / rate, seq)
+                seq += 1
+            if admit_decision(queue, capacity, rng):
+                # the view uniform: no simulated count depends on the view,
+                # but the draw keeps every later draw where the documented
+                # order puts it
+                random()
+                queue += 1
+                admitted += 1
+                while True:
+                    u1 = random()
+                    u2 = 1.0 - random()
+                    z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                    if z * z / 4.0 <= -log(u2):
+                        break
+                service = mu + z * sigma
+                if service < SERVICE_FLOOR:
+                    service = SERVICE_FLOOR
+                faulted = random() < fault_probability
+                at = random() * service  # drawn even without a fault
+                if faulted:
+                    push(exits, (clock + at, seq, ERROR_EXIT))
+                else:
+                    push(exits, (clock + service, seq, DEPARTURE))
+                seq += 1
+            else:
+                rejected += 1
+        else:
+            break
         if trace is not None:
             trace(clock, kind, queue)
     if queue:

@@ -146,6 +146,31 @@ def test_bad_config_value_fails_before_any_work(tmp_path, fixed_sample, command,
     assert not (project / "phases/ideal").exists()
 
 
+# argv naming the input file path; each reads it before any other work
+UNREADABLE_INPUTS = {
+    "config": lambda path: ["simulate", "--config", path],
+    "fit-samples": lambda path: ["fit", "--samples", path, "--label", "x"],
+    "fit-samples-csv": lambda path: ["fit", "--samples", path, "--column", "v", "--label", "x"],
+    "psp-records": lambda path: ["psp", "--records", path],
+    "mock-serve-faults": lambda path: ["mock-serve", "--port", "0", "--faults", path],
+    # an unreachable target exits 6 if it is ever contacted
+    "evaluate-model": lambda path: ["evaluate", "--target", "http://127.0.0.1:9", "--model", path],
+}
+
+
+@pytest.mark.parametrize("command", UNREADABLE_INPUTS)
+def test_missing_input_file_exits_2(tmp_path, capsys, command):
+    missing = tmp_path / "missing"
+    assert run_cli("--project-dir", tmp_path / "proj", *UNREADABLE_INPUTS[command](missing)) == 2
+    assert capsys.readouterr().err == f"error: cannot read {missing}: No such file or directory\n"
+    assert not (tmp_path / "proj" / "phases").exists()
+
+
+def test_directory_as_input_file_exits_2(tmp_path, capsys):
+    assert run_cli("--project-dir", tmp_path / "proj", "fit", "--samples", tmp_path, "--label", "x") == 2
+    assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
 def test_simulate_trace_flag(tmp_path):
     cfg = write(tmp_path / "sim.cfg", SIM_CFG)
     assert run_cli("--project-dir", tmp_path / "p", "simulate", "--config", cfg, "--trace") == 0

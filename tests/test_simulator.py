@@ -1,5 +1,7 @@
 import hashlib
+import heapq
 import json
+import math
 import random
 from pathlib import Path
 
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from webrely.errors import EmptySample
+from webrely.errors import EmptySample, InvariantBreach
+from webrely.simulator import engine
 from webrely.simulator import (
     SimConfig,
     admit_decision,
@@ -249,3 +252,174 @@ def test_random_stream_matches_golden(tmp_path):
     # config reaches; a change to either shows here
     for expected in json.loads(GOLDEN.read_text()):
         assert observe_golden(expected["overrides"], tmp_path) == expected, expected["overrides"]
+
+
+def _reference_run_single(cfg: SimConfig, run_index: int, trace=None) -> engine.RunResult:
+    """run_single as one heap of arrivals and exits, with the gap and service
+    drawn through rng.expovariate and rng.normalvariate: the engine must
+    match it result for result and event for event."""
+    if cfg.events_per_run == 0:
+        return engine.RunResult(0, 0, 0)
+    rng = engine.stream_for_run(cfg.seed, run_index)
+    rate = 1.0 / cfg.interarrival_mean
+    push, pop = heapq.heappush, heapq.heappop
+    clock = 0.0
+    queue = admitted = rejected = errors = 0
+    events = [(rng.expovariate(rate), 0, engine.ARRIVAL)]
+    seq = 1
+    unscheduled = cfg.events_per_run - 1
+    while events:
+        when, _, kind = pop(events)
+        if when < clock:
+            raise InvariantBreach("event time went backwards")
+        clock = when
+        if kind == engine.ARRIVAL:
+            if unscheduled:
+                push(events, (clock + rng.expovariate(rate), seq, engine.ARRIVAL))
+                seq += 1
+                unscheduled -= 1
+            if admit_decision(queue, cfg.capacity, rng):
+                rng.random()  # the view uniform
+                queue += 1
+                admitted += 1
+                service = max(rng.normalvariate(cfg.service_mean, cfg.service_std), engine.SERVICE_FLOOR)
+                faulted = rng.random() < cfg.fault_probability
+                at = rng.random() * service
+                if faulted:
+                    push(events, (clock + at, seq, engine.ERROR_EXIT))
+                else:
+                    push(events, (clock + service, seq, engine.DEPARTURE))
+                seq += 1
+            else:
+                rejected += 1
+        else:
+            if queue <= 0:
+                raise InvariantBreach("departure with empty queue: event ordering bug")
+            queue -= 1
+            if kind == engine.ERROR_EXIT:
+                errors += 1
+        if trace is not None:
+            trace(clock, kind, queue)
+    if queue:
+        raise InvariantBreach(f"drained run left {queue} users in the system")
+    return engine.RunResult(defect_density=errors, admitted=admitted, rejected=rejected)
+
+
+def assert_matches_reference(cfg: SimConfig, run_index: int) -> None:
+    expected_rows = []
+    expected = _reference_run_single(
+        cfg, run_index, trace=lambda t, kind, q: expected_rows.append((t, kind, q))
+    )
+    assert traced(cfg, run_index) == (expected, expected_rows)
+
+
+def test_matches_reference_on_golden_configs():
+    for overrides in (entry["overrides"] for entry in json.loads(GOLDEN.read_text())):
+        cfg = SimConfig(**overrides)
+        for run_index in range(cfg.runs):
+            assert_matches_reference(cfg, run_index)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.sampled_from([0, 1, 2, 3, 100]),
+    events=st.integers(0, 200),
+    fault=st.sampled_from([0.0, 0.5, 1.0]),
+    # (interarrival mean, service mean): the default point, a service mean
+    # that SERVICE_FLOOR binds, and arrivals far faster than service
+    means=st.sampled_from([(4.0, 3.0), (4.0, 0.005), (0.001, 3.0)]),
+    seed=st.integers(0, 2**32),
+    run_index=st.integers(0, 1000),
+)
+def test_matches_reference_property(capacity, events, fault, means, seed, run_index):
+    interarrival_mean, service_mean = means
+    cfg = SimConfig(
+        interarrival_mean=interarrival_mean,
+        service_mean=service_mean,
+        capacity=capacity,
+        events_per_run=events,
+        fault_probability=fault,
+        seed=seed,
+    )
+    assert_matches_reference(cfg, run_index)
+
+
+class ScriptedStream(random.Random):
+    """A stream whose random() returns the given uniforms in order; the
+    stdlib's expovariate and normalvariate draw through it too."""
+
+    def __init__(self, uniforms):
+        super().__init__(0)
+        self._uniforms = iter(uniforms)
+
+    def random(self):
+        return next(self._uniforms)
+
+
+def _gap(u: float) -> float:
+    return -math.log(1.0 - u) / 1.0  # interarrival_mean = 1.0
+
+
+# Each user admitted below draws admission 0.0 (always admits), view 0.0,
+# service uniforms 0.5 and 0.0 (z = 0, so the service is exactly
+# service_mean), fault 0.5 (never faults at probability 0) and position 0.5.
+_ADMITTED = [0.0, 0.0, 0.5, 0.0, 0.5, 0.5]
+_T1 = _gap(0.5) + _gap(0.5)
+_T2 = _gap(0.5) + _gap(0.25) + _gap(0.25)
+TIE_CASES = {
+    # the arrival was scheduled first (lower seq), so it goes first: the
+    # first user's service equals the second gap, and the second arrival
+    # meets a full queue
+    "arrival-first": (
+        2, _gap(0.5), [0.5, 0.5, *_ADMITTED], _T1, [(_T1, "arrival", 1), (_T1, "departure", 0)]
+    ),
+    # the exit was scheduled first: the first user's exit lands exactly on
+    # the third arrival, scheduled after it (T2 - c1 is exact, so c1 + it is T2)
+    "exit-first": (
+        3,
+        _T2 - _gap(0.5),
+        [0.5, 0.25, *_ADMITTED, 0.25, *_ADMITTED],
+        _T2,
+        [(_T2, "departure", 0), (_T2, "arrival", 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TIE_CASES, ids=list(TIE_CASES))
+def test_tie_between_exit_and_arrival_goes_by_seq(monkeypatch, case):
+    events, service_mean, uniforms, tie, tied_rows = TIE_CASES[case]
+    monkeypatch.setattr(engine, "stream_for_run", lambda seed, run_index: ScriptedStream(uniforms))
+    cfg = SimConfig(
+        interarrival_mean=1.0, service_mean=service_mean, capacity=1,
+        events_per_run=events, fault_probability=0.0,
+    )
+    _, rows = traced(cfg, 0)
+    assert [row for row in rows if row[0] == tie] == tied_rows
+    assert_matches_reference(cfg, 0)
+
+
+def test_engine_draws_are_the_stdlib_variates(monkeypatch):
+    # each run draws from one shared stream, in order: first gap; then at
+    # the first arrival the second gap, admission, view, service, fault and
+    # position; the second arrival meets a full queue and draws nothing.
+    # Both gaps lie far below half an ulp of the service, so the departure
+    # clock is exactly the service draw
+    assert engine._NV_MAGICCONST == random.NV_MAGICCONST
+    shared, twin = random.Random("stream-definition"), random.Random("stream-definition")
+    monkeypatch.setattr(engine, "stream_for_run", lambda seed, run_index: shared)
+    cfg = SimConfig(
+        interarrival_mean=1e-30, service_mean=50.0, service_std=5.0,
+        capacity=1, events_per_run=2, fault_probability=0.0,
+    )
+    rate = 1.0 / cfg.interarrival_mean
+    for _ in range(10_000):
+        first, second = twin.expovariate(rate), twin.expovariate(rate)
+        twin.random(), twin.random()
+        service = twin.normalvariate(cfg.service_mean, cfg.service_std)
+        twin.random(), twin.random()
+        _, rows = traced(cfg, 0)
+        assert rows == [
+            (first, "arrival", 1),
+            (first + second, "arrival", 1),
+            (service, "departure", 0),
+        ]
