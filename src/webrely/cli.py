@@ -22,13 +22,13 @@ import io
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 from . import errors
 from .project import Analysis, EiProject
 from .psp import load_records, trend_report, trend_series_csv
-from .simulator import SimConfig, run_campaign, sim_config_to_dict, write_trace_csv
+from .simulator import SimConfig, run_campaign, write_trace_csv
 from .stats import compare_models, weibull_pdf
 from .stats.serialize import (
     comparison_to_dict,
@@ -59,52 +59,30 @@ COMPARE_CURVE_POINTS = 512
 
 
 # --- config files -------------------------------------------------------------
-# One table per config dataclass: config-file key -> (field, parser).  An
-# absent key leaves its field at the dataclass default.
+# A config dataclass declares its keys: each field annotated float, int or str
+# is one key, parsed by that type and checked by the class on construction.
+# An absent key leaves its field at the dataclass default.
+
+# an annotation is a string under `from __future__ import annotations`
+_PARSERS = {t: t for t in (float, int, str)} | {t.__name__: t for t in (float, int, str)}
+
+# the config-file keys that are not the name of their field
+KEY_OF_FIELD = {
+    "cases_per_round": "cases",
+    "duration_s": "duration",
+    "arrival_mean_s": "arrival_mean",
+    "request_timeout_s": "request_timeout",
+    "max_pages_per_view": "max_pages",
+}
 
 
-def _finite(value: str) -> float:
-    """float(value), refusing nan and +-inf: every float key takes a finite number."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{value!r} is not a finite number")
-    return number
-
-
-SIM_KEYS = {
-    "interarrival_mean": ("interarrival_mean", _finite),
-    "service_mean": ("service_mean", _finite),
-    "service_std": ("service_std", _finite),
-    "capacity": ("capacity", int),
-    "events_per_run": ("events_per_run", int),
-    "runs": ("runs", int),
-    "fault_probability": ("fault_probability", _finite),
-    "seed": ("seed", int),
-}
-CAMPAIGN_KEYS = {
-    "evaluations": ("evaluations", int),
-    "cases": ("cases_per_round", int),
-    "walk_length": ("walk_length", int),
-    "seed": ("seed", int),
-}
-HARNESS_KEYS = {
-    "duration": ("duration_s", _finite),
-    "arrival_mean": ("arrival_mean_s", _finite),
-    "workers": ("workers", int),
-    "request_timeout": ("request_timeout_s", _finite),
-}
-CRAWL_KEYS = {
-    "max_depth": ("max_depth", int),
-    "max_pages": ("max_pages_per_view", int),
-}
-ANALYSIS_KEYS = {
-    "policy": ("policy", str),
-    "policy_k": ("policy_k", _finite),
-    "bin_width": ("bin_width", _finite),
-    "origin": ("origin", _finite),
-    "gof_method": ("gof_method", str),
-    "significance": ("significance", _finite),
-}
+def config_keys(config_class) -> dict:
+    """Config-file key -> (field, parser) for each keyed field of a config class."""
+    return {
+        KEY_OF_FIELD.get(f.name, f.name): (f.name, _PARSERS[f.type])
+        for f in fields(config_class)
+        if f.type in _PARSERS
+    }
 
 
 def _read_input(path, read, *args):
@@ -134,14 +112,14 @@ def _parse_kv(path: str | Path) -> dict[str, str]:
     return pairs
 
 
-def _read_config(args, *tables: dict) -> list[dict]:
-    """Parse --config against the key tables; one dict of keyword arguments
-    per table.  A key no table knows is an error."""
+def _read_config(args, *config_classes) -> list[dict]:
+    """Parse --config against the keys of the config classes; one dict of
+    keyword arguments per class.  A key no class declares is an error."""
     pairs = _read_input(args.config, _parse_kv) if args.config else {}
     kwargs = []
-    for table in tables:
+    for config_class in config_classes:
         found = {}
-        for key, (name, parse) in table.items():
+        for key, (name, parse) in config_keys(config_class).items():
             if key not in pairs:
                 continue
             raw = pairs.pop(key)
@@ -155,9 +133,9 @@ def _read_config(args, *tables: dict) -> list[dict]:
     return kwargs
 
 
-def _section(obj, table: dict) -> dict:
-    """The fields a key table sets, as recorded in config.json."""
-    return {name: getattr(obj, name) for name, _ in table.values()}
+def _section(obj) -> dict:
+    """The fields the config keys of obj set, as recorded in config.json."""
+    return {name: getattr(obj, name) for name, _ in config_keys(type(obj)).values()}
 
 
 def _report_fit(result) -> None:
@@ -181,7 +159,7 @@ def _report_fit(result) -> None:
 
 def cmd_simulate(args) -> int:
     project = EiProject(args.project_dir)
-    sim_kw, analysis_kw = _read_config(args, SIM_KEYS, ANALYSIS_KEYS)
+    sim_kw, analysis_kw = _read_config(args, SimConfig, Analysis)
     if args.seed is not None:
         sim_kw["seed"] = args.seed
     cfg = SimConfig(**sim_kw)
@@ -191,8 +169,8 @@ def cmd_simulate(args) -> int:
         config_doc = {
             "command": "simulate",
             "label": args.label,
-            "sim": sim_config_to_dict(cfg),
-            "analysis": asdict(analysis),
+            "sim": _section(cfg),
+            "analysis": _section(analysis),
         }
         result = project.persist_phase(args.label, samples, config_doc, analysis)
         if args.trace:
@@ -209,7 +187,7 @@ def _auth_from_profiles(profiles) -> dict:
 def cmd_crawl(args) -> int:
     from .harness import CrawlLimits, crawl_site, default_profiles
 
-    limits = CrawlLimits(**_read_config(args, CRAWL_KEYS)[0])
+    limits = CrawlLimits(**_read_config(args, CrawlLimits)[0])
     profiles = default_profiles()
     model = crawl_site(args.target, _auth_from_profiles(profiles), limits)
     out = Path(args.out) if args.out else Path(args.project_dir) / "models" / "site_model.json"
@@ -226,7 +204,7 @@ def cmd_evaluate(args) -> int:
 
     project = EiProject(args.project_dir)
     campaign_kw, harness_kw, crawl_kw, analysis_kw = _read_config(
-        args, CAMPAIGN_KEYS, HARNESS_KEYS, CRAWL_KEYS, ANALYSIS_KEYS
+        args, CampaignConfig, HarnessConfig, CrawlLimits, Analysis
     )
     if args.seed is not None:
         campaign_kw["seed"] = args.seed
@@ -248,16 +226,13 @@ def cmd_evaluate(args) -> int:
             "command": "evaluate",
             "label": args.label,
             "target": args.target,
-            "campaign": {
-                **_section(campaign, CAMPAIGN_KEYS),
-                **_section(campaign.harness, HARNESS_KEYS),
-            },
-            "analysis": asdict(analysis),
+            "campaign": {**_section(campaign), **_section(campaign.harness)},
+            "analysis": _section(analysis),
         }
         if args.model:
             config_doc["model"] = str(args.model)
         else:
-            config_doc["crawl"] = _section(limits, CRAWL_KEYS)
+            config_doc["crawl"] = _section(limits)
         result = project.persist_phase(args.label, samples, config_doc, analysis)
     _report_fit(result)
     print(f"artifacts under {project.phase_dir(args.label)}")
@@ -286,7 +261,7 @@ def cmd_psp(args) -> int:
 
 def cmd_fit(args) -> int:
     project = EiProject(args.project_dir)
-    analysis = Analysis(**_read_config(args, ANALYSIS_KEYS)[0])
+    analysis = Analysis(**_read_config(args, Analysis)[0])
     if args.column:
         samples = _read_input(args.samples, load_samples_csv, args.column, args.label)
     else:
@@ -297,7 +272,7 @@ def cmd_fit(args) -> int:
             "label": args.label,
             "samples": str(args.samples),
             "column": args.column,
-            "analysis": asdict(analysis),
+            "analysis": _section(analysis),
         }
         result = project.persist_phase(args.label, samples, config_doc, analysis)
     _report_fit(result)
@@ -322,13 +297,13 @@ def _curves_csv(model_a, model_b) -> str:
 def cmd_compare(args) -> int:
     project = EiProject(args.project_dir)
     with project.lock():
-        fit_a = project.load_fit(args.label_a)
-        fit_b = project.load_fit(args.label_b)
-        report = compare_models(fit_a.model, fit_b.model)
+        model_a = project.load_fit(args.label_a)
+        model_b = project.load_fit(args.label_b)
+        report = compare_models(model_a, model_b)
         directory = project.compare_dir(args.label_a, args.label_b)
         doc = comparison_to_dict(report, args.label_a, args.label_b)
         dump_json(doc, directory / "report.json")
-        (directory / "curves.csv").write_text(_curves_csv(fit_a.model, fit_b.model))
+        (directory / "curves.csv").write_text(_curves_csv(model_a, model_b))
     print(
         f"{args.label_a}: mean {report.mean_a:.4f}  {args.label_b}: mean {report.mean_b:.4f}  "
         f"ratio {report.mean_ratio:.4f}  verdict: {report.verdict} ({doc['improvement']})"

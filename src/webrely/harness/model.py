@@ -97,26 +97,32 @@ class SiteModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SiteModel":
-        nodes = {}
-        for nd in doc["nodes"]:
-            node = Node(
-                view=nd["view"],
-                path=nd["path"],
-                actions=tuple(nd["actions"]),
-                forms=tuple(
-                    FormSpec(
-                        action_path=fd["action_path"],
-                        method=fd["method"],
-                        op=fd["op"],
-                        fields=tuple(fd["fields"]),
-                    )
-                    for fd in nd.get("forms", [])
-                ),
+        """Rebuild a model written by to_dict; ValueError on any malformed document."""
+        try:
+            nodes = {}
+            for nd in doc["nodes"]:
+                node = Node(
+                    view=nd["view"],
+                    path=nd["path"],
+                    actions=tuple(nd["actions"]),
+                    forms=tuple(
+                        FormSpec(
+                            action_path=fd["action_path"],
+                            method=fd["method"],
+                            op=fd["op"],
+                            fields=tuple(fd["fields"]),
+                        )
+                        for fd in nd.get("forms", [])
+                    ),
+                )
+                nodes[node.id] = node
+            return cls(
+                nodes=nodes,
+                edges=frozenset((src, dst) for src, dst in doc["edges"]),
+                entry_points=dict(doc["entry_points"]),
+                truncated=bool(doc.get("truncated", False)),
             )
-            nodes[node.id] = node
-        return cls(
-            nodes=nodes,
-            edges=frozenset((src, dst) for src, dst in doc["edges"]),
-            entry_points=dict(doc["entry_points"]),
-            truncated=bool(doc.get("truncated", False)),
-        )
+        except KeyError as exc:
+            raise ValueError(f"site model has no key {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed site model: {exc}") from None

@@ -12,6 +12,7 @@ crawl uses, and write their logs as analyzer.ActivityRecord lines.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,12 +37,11 @@ class HarnessConfig:
     request_timeout_s: float = 10.0
 
     def __post_init__(self):
-        if self.duration_s <= 0 or self.arrival_mean_s <= 0:
-            raise ValueError("duration and arrival mean must be positive")
+        for name in ("duration_s", "arrival_mean_s", "request_timeout_s"):
+            if not 0.0 < getattr(self, name) < math.inf:  # also catches nan
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        if self.request_timeout_s <= 0:
-            raise ValueError("request timeout must be positive")
 
 
 def _classify(status: int, text: str, node_path: str) -> str:

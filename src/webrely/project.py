@@ -15,6 +15,7 @@ same command over the same inputs rewrites identical bytes.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -25,6 +26,7 @@ from .stats import (
     AnomalyPolicy,
     DefectSampleSet,
     FitReport,
+    WeibullModel,
     apply_policy,
     build_histogram,
     fit_weibull,
@@ -33,7 +35,6 @@ from .stats import (
 from .stats.gof import GOF_METHODS, KS_SIGNIFICANCES
 from .stats.serialize import (
     dump_json,
-    fit_report_from_dict,
     fit_report_to_dict,
     histogram_to_csv,
     read_json,
@@ -65,8 +66,10 @@ class Analysis:
 
     def __post_init__(self):
         AnomalyPolicy(self.policy, self.policy_k)
-        if not self.bin_width > 0.0:
-            raise ValueError(f"bin_width must be positive, got {self.bin_width}")
+        if not 0.0 < self.bin_width < math.inf:  # also catches nan
+            raise ValueError(f"bin_width must be positive and finite, got {self.bin_width}")
+        if not math.isfinite(self.origin):
+            raise ValueError(f"origin must be finite, got {self.origin}")
         if self.gof_method not in GOF_METHODS:
             raise ValueError(f"unknown goodness-of-fit method {self.gof_method!r}")
         if not 0.0 < self.significance < 1.0:
@@ -181,8 +184,16 @@ class EiProject:
         dump_json(fit_report_to_dict(fit), directory / "fit.json")
         return PhaseResult(cleaned, fit)
 
-    def load_fit(self, label: str) -> FitReport:
+    def load_fit(self, label: str) -> WeibullModel:
+        """The Weibull model of a phase's fit.json, built from its shape and
+        scale, the only keys read; MissingPhase when there is none."""
         path = self.phase_dir(label) / "fit.json"
         if not path.exists():
             raise MissingPhase(f"phase {label!r} has no fit report at {path}")
-        return fit_report_from_dict(read_json(path))
+        try:
+            doc = read_json(path)
+            return WeibullModel(float(doc["shape"]), float(doc["scale"]))
+        except KeyError as exc:
+            raise MissingPhase(f"{path} has no {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise MissingPhase(f"{path} holds no Weibull model: {exc}") from None

@@ -4,12 +4,16 @@ Input formats:
   CSV  one documented header; program rows carry LOC and phase minutes,
        defect rows join to their program via program_number.
   JSON list of program objects with nested defect lists.
+
+In both, each program number appears once, and the record classes take
+only finite, non-negative minutes.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..errors import RecordParseError
@@ -50,8 +54,8 @@ class Defect:
             raise ValueError(
                 f"defect removed in {self.removed_phase} before injection in {self.injected_phase}"
             )
-        if self.fix_minutes < 0:
-            raise ValueError("fix_minutes must be >= 0")
+        if not 0.0 <= self.fix_minutes < math.inf:  # also catches nan
+            raise ValueError(f"fix_minutes must be finite and >= 0, got {self.fix_minutes}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,8 @@ class PspProgramRecord:
         missing = set(PHASES) - set(self.phase_times)
         if missing:
             raise ValueError(f"phase_times missing {sorted(missing)}")
-        if any(t < 0 for t in self.phase_times.values()):
-            raise ValueError("phase times must be >= 0")
+        if not all(0.0 <= t < math.inf for t in self.phase_times.values()):
+            raise ValueError("phase times must be finite and >= 0")
 
     def time_in(self, phases) -> float:
         """Total minutes across the given phases."""
@@ -91,8 +95,16 @@ CSV_HEADER = [
 ]
 
 
+def _add(records: dict[int, PspProgramRecord], position: int, record: PspProgramRecord) -> None:
+    """The rule of both formats: a program number appears once."""
+    if record.program_number in records:
+        raise RecordParseError(position, "program_number",
+                               f"program {record.program_number} appears more than once")
+    records[record.program_number] = record
+
+
 def load_records_csv(path: str | Path) -> list[PspProgramRecord]:
-    programs: dict[int, dict] = {}
+    programs: dict[int, PspProgramRecord] = {}
     defects: dict[int, list[Defect]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -106,14 +118,14 @@ def load_records_csv(path: str | Path) -> list[PspProgramRecord]:
                 raise RecordParseError(row_number, "program_number", "not an integer") from None
             if kind == "program":
                 try:
-                    times = {p: float(row[p]) for p in PHASES}
-                except ValueError:
-                    raise RecordParseError(row_number, "phase times", "not numeric") from None
-                try:
                     loc = int(row["loc_new_changed"])
                 except ValueError:
                     raise RecordParseError(row_number, "loc_new_changed", "not an integer") from None
-                programs[program] = {"loc": loc, "times": times}
+                try:
+                    record = PspProgramRecord(program, loc, {p: float(row[p]) for p in PHASES})
+                except ValueError as exc:
+                    raise RecordParseError(row_number, "phase times", str(exc)) from None
+                _add(programs, row_number, record)
             elif kind == "defect":
                 try:
                     fix = float(row["fix_minutes"] or 0)
@@ -127,7 +139,7 @@ def load_records_csv(path: str | Path) -> list[PspProgramRecord]:
                         type=(row["defect_type"] or "").strip(),
                     )
                 except ValueError as exc:
-                    raise RecordParseError(row_number, "injected/removed phase", str(exc)) from None
+                    raise RecordParseError(row_number, "defect", str(exc)) from None
                 defects.setdefault(program, []).append(defect)
             else:
                 raise RecordParseError(row_number, "row_type", f"unknown row type {kind!r}")
@@ -135,41 +147,32 @@ def load_records_csv(path: str | Path) -> list[PspProgramRecord]:
     if orphans:
         raise RecordParseError(0, "program_number",
                                f"defect rows reference unknown programs {sorted(orphans)}")
-    return [
-        PspProgramRecord(
-            program_number=number,
-            loc_new_changed=info["loc"],
-            phase_times=info["times"],
-            defects=tuple(defects.get(number, [])),
-        )
-        for number, info in sorted(programs.items())
-    ]
+    return [replace(programs[n], defects=tuple(defects.get(n, ()))) for n in sorted(programs)]
 
 
 def load_records_json(path: str | Path) -> list[PspProgramRecord]:
     doc = read_json(path)
-    records = []
+    records: dict[int, PspProgramRecord] = {}
     for i, entry in enumerate(doc):
         try:
-            records.append(
-                PspProgramRecord(
-                    program_number=int(entry["program_number"]),
-                    loc_new_changed=int(entry["loc_new_changed"]),
-                    phase_times={p: float(entry["phase_times"][p]) for p in PHASES},
-                    defects=tuple(
-                        Defect(
-                            injected_phase=d["injected_phase"],
-                            removed_phase=d["removed_phase"],
-                            fix_minutes=float(d.get("fix_minutes", 0)),
-                            type=d.get("type", ""),
-                        )
-                        for d in entry.get("defects", [])
-                    ),
-                )
+            record = PspProgramRecord(
+                program_number=int(entry["program_number"]),
+                loc_new_changed=int(entry["loc_new_changed"]),
+                phase_times={p: float(entry["phase_times"][p]) for p in PHASES},
+                defects=tuple(
+                    Defect(
+                        injected_phase=d["injected_phase"],
+                        removed_phase=d["removed_phase"],
+                        fix_minutes=float(d.get("fix_minutes", 0)),
+                        type=d.get("type", ""),
+                    )
+                    for d in entry.get("defects", [])
+                ),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise RecordParseError(i, "record", str(exc)) from None
-    return sorted(records, key=lambda r: r.program_number)
+        _add(records, i, record)
+    return [records[n] for n in sorted(records)]
 
 
 def load_records(path: str | Path) -> list[PspProgramRecord]:

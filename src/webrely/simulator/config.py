@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 
@@ -25,8 +26,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.interarrival_mean <= 0 or self.service_mean <= 0 or self.service_std <= 0:
-            raise ValueError("interarrival/service means and std must be positive")
+        for name in ("interarrival_mean", "service_mean", "service_std"):
+            if not 0.0 < getattr(self, name) < math.inf:  # also catches nan
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.capacity < 0:
             raise ValueError("capacity must be >= 0")
         if self.events_per_run < 0 or self.runs < 0:

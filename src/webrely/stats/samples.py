@@ -64,8 +64,8 @@ class AnomalyPolicy:
     def __post_init__(self):
         if self.method not in ("tukey", "zscore", "none"):
             raise ValueError(f"unknown anomaly policy method {self.method!r}")
-        if self.k <= 0:
-            raise ValueError("policy parameter k must be positive")
+        if not 0.0 < self.k < math.inf:  # also catches nan
+            raise ValueError(f"policy parameter k must be positive and finite, got {self.k}")
 
 
 def _quantile(s: list[float], i: int, j: int, q: float) -> float:

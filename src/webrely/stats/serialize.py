@@ -18,9 +18,7 @@ from pathlib import Path
 
 from .compare import ComparisonReport
 from .fitting import FitReport
-from .gof import GofResult
 from .samples import DefectSampleSet, DiscardRecord, Histogram
-from .weibull import WeibullModel
 
 __all__ = [
     "load_samples_text",
@@ -29,7 +27,6 @@ __all__ = [
     "sample_set_to_dict",
     "sample_set_from_dict",
     "fit_report_to_dict",
-    "fit_report_from_dict",
     "comparison_to_dict",
     "histogram_to_csv",
     "dump_json",
@@ -95,17 +92,6 @@ def sample_set_from_dict(doc: dict) -> DefectSampleSet:
     )
 
 
-def _gof_from_dict(doc: dict) -> GofResult:
-    return GofResult(
-        statistic=float(doc["statistic"]),
-        threshold=float(doc["threshold"]),
-        dof=int(doc["dof"]),
-        passed=bool(doc["passed"]),
-        method=str(doc.get("method", "chi-square")),
-        significance=float(doc.get("significance", 0.05)),
-    )
-
-
 def fit_report_to_dict(report: FitReport) -> dict:
     return {
         "shape": report.model.shape,
@@ -118,22 +104,6 @@ def fit_report_to_dict(report: FitReport) -> dict:
         "source_label": report.source_label,
         "gof": asdict(report.gof) if report.gof is not None else None,
     }
-
-
-def fit_report_from_dict(doc: dict) -> FitReport:
-    """Rebuild a report; tolerant of hand-written documents that only carry
-    shape and scale."""
-    gof = doc.get("gof")
-    return FitReport(
-        model=WeibullModel(shape=float(doc["shape"]), scale=float(doc["scale"])),
-        sample_count=int(doc.get("sample_count", 0)),
-        iterations=int(doc.get("iterations", 0)),
-        residual=float(doc.get("residual", 0.0)),
-        method=str(doc.get("method", "external")),
-        zeros_excluded=int(doc.get("zeros_excluded", 0)),
-        source_label=str(doc.get("source_label", "")),
-        gof=_gof_from_dict(gof) if gof else None,
-    )
 
 
 # the verdict read with phase a as the newer phase

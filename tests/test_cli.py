@@ -1,9 +1,11 @@
 import json
+import math
 import re
 import signal
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,9 @@ import pytest
 from webrely import cli
 from webrely.cli import main
 from webrely.harness import (
+    CampaignConfig,
+    CrawlLimits,
+    HarnessConfig,
     MockTarget,
     SeededFault,
     default_profiles,
@@ -20,6 +25,10 @@ from webrely.harness import (
 )
 from webrely.harness.crawler import Session
 from webrely.harness.model import SiteModel
+from webrely.project import Analysis
+from webrely.psp import PHASES as PSP_PHASES
+from webrely.simulator import SimConfig
+from webrely.stats import AnomalyPolicy
 
 DATA = Path(__file__).parent / "data"
 
@@ -169,6 +178,41 @@ def test_missing_input_file_exits_2(tmp_path, capsys, command):
 def test_directory_as_input_file_exits_2(tmp_path, capsys):
     assert run_cli("--project-dir", tmp_path / "proj", "fit", "--samples", tmp_path, "--label", "x") == 2
     assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("doc", [{"nodes": []}, {"nodes": [{"view": "public"}], "edges": []}, []])
+def test_evaluate_malformed_model_exits_2(tmp_path, capsys, doc):
+    model = write(tmp_path / "model.json", json.dumps(doc))
+    project = tmp_path / "proj"
+    # an unreachable target exits 6 if it is ever contacted
+    argv = ["evaluate", "--target", "http://127.0.0.1:9", "--label", "x", "--model", model]
+    assert run_cli("--project-dir", project, *argv) == 2
+    assert "site model" in capsys.readouterr().err
+    assert not (project / "phases").exists()
+
+
+FLOAT_FIELDS = [
+    (SimConfig, "interarrival_mean"), (SimConfig, "service_mean"), (SimConfig, "service_std"),
+    (SimConfig, "fault_probability"),
+    (HarnessConfig, "duration_s"), (HarnessConfig, "arrival_mean_s"),
+    (HarnessConfig, "request_timeout_s"),
+    (AnomalyPolicy, "k"),
+    (Analysis, "policy_k"), (Analysis, "bin_width"), (Analysis, "origin"),
+    (Analysis, "significance"),
+]
+
+
+def test_float_fields_listed():
+    classes = {cls for cls, _ in FLOAT_FIELDS}
+    declared = {(cls, f.name) for cls in classes for f in fields(cls) if f.type in ("float", float)}
+    assert declared == set(FLOAT_FIELDS)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls,name", FLOAT_FIELDS, ids=lambda x: getattr(x, "__name__", x))
+def test_config_class_refuses_non_finite_float(cls, name, value):
+    with pytest.raises(ValueError):
+        cls(**{name: value})
 
 
 def test_simulate_trace_flag(tmp_path):
@@ -398,6 +442,35 @@ def test_psp_single_record(tmp_path):
     assert all(slope is None for slope in doc["slopes"].values())
 
 
+PSP_HEADER = (DATA / "psp_records.csv").read_text().splitlines()[0]
+PSP_PROGRAM_ROW = "program,{n},500,30,60,10,120,15,{compile},90,20,,,,\n"
+
+
+def _psp_json(*programs) -> str:
+    return json.dumps([
+        {"program_number": n, "loc_new_changed": 500,
+         "phase_times": {**dict.fromkeys(PSP_PHASES, 10.0), "compile": compile_minutes}}
+        for n, compile_minutes in programs
+    ])
+
+
+@pytest.mark.parametrize("name,text,where", [
+    ("repeat.csv", PSP_HEADER + "\n" + PSP_PROGRAM_ROW.format(n=1, compile=30)
+     + PSP_PROGRAM_ROW.format(n=1, compile=40), "row 3, column 'program_number'"),
+    ("repeat.json", _psp_json((1, 30.0), (1, 40.0)), "row 1, column 'program_number'"),
+    ("nan.csv", PSP_HEADER + "\n" + PSP_PROGRAM_ROW.format(n=1, compile="nan"), "row 2"),
+    ("nan.json", _psp_json((1, 30.0), (2, math.nan)), "row 1"),
+    ("inf-fix.csv", PSP_HEADER + "\n" + PSP_PROGRAM_ROW.format(n=1, compile=30)
+     + "defect,1,,,,,,,,,,code,test,inf,logic\n", "row 3"),
+], ids=["repeat-csv", "repeat-json", "nan-csv", "nan-json", "inf-fix-csv"])
+def test_psp_rejects_repeated_program_and_non_finite_minutes(tmp_path, capsys, name, text, where):
+    records = write(tmp_path / name, text)
+    project = tmp_path / "proj"
+    assert run_cli("--project-dir", project, "psp", "--records", records) == 8
+    assert where in capsys.readouterr().err
+    assert not (project / "psp").exists()
+
+
 @pytest.mark.parametrize("bad", ["abc", "inf", "nan", "-2"])
 def test_fit_rejects_bad_value_before_writing(tmp_path, capsys, bad):
     samples = write(tmp_path / "s.txt", f"1.5\n2.5\n{bad}\n3.0\n")
@@ -481,6 +554,19 @@ def test_compare_missing_phase_exit_code(tmp_path):
     project = tmp_path / "proj"
     _write_fit(project, "only", 1.5, 2.0)
     assert run_cli("--project-dir", project, "compare", "only", "ghost") == 7
+
+
+@pytest.mark.parametrize("doc", [{"shape": 2.0}, {"shape": -1, "scale": 2.0},
+                                 {"shape": "nan", "scale": 2.0}, []])
+def test_compare_unusable_fit_exit_code(tmp_path, capsys, doc):
+    project = tmp_path / "proj"
+    _write_fit(project, "good", 1.5, 2.0)
+    bad = project / "phases/bad/fit.json"
+    bad.parent.mkdir(parents=True)
+    bad.write_text(json.dumps(doc))
+    assert run_cli("--project-dir", project, "compare", "good", "bad") == 7
+    assert str(bad) in capsys.readouterr().err
+    assert not (project / "compare").exists()
 
 
 def test_compare_uses_only_persisted_artifacts(tmp_path):
@@ -721,6 +807,5 @@ def _readme_config_keys() -> set[str]:
 
 
 def test_readme_lists_exactly_the_config_keys():
-    tables = (cli.SIM_KEYS, cli.CAMPAIGN_KEYS, cli.HARNESS_KEYS, cli.CRAWL_KEYS,
-              cli.ANALYSIS_KEYS)
-    assert _readme_config_keys() == set().union(*tables)
+    classes = (SimConfig, CampaignConfig, HarnessConfig, CrawlLimits, Analysis)
+    assert _readme_config_keys() == set().union(*map(cli.config_keys, classes))

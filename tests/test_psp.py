@@ -46,6 +46,14 @@ def test_defect_ordering_enforced():
         Defect("code", "made_up")
 
 
+@pytest.mark.parametrize("minutes", [math.nan, math.inf])
+def test_records_refuse_non_finite_minutes(minutes):
+    with pytest.raises(ValueError):
+        record([], times={**FULL_TIMES, "compile": minutes})
+    with pytest.raises(ValueError):
+        Defect("code", "test", fix_minutes=minutes)
+
+
 def test_record_requires_all_phases():
     with pytest.raises(ValueError):
         PspProgramRecord(1, 100, {"plan": 10}, ())

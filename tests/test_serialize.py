@@ -14,8 +14,8 @@ from webrely.stats import (
 )
 from webrely.stats.serialize import (
     comparison_to_dict,
+    dump_json,
     fit_report_to_dict,
-    fit_report_from_dict,
     histogram_to_csv,
     load_samples_csv,
     load_samples_text,
@@ -77,19 +77,20 @@ def test_sample_set_dict_roundtrip():
     assert back == ss
 
 
-def test_fit_report_roundtrip():
+def test_fit_report_roundtrip(tmp_path):
     report = fit_weibull(DefectSampleSet((1.0, math.e), (), "demo"))
     doc = fit_report_to_dict(report)
-    back = fit_report_from_dict(doc)
-    assert back.model == report.model
-    assert back.sample_count == 2
-    assert back.gof is None
+    assert doc["sample_count"] == 2
+    assert doc["gof"] is None
+    project = EiProject(tmp_path)
+    dump_json(doc, project.phase_dir("demo") / "fit.json")
+    assert project.load_fit("demo") == report.model
 
 
-def test_fit_report_accepts_handwritten_minimal_doc():
-    back = fit_report_from_dict({"shape": 2.16, "scale": 12.8})
-    assert back.model == WeibullModel(2.16, 12.8)
-    assert back.method == "external"
+def test_fit_report_accepts_handwritten_minimal_doc(tmp_path):
+    project = EiProject(tmp_path)
+    dump_json({"shape": 2.16, "scale": 12.8}, project.phase_dir("hand") / "fit.json")
+    assert project.load_fit("hand") == WeibullModel(2.16, 12.8)
 
 
 def test_comparison_dict_fields():
