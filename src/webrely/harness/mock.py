@@ -355,9 +355,10 @@ class _QuietServer(ThreadingHTTPServer):
     request_queue_size = 1024
 
     def __init__(self, *args):
-        super().__init__(*args)
+        # set before binding: a failed bind calls server_close, which uses both
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
+        super().__init__(*args)
 
     def process_request(self, request, client_address):
         with self._open_lock:

@@ -1,13 +1,13 @@
 """Concurrent tester execution against a live HTTP target.
 
-One tester per test case.  Testers start at exponentially staggered
-offsets, each owns its activity log file and its RNG, and they share only
-the immutable case list and the target address.  A step's outcome is
-decided by three rules: 2xx status class, the page marker for the node
-must be present, and the fixture fault marker must be absent.  A step
-that gets no answer (one of crawler.CLIENT_ERRORS) is a nav_error.
-Testers of authenticated views log in through crawler.login, the rule the
-crawl uses, and write their logs as analyzer.ActivityRecord lines.
+One tester per test case.  One rule decides what a round runs: a tester
+whose arrival falls inside duration_s runs its whole walk.  Testers share
+only the immutable case list and the target address.  A step's outcome
+is decided by three rules: 2xx status class, the page marker for the
+node must be present, and the fixture fault marker must be absent.  A
+step that gets no answer (one of crawler.CLIENT_ERRORS) is a nav_error.
+Testers of authenticated views log in through crawler.login, the rule
+the crawl uses, and write their logs as analyzer.ActivityRecord lines.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ def _run_tester(
     delay = t0 + offset - time.monotonic()
     if delay > 0:
         time.sleep(delay)
-    deadline = t0 + cfg.duration_s
     with open(log_path, "w", encoding="utf-8") as fh:
 
         def record(step_index: int, action: str, outcome: str, node: str) -> None:
@@ -97,8 +96,6 @@ def _run_tester(
                         return
                     record(-1, "login", "ok", "-")
                 for index, step in enumerate(case.steps):
-                    if time.monotonic() >= deadline:
-                        break
                     outcome = _execute_step(session, target, step, cfg)
                     record(index, step.action, outcome, step.node_path)
         finally:
@@ -113,7 +110,7 @@ def run_evaluation(
     log_dir: str | Path,
     seed: int,
 ) -> list[Path]:
-    """Execute the cases concurrently; returns the per-tester log files.
+    """Execute the cases whose testers arrive in the window; returns their log files.
 
     Raises TargetDown when the pre-run probe gets no answer at all, that
     is, when Session.fetch raises one of crawler.CLIENT_ERRORS: a refused
@@ -133,19 +130,15 @@ def run_evaluation(
         raise TargetDown(f"target {target} did not answer the probe: {exc}") from exc
 
     rng = random.Random(f"{seed}/arrivals")
-    offsets = []
-    clock = 0.0
-    for _ in cases:
-        clock += rng.expovariate(1.0 / cfg.arrival_mean_s)
-        offsets.append(clock)
-
+    offset = 0.0
     t0 = time.monotonic()
     paths: list[Path] = []
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         futures = []
-        for i, (case, offset) in enumerate(zip(cases, offsets)):
+        for i, case in enumerate(cases):
+            offset += rng.expovariate(1.0 / cfg.arrival_mean_s)
             if offset >= cfg.duration_s:
-                continue  # this tester would arrive after the window closes
+                break  # arrivals only increase, so every later tester is outside too
             path = log_dir / f"tester-{i:05d}.log"
             paths.append(path)
             futures.append(

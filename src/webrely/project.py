@@ -31,6 +31,7 @@ from .stats import (
     build_histogram,
     fit_weibull,
     goodness_of_fit,
+    weibull_mean,
 )
 from .stats.gof import GOF_METHODS, KS_SIGNIFICANCES
 from .stats.serialize import (
@@ -186,14 +187,19 @@ class EiProject:
 
     def load_fit(self, label: str) -> WeibullModel:
         """The Weibull model of a phase's fit.json, built from its shape and
-        scale, the only keys read; MissingPhase when there is none."""
+        scale, the only keys read; MissingPhase when there is none, or when
+        its mean is not a finite number."""
         path = self.phase_dir(label) / "fit.json"
         if not path.exists():
             raise MissingPhase(f"phase {label!r} has no fit report at {path}")
         try:
             doc = read_json(path)
-            return WeibullModel(float(doc["shape"]), float(doc["scale"]))
+            model = WeibullModel(float(doc["shape"]), float(doc["scale"]))
+            mean = weibull_mean(model)  # gamma(1 + 1/shape) overflows for a tiny shape
         except KeyError as exc:
             raise MissingPhase(f"{path} has no {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MissingPhase(f"{path} holds no Weibull model: {exc}") from None
+        if not math.isfinite(mean):
+            raise MissingPhase(f"{path} holds a Weibull model with no finite mean")
+        return model

@@ -5,8 +5,8 @@ Input formats:
        defect rows join to their program via program_number.
   JSON list of program objects with nested defect lists.
 
-In both, each program number appears once, and the record classes take
-only finite, non-negative minutes.
+In both, a file holds at least one program, each program number appears
+once, and the record classes take only finite, non-negative minutes.
 """
 
 from __future__ import annotations
@@ -147,6 +147,8 @@ def load_records_csv(path: str | Path) -> list[PspProgramRecord]:
     if orphans:
         raise RecordParseError(0, "program_number",
                                f"defect rows reference unknown programs {sorted(orphans)}")
+    if not programs:
+        raise RecordParseError(1, "row_type", "the file holds no program row")
     return [replace(programs[n], defects=tuple(defects.get(n, ()))) for n in sorted(programs)]
 
 
@@ -172,6 +174,8 @@ def load_records_json(path: str | Path) -> list[PspProgramRecord]:
         except (KeyError, ValueError, TypeError) as exc:
             raise RecordParseError(i, "record", str(exc)) from None
         _add(records, i, record)
+    if not records:
+        raise RecordParseError(0, "record", "the list holds no program entry")
     return [records[n] for n in sorted(records)]
 
 

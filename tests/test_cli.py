@@ -446,6 +446,15 @@ PSP_HEADER = (DATA / "psp_records.csv").read_text().splitlines()[0]
 PSP_PROGRAM_ROW = "program,{n},500,30,60,10,120,15,{compile},90,20,,,,\n"
 
 
+@pytest.mark.parametrize("name,text", [("none.json", "[]\n"), ("header-only.csv", PSP_HEADER + "\n")],
+                         ids=["empty-json-list", "header-only-csv"])
+def test_psp_file_with_no_program_errors(tmp_path, name, text):
+    records = write(tmp_path / name, text)
+    project = tmp_path / "proj"
+    assert run_cli("--project-dir", project, "psp", "--records", records) == 8
+    assert not (project / "psp").exists()
+
+
 def _psp_json(*programs) -> str:
     return json.dumps([
         {"program_number": n, "loc_new_changed": 500,
@@ -557,7 +566,9 @@ def test_compare_missing_phase_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("doc", [{"shape": 2.0}, {"shape": -1, "scale": 2.0},
-                                 {"shape": "nan", "scale": 2.0}, []])
+                                 {"shape": "nan", "scale": 2.0}, [],
+                                 # no finite mean: gamma(1001) overflows; 1e300 * gamma(101) is inf
+                                 {"shape": 0.001, "scale": 1}, {"shape": 0.01, "scale": 1e300}])
 def test_compare_unusable_fit_exit_code(tmp_path, capsys, doc):
     project = tmp_path / "proj"
     _write_fit(project, "good", 1.5, 2.0)

@@ -281,6 +281,35 @@ def test_oracle_equivalence_on_covered_faults(tmp_path, clean_model):
         assert log.fault_signatures == predict_faults(cases, target.fault_table)
 
 
+@pytest.mark.parametrize("workers", [4, 1])
+def test_short_window_runs_every_walk_that_arrives(tmp_path, clean_model, workers):
+    # the window closes long before the walks end, and with one worker most
+    # testers start after it; each tester that arrives still walks its case
+    faults = [
+        SeededFault("/student/profile", "update", "error-marker"),
+        SeededFault("/professor/courses", "insert", "http-500"),
+        SeededFault("/courses", "read", "missing-marker"),
+    ]
+    cfg = HarnessConfig(duration_s=0.05, arrival_mean_s=0.001, workers=workers)
+    densities = []
+    with _Target(tmp_path, faults) as target:
+        for rerun in range(2):
+            target.log_dir = tmp_path / f"logs{rerun}"
+            cases, paths = _evaluate(target, clean_model, 40, seed=7, cfg=cfg)
+            # arrivals only increase, so the testers that arrive are a prefix
+            assert [p.name for p in paths] == [f"tester-{i:05d}.log" for i in range(len(paths))]
+            arrived = cases[:len(paths)]
+            for case, path in zip(arrived, paths):
+                records, skipped = parse_log_file(path)
+                assert not skipped
+                assert [r.step_index for r in records if r.step_index >= 0] == list(
+                    range(len(case.steps)))
+            log = analyze_logs(paths)
+            assert log.defect_density == predict_density(arrived, target.fault_table) > 0
+            densities.append(log.defect_density)
+    assert densities[0] == densities[1]
+
+
 def test_added_fault_never_lowers_density(tmp_path, clean_model):
     base_faults = [SeededFault("/courses", "read", "http-500")]
     more_faults = base_faults + [SeededFault("/student/courses", "insert", "error-marker")]

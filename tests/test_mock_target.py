@@ -1,3 +1,4 @@
+import errno
 import http.client
 import socket
 import statistics
@@ -320,3 +321,13 @@ def test_stop_is_prompt_with_an_idle_client():
             connection.sock.settimeout(1.0)
             assert connection.sock.recv(1) == b""  # hung up on
     assert statistics.median(took) < 0.25  # half of socketserver's default poll
+
+
+def test_busy_port_raises_address_in_use():
+    # the bind error itself, not one raised while cleaning up after it
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        with pytest.raises(OSError) as info:
+            MockTarget(port=busy.getsockname()[1])
+    assert info.value.errno == errno.EADDRINUSE
