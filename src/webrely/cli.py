@@ -27,8 +27,6 @@ from pathlib import Path
 
 from . import errors
 from .project import Analysis, EiProject
-from .psp import load_records, trend_report, trend_series_csv
-from .simulator import SimConfig, run_campaign, write_trace_csv
 from .stats import compare_models, weibull_pdf
 from .stats.serialize import (
     comparison_to_dict,
@@ -158,6 +156,8 @@ def _report_fit(result) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import SimConfig, run_campaign, write_trace_csv
+
     project = EiProject(args.project_dir)
     sim_kw, analysis_kw = _read_config(args, SimConfig, Analysis)
     if args.seed is not None:
@@ -240,6 +240,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_psp(args) -> int:
+    from .psp import load_records, trend_report, trend_series_csv
+
     project = EiProject(args.project_dir)
     with project.lock():
         records = _read_input(args.records, load_records)
@@ -300,6 +302,12 @@ def cmd_compare(args) -> int:
         model_a = project.load_fit(args.label_a)
         model_b = project.load_fit(args.label_b)
         report = compare_models(model_a, model_b)
+        # two finite means can still divide to inf or 0.0, and inf is no JSON
+        if not 0.0 < report.mean_ratio < math.inf:
+            raise errors.MissingPhase(
+                f"phases {args.label_a!r} and {args.label_b!r} have no finite, nonzero "
+                f"ratio of means ({report.mean_a:g} / {report.mean_b:g})"
+            )
         directory = project.compare_dir(args.label_a, args.label_b)
         doc = comparison_to_dict(report, args.label_a, args.label_b)
         dump_json(doc, directory / "report.json")

@@ -154,8 +154,12 @@ def load_records_csv(path: str | Path) -> list[PspProgramRecord]:
 
 def load_records_json(path: str | Path) -> list[PspProgramRecord]:
     doc = read_json(path)
+    if not isinstance(doc, list):
+        raise RecordParseError(0, "record", f"expected a list of programs, got {type(doc).__name__}")
     records: dict[int, PspProgramRecord] = {}
     for i, entry in enumerate(doc):
+        if not isinstance(entry, dict):
+            raise RecordParseError(i, "record", f"expected a program object, got {type(entry).__name__}")
         try:
             record = PspProgramRecord(
                 program_number=int(entry["program_number"]),

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from statistics import NormalDist
 
 _EPS = 2.0**-52
 _TINY = 2.0**-1022
@@ -71,6 +70,9 @@ def _gamma_p_minus(a: float, x: float, p: float) -> tuple[float, float]:
 
 def chi2_ppf(p: float, dof: float) -> float:
     """The x with Pr(chi-square with dof degrees of freedom <= x) = p."""
+    # statistics (with fractions and decimal) loads only for a chi-square test
+    from statistics import NormalDist
+
     a = 0.5 * dof
     h = 2.0 / (9.0 * dof)
     x = 0.5 * dof * (1.0 - h + NormalDist().inv_cdf(p) * math.sqrt(h)) ** 3

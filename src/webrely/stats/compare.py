@@ -6,9 +6,10 @@ the smaller Weibull mean wins the verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .weibull import WeibullModel, weibull_cdf, weibull_mean
+from .weibull import WeibullModel, _cdf, weibull_mean
 
 __all__ = ["ComparisonReport", "compare_models", "CDF_GRID_POINTS", "CDF_GRID_SCALE_SPAN"]
 
@@ -35,10 +36,12 @@ def compare_models(a: WeibullModel, b: WeibullModel) -> ComparisonReport:
     mean_b = weibull_mean(b)
     hi = CDF_GRID_SCALE_SPAN * max(a.scale, b.scale)
     step = hi / (CDF_GRID_POINTS - 1)
+    shape_a, log_scale_a = a.shape, math.log(a.scale)
+    shape_b, log_scale_b = b.shape, math.log(b.scale)
     sup = 0.0
     for i in range(CDF_GRID_POINTS):
         x = i * step
-        sup = max(sup, abs(weibull_cdf(a, x) - weibull_cdf(b, x)))
+        sup = max(sup, abs(_cdf(shape_a, log_scale_a, x) - _cdf(shape_b, log_scale_b, x)))
     if mean_a == mean_b:
         verdict = "equal"
     elif mean_a < mean_b:

@@ -22,7 +22,6 @@ again.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -32,8 +31,6 @@ from .samples import DefectSampleSet
 from .weibull import WeibullModel
 
 __all__ = ["FitReport", "fit_weibull", "score"]
-
-log = logging.getLogger(__name__)
 
 # beyond this value of a * max|ln x| the direct powers x**a would overflow
 # or underflow double precision, so sums switch to a shifted log-space form
@@ -132,7 +129,9 @@ def fit_weibull(samples: DefectSampleSet) -> FitReport:
     positive = [v for v in samples.values if v > 0.0]
     zeros = samples.n - len(positive)
     if zeros:
-        log.warning(
+        import logging  # only here, so a process that fits no zeros never loads it
+
+        logging.getLogger(__name__).warning(
             "excluding %d zero value(s) from MLE sample %r (support is x > 0)",
             zeros,
             samples.source_label,

@@ -480,6 +480,19 @@ def test_psp_rejects_repeated_program_and_non_finite_minutes(tmp_path, capsys, n
     assert not (project / "psp").exists()
 
 
+@pytest.mark.parametrize("text,reason", [
+    ("null", "row 0, column 'record': expected a list of programs, got NoneType"),
+    ('{"x": 1}', "row 0, column 'record': expected a list of programs, got dict"),
+    ("[1]", "row 0, column 'record': expected a program object, got int"),
+], ids=["null", "object", "list-of-int"])
+def test_psp_json_not_a_list_of_objects_errors(tmp_path, capsys, text, reason):
+    records = write(tmp_path / "records.json", text + "\n")
+    project = tmp_path / "proj"
+    assert run_cli("--project-dir", project, "psp", "--records", records) == 8
+    assert reason in capsys.readouterr().err
+    assert not (project / "psp").exists()
+
+
 @pytest.mark.parametrize("bad", ["abc", "inf", "nan", "-2"])
 def test_fit_rejects_bad_value_before_writing(tmp_path, capsys, bad):
     samples = write(tmp_path / "s.txt", f"1.5\n2.5\n{bad}\n3.0\n")
@@ -577,6 +590,18 @@ def test_compare_unusable_fit_exit_code(tmp_path, capsys, doc):
     bad.write_text(json.dumps(doc))
     assert run_cli("--project-dir", project, "compare", "good", "bad") == 7
     assert str(bad) in capsys.readouterr().err
+    assert not (project / "compare").exists()
+
+
+@pytest.mark.parametrize("order", [("big", "tiny"), ("tiny", "big")], ids=["overflow", "underflow"])
+def test_compare_refuses_pair_with_no_usable_mean_ratio(tmp_path, capsys, order):
+    # each mean is finite, but 1e300 / 1e-310 is inf and its reverse 0.0
+    project = tmp_path / "proj"
+    _write_fit(project, "big", 1.0, 1e300)
+    _write_fit(project, "tiny", 1.0, 1e-310)
+    assert run_cli("--project-dir", project, "compare", *order) == 7
+    err = capsys.readouterr().err
+    assert "'big'" in err and "'tiny'" in err
     assert not (project / "compare").exists()
 
 
@@ -739,6 +764,35 @@ def test_cli_import_loads_no_http_machinery():
     code = f"import sys, webrely.cli; print(sorted({modules} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_compare_process_loads_only_what_it_runs(tmp_path):
+    # compare needs project and stats; the simulator, the PSP metrics, the
+    # harness, and the stdlib modules only fit or chi-square use stay unloaded
+    project = tmp_path / "proj"
+    _write_fit(project, "a", 1.5, 2.4)
+    _write_fit(project, "b", 2.2, 5.0)
+    modules = "{'webrely.psp', 'webrely.simulator', 'webrely.harness', 'logging', 'statistics'}"
+    code = (
+        "import sys\n"
+        "from webrely.cli import main\n"
+        "assert main(['--project-dir', sys.argv[1], 'compare', 'a', 'b']) == 0\n"
+        f"print(sorted({modules} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(project)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_fit_with_zeros_warns_on_fitting_logger(tmp_path, caplog):
+    samples = write(tmp_path / "s.txt", "0\n0\n1.0\n2.7182818284590451\n1.5\n")
+    with caplog.at_level("WARNING", logger="webrely.stats.fitting"):
+        assert run_cli("--project-dir", tmp_path / "proj", "fit", "--samples", samples,
+                       "--label", "z") == 0
+    warned = [r for r in caplog.records if r.name == "webrely.stats.fitting"]
+    assert [r.getMessage() for r in warned] == [
+        "excluding 2 zero value(s) from MLE sample 'z' (support is x > 0)"
+    ]
 
 
 # every documented config key set away from its default: (key, raw value,

@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
 
-from webrely.stats import WeibullModel, compare_models
+from webrely.stats import WeibullModel, compare_models, weibull_cdf
+from webrely.stats.compare import CDF_GRID_POINTS, CDF_GRID_SCALE_SPAN
 
 IDEAL = WeibullModel(1.63, 2.4)
 REAL = WeibullModel(2.16, 12.8)
@@ -41,3 +43,18 @@ def test_sup_distance_positive_for_distinct_models():
     assert 0.0 < report.sup_cdf_distance <= 1.0
     # the two CDFs are far apart: ideal mass sits an order of magnitude lower
     assert report.sup_cdf_distance > 0.5
+
+
+def _reference_sup_distance(a: WeibullModel, b: WeibullModel) -> float:
+    """The sup distance with weibull_cdf called per point, log(scale) each time."""
+    step = CDF_GRID_SCALE_SPAN * max(a.scale, b.scale) / (CDF_GRID_POINTS - 1)
+    return max(abs(weibull_cdf(a, i * step) - weibull_cdf(b, i * step))
+               for i in range(CDF_GRID_POINTS))
+
+
+def test_sup_distance_matches_per_point_cdf_bit_for_bit():
+    rng = random.Random(22)
+    for _ in range(100):
+        a, b = (WeibullModel(math.exp(rng.uniform(-1.5, 3.0)), math.exp(rng.uniform(-7.0, 7.0)))
+                for _ in range(2))
+        assert compare_models(a, b).sup_cdf_distance == _reference_sup_distance(a, b)
