@@ -17,9 +17,8 @@ bad config files or an input file that cannot be read.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
+import os
 import sys
 import time
 from dataclasses import fields
@@ -30,6 +29,7 @@ from .project import Analysis, EiProject
 from .stats import compare_models, weibull_pdf
 from .stats.serialize import (
     comparison_to_dict,
+    csv_text,
     dump_json,
     load_samples_csv,
     load_samples_text,
@@ -286,14 +286,12 @@ def _curves_csv(model_a, model_b) -> str:
     hi = max(
         m.scale * math.log(1000.0) ** (1.0 / m.shape) for m in (model_a, model_b)
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "pdf_a", "pdf_b"])
     step = hi / (COMPARE_CURVE_POINTS - 1)
-    for i in range(COMPARE_CURVE_POINTS):
-        x = i * step
-        writer.writerow([f"{x:.6g}", f"{weibull_pdf(model_a, x):.6g}", f"{weibull_pdf(model_b, x):.6g}"])
-    return buf.getvalue()
+    xs = (i * step for i in range(COMPARE_CURVE_POINTS))
+    return csv_text(
+        ["x", "pdf_a", "pdf_b"],
+        ([f"{x:.6g}", f"{weibull_pdf(model_a, x):.6g}", f"{weibull_pdf(model_b, x):.6g}"] for x in xs),
+    )
 
 
 def cmd_compare(args) -> int:
@@ -347,6 +345,22 @@ def cmd_mock_serve(args) -> int:
 
 # --- argument parsing -------------------------------------------------------
 
+
+def phase_label(text: str) -> str:
+    """A label names one directory under the project: not empty, not . or ..,
+    and free of path separators."""
+    if text in ("", ".", "..") or any(sep and sep in text for sep in (os.sep, os.altsep)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a single directory name")
+    return text
+
+
+def port_number(text: str) -> int:
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a port number in 0-65535")
+    return port
+
+
 # the only commands that draw random numbers; the rest reject --seed
 SEEDED_COMMANDS = (cmd_simulate, cmd_evaluate)
 
@@ -372,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="ideal-conditions evaluation", parents=[common])
-    p.add_argument("--label", default="ideal")
+    p.add_argument("--label", type=phase_label, default="ideal")
     p.add_argument("--trace", action="store_true", help="save an event trace of run 0")
     p.set_defaults(func=cmd_simulate)
 
@@ -385,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate", help="live evaluation against an HTTP target", parents=[common]
     )
     p.add_argument("--target", required=True)
-    p.add_argument("--label", default="real")
+    p.add_argument("--label", type=phase_label, default="real")
     p.add_argument("--model", default=None, help="reuse a saved site model")
     p.set_defaults(func=cmd_evaluate)
 
@@ -393,22 +407,22 @@ def build_parser() -> argparse.ArgumentParser:
         "psp", help="quality-metric trends from program records", parents=[common]
     )
     p.add_argument("--records", required=True)
-    p.add_argument("--label", default="psp")
+    p.add_argument("--label", type=phase_label, default="psp")
     p.set_defaults(func=cmd_psp)
 
     p = sub.add_parser("fit", help="fit an existing sample file", parents=[common])
     p.add_argument("--samples", required=True)
-    p.add_argument("--label", required=True)
+    p.add_argument("--label", type=phase_label, required=True)
     p.add_argument("--column", default=None, help="read this CSV column instead of plain text")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("compare", help="compare two fitted phases", parents=[common])
-    p.add_argument("label_a")
-    p.add_argument("label_b")
+    p.add_argument("label_a", type=phase_label)
+    p.add_argument("label_b", type=phase_label)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("mock-serve", help="serve the bundled mock target", parents=[common])
-    p.add_argument("--port", type=int, default=8008)
+    p.add_argument("--port", type=port_number, default=8008)
     p.add_argument("--faults", default=None, help="JSON fault table file")
     p.set_defaults(func=cmd_mock_serve)
 

@@ -4,7 +4,7 @@ signatures."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 __all__ = ["ActivityRecord", "ErrorLog", "analyze_logs", "parse_log_file"]
@@ -51,31 +51,19 @@ class ErrorLog:
     by_action: dict[str, int] = field(default_factory=dict)
 
     def summary_dict(self) -> dict:
-        """Seed-deterministic content only: wall-clock fields stay out so a
-        regenerated run produces a byte-identical summary."""
-        return {
-            "defect_density": self.defect_density,
-            "fault_signatures": [
-                {"node": n, "action": a, "code": c, "count": cnt}
-                for (n, a, c), cnt in sorted(self.fault_signatures.items())
-            ],
-            "nav_errors": self.nav_errors,
-            "steps_ok": self.steps_ok,
-            "by_action": dict(sorted(self.by_action.items())),
-            "testers": self.testers,
-        }
+        """Seed-deterministic content only: times and log-file detail stay
+        out so a regenerated run produces a byte-identical summary."""
+        doc = self.to_dict()
+        for key in ("total_active_ms", "duration_ms", "mttf_ms", "records", "skipped_lines"):
+            del doc[key]
+        return doc
 
     def to_dict(self) -> dict:
-        doc = self.summary_dict()
-        doc.update(
-            {
-                "total_active_ms": self.total_active_ms,
-                "duration_ms": self.duration_ms,
-                "mttf_ms": self.mttf_ms,
-                "records": self.records,
-                "skipped_lines": list(self.skipped_lines),
-            }
-        )
+        doc = asdict(self)
+        doc["fault_signatures"] = [
+            {"node": n, "action": a, "code": c, "count": cnt}
+            for (n, a, c), cnt in sorted(self.fault_signatures.items())
+        ]
         return doc
 
 

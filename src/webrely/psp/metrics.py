@@ -7,10 +7,9 @@ different things.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
+from ..stats.serialize import csv_text
 from .records import INJECTION_PHASES, PHASES, REMOVAL_PHASES, PspProgramRecord
 
 __all__ = [
@@ -97,11 +96,7 @@ class PspTrendReport:
     slopes: dict[str, float | None]
 
     def to_dict(self) -> dict:
-        return {
-            "program_numbers": list(self.program_numbers),
-            "series": {k: list(v) for k, v in sorted(self.series.items())},
-            "slopes": dict(sorted(self.slopes.items())),
-        }
+        return asdict(self)
 
 
 def _least_squares_slope(xs: list[float], ys: list[float]) -> float | None:
@@ -139,9 +134,10 @@ def trend_report(records) -> PspTrendReport:
 
 def trend_series_csv(report: PspTrendReport, metric: str) -> str:
     """program_number,value rows for one metric; None becomes an empty cell."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["program_number", metric])
-    for number, value in zip(report.program_numbers, report.series[metric]):
-        writer.writerow([number, "" if value is None else f"{value:.6g}"])
-    return buf.getvalue()
+    return csv_text(
+        ["program_number", metric],
+        (
+            [number, "" if value is None else f"{value:.6g}"]
+            for number, value in zip(report.program_numbers, report.series[metric])
+        ),
+    )

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 from ..stats import DefectSampleSet
+from ..stats.serialize import csv_writer
 from .config import SimConfig
 from .engine import RunResult, run_single
 
@@ -23,7 +23,7 @@ def run_campaign(cfg: SimConfig, source_label: str = "ideal") -> DefectSampleSet
 def write_trace_csv(cfg: SimConfig, run_index: int, path: str | Path) -> RunResult:
     """Re-run one run with a per-event trace written as clock,event_type,queue_size."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv_writer(fh)
         writer.writerow(["clock", "event_type", "queue_size"])
         result = run_single(
             cfg, run_index, trace=lambda t, kind, q: writer.writerow([f"{t:.6f}", kind, q])

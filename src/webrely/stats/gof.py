@@ -31,8 +31,8 @@ class GofResult:
     threshold: float
     dof: int
     passed: bool
-    method: str = "chi-square"
-    significance: float = 0.05
+    method: str
+    significance: float
 
     def __post_init__(self):
         if self.passed != (self.statistic <= self.threshold):

@@ -2,9 +2,11 @@
 
 Samples travel as one-value-per-line text (blank lines and # comments
 ignored) or as a named CSV column.  Reports serialize to JSON with the
-field names documented in the README, and every JSON artifact goes
-through dump_json and read_json; histograms export as
-lower_edge,count CSV for external plotting.
+field names documented in the README: each is its record's fields, as
+dataclasses.asdict gives them, reshaped only where the schema says so.
+Every JSON artifact goes through dump_json and read_json, and every CSV
+artifact through csv_writer: a header row, then one row per line, each
+ending in a bare newline.  Histograms export as lower_edge,count CSV.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ __all__ = [
     "fit_report_to_dict",
     "comparison_to_dict",
     "histogram_to_csv",
+    "csv_writer",
+    "csv_text",
     "dump_json",
     "read_json",
 ]
@@ -93,17 +97,9 @@ def sample_set_from_dict(doc: dict) -> DefectSampleSet:
 
 
 def fit_report_to_dict(report: FitReport) -> dict:
-    return {
-        "shape": report.model.shape,
-        "scale": report.model.scale,
-        "sample_count": report.sample_count,
-        "iterations": report.iterations,
-        "residual": report.residual,
-        "method": report.method,
-        "zeros_excluded": report.zeros_excluded,
-        "source_label": report.source_label,
-        "gof": asdict(report.gof) if report.gof is not None else None,
-    }
+    doc = asdict(report)
+    doc.update(doc.pop("model"))
+    return doc
 
 
 # the verdict read with phase a as the newer phase
@@ -111,35 +107,37 @@ _IMPROVEMENT = {"equal": "equal", "a more reliable": "improved", "b more reliabl
 
 
 def comparison_to_dict(report: ComparisonReport, label_a: str = "a", label_b: str = "b") -> dict:
-    return {
-        "label_a": label_a,
-        "label_b": label_b,
-        "shape_a": report.model_a.shape,
-        "scale_a": report.model_a.scale,
-        "shape_b": report.model_b.shape,
-        "scale_b": report.model_b.scale,
-        "mean_a": report.mean_a,
-        "mean_b": report.mean_b,
-        "mean_ratio": report.mean_ratio,
-        "sup_cdf_distance": report.sup_cdf_distance,
-        "verdict": report.verdict,
-        "improvement": _IMPROVEMENT[report.verdict],
-    }
+    doc = asdict(report)
+    for side in ("a", "b"):
+        model = doc.pop(f"model_{side}")
+        doc[f"shape_{side}"] = model["shape"]
+        doc[f"scale_{side}"] = model["scale"]
+    doc.update(label_a=label_a, label_b=label_b, improvement=_IMPROVEMENT[report.verdict])
+    return doc
 
 
 def histogram_to_csv(hist: Histogram) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lower_edge", "count"])
-    for lower, count in hist.bins:
-        writer.writerow([_edge(lower), count])
-    return buf.getvalue()
+    return csv_text(["lower_edge", "count"], ([_edge(lower), count] for lower, count in hist.bins))
 
 
 def _edge(lower: float) -> str:
     """The short %g form when it reads back as the same float, else repr."""
     text = f"{lower:g}"
     return text if float(text) == lower else repr(lower)
+
+
+def csv_writer(fh):
+    """The one artifact CSV dialect: comma-separated, minimal quoting, bare newlines."""
+    return csv.writer(fh, lineterminator="\n")
+
+
+def csv_text(header, rows) -> str:
+    """A header row then rows, as the text of one CSV artifact."""
+    buf = io.StringIO()
+    writer = csv_writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def dump_json(doc: dict | list, path: str | Path) -> None:

@@ -191,6 +191,41 @@ def test_evaluate_malformed_model_exits_2(tmp_path, capsys, doc):
     assert not (project / "phases").exists()
 
 
+# each label flag, as argv around the label; an unreachable target exits 6
+# if it is ever contacted
+LABEL_ARGVS = {
+    "simulate": lambda label: ["simulate", "--config", "{tmp}/sim.cfg", "--label", label],
+    "evaluate": lambda label: ["evaluate", "--target", "http://127.0.0.1:9", "--label", label],
+    "fit": lambda label: ["fit", "--samples", "{tmp}/s.txt", "--label", label],
+    "psp": lambda label: ["psp", "--records", str(DATA / "psp_records.csv"), "--label", label],
+    "compare-a": lambda label: ["compare", label, "ideal"],
+    "compare-b": lambda label: ["compare", "ideal", label],
+}
+
+
+@pytest.mark.parametrize("label", ["", ".", "..", "../escape", "a/b", "../../escape"])
+@pytest.mark.parametrize("command", LABEL_ARGVS)
+def test_label_not_one_directory_name_exits_2(tmp_path, capsys, command, label):
+    write(tmp_path / "s.txt", "1\n2\n3\n4\n5\n")
+    write(tmp_path / "sim.cfg", SIM_CFG)
+    inputs = set(tmp_path.rglob("*"))
+    argv = [arg.format(tmp=tmp_path) for arg in LABEL_ARGVS[command](label)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--project-dir", tmp_path / "proj", *argv)
+    assert exc.value.code == 2
+    assert "not a single directory name" in capsys.readouterr().err
+    assert set(tmp_path.rglob("*")) == inputs
+
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_mock_serve_port_out_of_range_exits_2(tmp_path, capsys, port):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--project-dir", tmp_path / "proj", "mock-serve", "--port", port)
+    assert exc.value.code == 2
+    assert "not a port number in 0-65535" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 FLOAT_FIELDS = [
     (SimConfig, "interarrival_mean"), (SimConfig, "service_mean"), (SimConfig, "service_std"),
     (SimConfig, "fault_probability"),
@@ -655,6 +690,47 @@ def test_every_json_artifact_has_one_format(tmp_path, fixed_sample):
     for path in written:
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
+
+
+# the keys README "Report schemas" lists for each JSON report; the error
+# log's are the golden's
+FIT_KEYS = {"shape", "scale", "sample_count", "iterations", "residual", "method",
+            "zeros_excluded", "source_label", "gof"}
+GOF_KEYS = {"method", "statistic", "threshold", "dof", "significance", "passed"}
+REPORT_KEYS = {"label_a", "label_b", "shape_a", "shape_b", "scale_a", "scale_b", "mean_a",
+               "mean_b", "mean_ratio", "sup_cdf_distance", "verdict", "improvement"}
+TREND_KEYS = {"command", "label", "records", "program_numbers", "series", "slopes"}
+
+
+def test_artifact_keys_are_the_documented_schema(tmp_path, fixed_sample):
+    project = tmp_path / "proj"
+    samples = write(tmp_path / "s.txt", "".join(f"{v}\n" for v in fixed_sample.values))
+    ks = write(tmp_path / "ks.cfg", "gof_method = ks\n")
+    eval_cfg = write(tmp_path / "eval.cfg", RICH_EVAL_CFG)
+    faults = [
+        SeededFault("/student/profile", "update", "error-marker"),
+        SeededFault("/professor/courses", "insert", "http-500"),
+    ]
+    assert run_cli("--project-dir", project, "fit", "--samples", samples, "--label", "x") == 0
+    assert run_cli("--project-dir", project, "--config", ks,
+                   "fit", "--samples", samples, "--label", "y") == 0
+    assert run_cli("--project-dir", project, "compare", "x", "y") == 0
+    assert run_cli("--project-dir", project, "psp", "--records", DATA / "psp_records.csv") == 0
+    with MockTarget(faults) as target:
+        assert run_cli("--project-dir", project, "evaluate",
+                       "--target", target.base_url, "--config", eval_cfg) == 0
+    for label in ("x", "y"):
+        fit = json.loads((project / "phases" / label / "fit.json").read_text())
+        assert set(fit) == FIT_KEYS
+        assert set(fit["gof"]) == GOF_KEYS
+    report = json.loads((project / "compare/x__vs__y/report.json").read_text())
+    assert set(report) == REPORT_KEYS
+    assert set(json.loads((project / "psp/psp/trend.json").read_text())) == TREND_KEYS
+    golden = json.loads((DATA / "golden_error_log.json").read_text())
+    logs = sorted((project / "phases/real/logs").glob("round-*/error_log.json"))
+    assert len(logs) == 4
+    for path in logs:
+        assert set(json.loads(path.read_text())) == set(golden)
 
 
 def test_lock_blocks_second_command(tmp_path):
