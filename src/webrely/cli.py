@@ -35,6 +35,7 @@ from .stats.serialize import (
     load_samples_text,
     read_json,
 )
+from .stats.weibull import _pdf
 
 EXIT_CODES: dict[type, int] = {
     errors.UnreadableInput: 2,
@@ -288,10 +289,15 @@ def _curves_csv(model_a, model_b) -> str:
     )
     step = hi / (COMPARE_CURVE_POINTS - 1)
     xs = (i * step for i in range(COMPARE_CURVE_POINTS))
-    return csv_text(
-        ["x", "pdf_a", "pdf_b"],
-        ([f"{x:.6g}", f"{weibull_pdf(model_a, x):.6g}", f"{weibull_pdf(model_b, x):.6g}"] for x in xs),
-    )
+    a, log_a, log_scale_a = model_a.shape, math.log(model_a.shape), math.log(model_a.scale)
+    b, log_b, log_scale_b = model_b.shape, math.log(model_b.shape), math.log(model_b.scale)
+    # weibull_pdf holds the density's limit at 0, which depends on the shape
+    return csv_text(["x", "pdf_a", "pdf_b"], (
+        [f"{x:.6g}",
+         f"{_pdf(a, log_a, log_scale_a, x) if x > 0.0 else weibull_pdf(model_a, x):.6g}",
+         f"{_pdf(b, log_b, log_scale_b, x) if x > 0.0 else weibull_pdf(model_b, x):.6g}"]
+        for x in xs
+    ))
 
 
 def cmd_compare(args) -> int:
@@ -348,9 +354,12 @@ def cmd_mock_serve(args) -> int:
 
 def phase_label(text: str) -> str:
     """A label names one directory under the project: not empty, not . or ..,
-    and free of path separators."""
+    and free of path separators.  It holds no "__vs__" either, the separator
+    of a compare directory's name, so two comparisons never share one."""
     if text in ("", ".", "..") or any(sep and sep in text for sep in (os.sep, os.altsep)):
         raise argparse.ArgumentTypeError(f"{text!r} is not a single directory name")
+    if "__vs__" in text:
+        raise argparse.ArgumentTypeError(f"{text!r} contains '__vs__', which names comparisons")
     return text
 
 

@@ -5,17 +5,27 @@ redirects; the public view starts at the crawl root.  Links and form
 targets are visited in sorted order and node identities are sorted paths,
 so repeated crawls of a static site produce identical models.  login is
 the one login rule of the harness: the crawl and every tester call it.
+
+Session is the one HTTP client: http.client for the exchange and one
+http.cookiejar.CookieJar, with the headers and redirect rules of urllib.
+What depends only on its inputs is worked out once and reused: a URL's
+route (scheme, host, selector), a Content-Type's charset, and a URL's
+Cookie header until the jar changes or a cookie expires.  A request's
+bytes are those of a urllib.request.Request for the same URL.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import select
 import string
+import time
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from html.parser import HTMLParser
-from http.client import HTTPConnection, HTTPException, HTTPSConnection, InvalidURL
+from http.client import HTTPConnection, HTTPException, HTTPMessage, HTTPSConnection, InvalidURL
 from http.cookiejar import CookieJar
 from urllib.parse import quote, urlencode, urljoin, urlparse
 from urllib.request import Request
@@ -99,8 +109,10 @@ class _PageScan(HTMLParser):
 CLIENT_ERRORS = (OSError, HTTPException)
 
 MAX_REDIRECTS = 10
-_HEADERS = {"User-Agent": f"webrely/{__version__}"}
-_FORM_HEADERS = {**_HEADERS, "Content-Type": "application/x-www-form-urlencoded"}
+# spelled as urllib.request.Request stores them (str.capitalize), so the
+# request bytes are those of a urllib request
+_HEADERS = {"User-agent": f"webrely/{__version__}"}
+_FORM_HEADERS = {**_HEADERS, "Content-type": "application/x-www-form-urlencoded"}
 
 
 @dataclass(frozen=True)
@@ -110,9 +122,25 @@ class Page:
     text: str
 
 
-def _is_http(url: str) -> bool:
+@lru_cache(maxsize=256)
+def _route(url: str) -> tuple[str, str, str] | None:
+    """(scheme, host, selector) of an http(s) URL, as urllib.request.Request
+    parses them; None for any other URL."""
     parts = urlparse(url)
-    return parts.scheme in ("http", "https") and bool(parts.netloc)
+    if parts.scheme not in ("http", "https") or not parts.netloc:
+        return None
+    request = Request(url)
+    return request.type, request.host, request.selector
+
+
+@lru_cache(maxsize=64)
+def _charset(content_type: str | None) -> str:
+    """The charset a Content-Type value names, as an answer's
+    get_content_charset reads it, or utf-8 when it names none."""
+    headers = HTTPMessage()
+    if content_type is not None:
+        headers["Content-Type"] = content_type
+    return headers.get_content_charset() or "utf-8"
 
 
 def _hung_up(sock) -> bool:
@@ -135,6 +163,10 @@ class Session:
     def __init__(self):
         self._jar = CookieJar()
         self._connections: dict[tuple[str, str], HTTPConnection] = {}
+        # URL -> the headers add_cookie_header adds to a request for it
+        self._cookie_headers: dict[str, dict[str, str]] = {}
+        self._holds_cookies = False
+        self._cookies_expire = math.inf  # the earliest expires in the jar
 
     def __enter__(self) -> "Session":
         return self
@@ -161,42 +193,74 @@ class Session:
         or as UTF-8 when it names none or one with no codec; bytes that do
         not decode become U+FFFD.
         """
-        if not _is_http(url):
+        route = _route(url)
+        if route is None:
             raise InvalidURL(f"not an http(s) URL: {url!r}")
         data = None if form is None else urlencode(form).encode()
-        page = self._exchange(url, data, timeout)
+        page = self._exchange(url, route, data, timeout)
         for _ in range(MAX_REDIRECTS):
             moved = page.status in (301, 302, 303) or (page.status in (307, 308) and data is None)
             if not (follow and moved and page.location):
                 break
             url = urljoin(url, quote(page.location, string.punctuation, "iso-8859-1"))
-            if not _is_http(url):
+            route = _route(url)
+            if route is None:
                 break
             data = None
-            page = self._exchange(url, data, timeout)
+            page = self._exchange(url, route, data, timeout)
         return page
 
-    def _exchange(self, url: str, data: bytes | None, timeout: float) -> Page:
+    def _exchange(self, url: str, route: tuple[str, str, str], data: bytes | None,
+                  timeout: float) -> Page:
         """One request and its answer over the kept-alive connection."""
-        request = Request(url, data, _HEADERS if data is None else _FORM_HEADERS)
-        self._jar.add_cookie_header(request)
-        connection = self._connection(request.type, request.host, timeout)
+        scheme, host, selector = route
+        # urllib's order: the jar's headers, then the request's own
+        headers = {**self._cookies_for(url), **(_HEADERS if data is None else _FORM_HEADERS)}
+        connection = self._connection(scheme, host, timeout)
         try:
-            connection.request(request.get_method(), request.selector, data,
-                               dict(request.header_items()))
+            connection.request("GET" if data is None else "POST", selector, data, headers)
             response = connection.getresponse()
             body = response.read()
         except BaseException:
             connection.close()  # half a request or answer: the next one reconnects
             raise
-        self._jar.extract_cookies(response, request)
-        charset = response.headers.get_content_charset() or "utf-8"
+        # the jar makes no cookie from an answer without these headers
+        if "Set-Cookie" in response.headers or "Set-Cookie2" in response.headers:
+            self._jar.extract_cookies(response, Request(url))
+            self._jar_changed()
+        charset = _charset(response.headers.get("Content-Type"))
         try:
             text = body.decode(charset, "replace")
         except (LookupError, ValueError):
             # no text codec by that name (a NUL in the name is a ValueError)
             text = body.decode("utf-8", "replace")
         return Page(response.status, response.getheader("Location"), text)
+
+    def _cookies_for(self, url: str) -> dict[str, str]:
+        """The headers CookieJar.add_cookie_header adds to a request for url.
+
+        They change only when the jar does, so the jar is asked only while
+        it holds a cookie, and once per URL until an answer sets a cookie or
+        the clock reaches the earliest expiry in the jar.
+        """
+        if int(time.time()) >= self._cookies_expire:  # when Cookie.is_expired turns true
+            self._jar.clear_expired_cookies()
+            self._jar_changed()
+        if not self._holds_cookies:
+            return {}
+        headers = self._cookie_headers.get(url)
+        if headers is None:
+            request = Request(url)
+            self._jar.add_cookie_header(request)
+            headers = self._cookie_headers[url] = request.unredirected_hdrs
+        return headers
+
+    def _jar_changed(self) -> None:
+        """Forget every remembered Cookie header and note what the jar holds now."""
+        self._cookie_headers.clear()
+        expires = [cookie.expires for cookie in self._jar]
+        self._holds_cookies = bool(expires)
+        self._cookies_expire = min((e for e in expires if e is not None), default=math.inf)
 
     def _connection(self, scheme: str, host: str, timeout: float) -> HTTPConnection:
         connection = self._connections.get((scheme, host))

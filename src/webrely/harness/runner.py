@@ -8,6 +8,8 @@ node must be present, and the fixture fault marker must be absent.  A
 step that gets no answer (one of crawler.CLIENT_ERRORS) is a nav_error.
 Testers of authenticated views log in through crawler.login, the rule
 the crawl uses, and write their logs as analyzer.ActivityRecord lines.
+Each tester holds one crawler.Session, and a step's URL is joined from
+the target and its node path once per process, not on every step.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from urllib.parse import urljoin
 
@@ -56,10 +59,15 @@ def _classify(status: int, text: str, node_path: str) -> str:
     return "ok"
 
 
+# a round's steps visit a few node paths of one target over and over
+_step_url = lru_cache(maxsize=1024)(urljoin)
+
+
 def _execute_step(session: Session, target: str, step, cfg: HarnessConfig) -> str:
     form = None if step.action == "read" else {**step.data, "op": step.action}
     try:
-        page = session.fetch(urljoin(target, step.node_path), form, timeout=cfg.request_timeout_s)
+        page = session.fetch(_step_url(target, step.node_path), form,
+                             timeout=cfg.request_timeout_s)
     except CLIENT_ERRORS:
         return "nav_error"
     return _classify(page.status, page.text, step.node_path)

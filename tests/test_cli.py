@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import signal
 import subprocess
@@ -28,7 +29,7 @@ from webrely.harness.model import SiteModel
 from webrely.project import Analysis
 from webrely.psp import PHASES as PSP_PHASES
 from webrely.simulator import SimConfig
-from webrely.stats import AnomalyPolicy
+from webrely.stats import AnomalyPolicy, WeibullModel, weibull_pdf
 
 DATA = Path(__file__).parent / "data"
 
@@ -214,6 +215,21 @@ def test_label_not_one_directory_name_exits_2(tmp_path, capsys, command, label):
         run_cli("--project-dir", tmp_path / "proj", *argv)
     assert exc.value.code == 2
     assert "not a single directory name" in capsys.readouterr().err
+    assert set(tmp_path.rglob("*")) == inputs
+
+
+@pytest.mark.parametrize("label", ["a__vs__b", "__vs__", "ideal__vs__"])
+@pytest.mark.parametrize("command", LABEL_ARGVS)
+def test_label_with_compare_separator_exits_2(tmp_path, capsys, command, label):
+    # compare a__vs__b c and compare a b__vs__c would share compare/a__vs__b__vs__c
+    write(tmp_path / "s.txt", "1\n2\n3\n4\n5\n")
+    write(tmp_path / "sim.cfg", SIM_CFG)
+    inputs = set(tmp_path.rglob("*"))
+    argv = [arg.format(tmp=tmp_path) for arg in LABEL_ARGVS[command](label)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--project-dir", tmp_path / "proj", *argv)
+    assert exc.value.code == 2
+    assert "contains '__vs__'" in capsys.readouterr().err
     assert set(tmp_path.rglob("*")) == inputs
 
 
@@ -950,3 +966,34 @@ def _readme_config_keys() -> set[str]:
 def test_readme_lists_exactly_the_config_keys():
     classes = (SimConfig, CampaignConfig, HarnessConfig, CrawlLimits, Analysis)
     assert _readme_config_keys() == set().union(*map(cli.config_keys, classes))
+
+
+def _per_point_pdf(model: WeibullModel, x: float) -> float:
+    """The density as weibull_pdf computed it with five logs per point."""
+    if x < 0.0:
+        return 0.0
+    a, b = model.shape, model.scale
+    if x == 0.0:
+        return 0.0 if a > 1.0 else 1.0 / b if a == 1.0 else math.inf
+    log_z_pow = a * (math.log(x) - math.log(b))
+    if log_z_pow > 700.0:
+        return 0.0
+    return math.exp(math.log(a) - a * math.log(b) + (a - 1.0) * math.log(x) - math.exp(log_z_pow))
+
+
+def test_curves_csv_matches_per_point_pdf_bit_for_bit():
+    rng = random.Random(24)
+    pairs = [tuple(WeibullModel(math.exp(rng.uniform(-1.5, 3.0)), math.exp(rng.uniform(-7.0, 7.0)))
+                   for _ in range(2)) for _ in range(120)]
+    # shape 1 has density 1/scale at 0; a huge scale makes the grid's step inf
+    pairs += [(WeibullModel(1.0, 2.0), WeibullModel(1.0, 1e-3)),
+              (WeibullModel(1.0, 1e308), WeibullModel(0.5, 1.0))]
+    for a, b in pairs:
+        hi = max(m.scale * math.log(1000.0) ** (1.0 / m.shape) for m in (a, b))
+        xs = [i * (hi / (cli.COMPARE_CURVE_POINTS - 1)) for i in range(cli.COMPARE_CURVE_POINTS)]
+        for model in (a, b):
+            got = [weibull_pdf(model, x) for x in xs]
+            want = [_per_point_pdf(model, x) for x in xs]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert cli._curves_csv(a, b) == "x,pdf_a,pdf_b\n" + "".join(
+            f"{x:.6g},{_per_point_pdf(a, x):.6g},{_per_point_pdf(b, x):.6g}\n" for x in xs)

@@ -1,10 +1,16 @@
+import re
+import socketserver
 import time
 from contextlib import contextmanager
+from http.cookiejar import CookieJar
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
+from urllib.parse import urlparse
+from urllib.request import HTTPCookieProcessor, ProxyHandler, Request, build_opener
 
 import pytest
 
+from webrely import __version__
 from webrely.errors import AuthFailed, Unreachable
 from webrely.harness import (
     CrawlLimits,
@@ -293,3 +299,129 @@ def test_unknown_charset_is_read_as_utf8(charset, serving, tmp_path):
     assert page.status == 200 and "page:/odd" in page.text
     records, _ = parse_log_file(paths[0])
     assert [(r.action, r.outcome) for r in records if r.action == "read"] == [("read", "ok")]
+
+
+class _Wire(socketserver.StreamRequestHandler):
+    """Records each request's head and body as the bytes that arrived, and
+    answers every path with "ok", plus the status and header lines that
+    answers gives it (200 and none by default)."""
+
+    answers: dict  # path -> (status line tail, header lines)
+    seen: list  # bytes of each request
+
+    def handle(self):
+        while True:
+            head = b""
+            while not head.endswith(b"\r\n\r\n"):
+                line = self.rfile.readline()
+                if not line:
+                    return
+                head += line
+            length = re.search(rb"\r\nContent-Length: (\d+)\r\n", head)
+            self.seen.append(head + (self.rfile.read(int(length[1])) if length else b""))
+            status, lines = self.answers.get(head.split(b" ")[1].decode(), (b"200 OK", b""))
+            self.wfile.write(b"HTTP/1.1 " + status + b"\r\n" + lines
+                             + b"Content-Type: text/html; charset=utf-8\r\n"
+                             + b"Content-Length: 2\r\n\r\nok")
+
+
+def _wire(answers: dict) -> tuple[type, list]:
+    """A _Wire handler for serving, and the list it records requests in."""
+    seen = []
+    return type("Handler", (_Wire,), {"answers": answers, "seen": seen}), seen
+
+
+def _head(method: str, url: str, *lines: str) -> bytes:
+    """A request head as urllib's headers put it on the wire through http.client."""
+    parts = urlparse(url)
+    return "".join([f"{method} {parts.path or '/'}{'?' + parts.query if parts.query else ''} "
+                    f"HTTP/1.1\r\nHost: {parts.netloc}\r\nAccept-Encoding: identity\r\n",
+                    *(line + "\r\n" for line in lines), "\r\n"]).encode()
+
+
+def test_request_bytes_on_the_wire(serving):
+    answers = {
+        "/login": (b"302 Found", b"Location: /a/home\r\nSet-Cookie: session=tok; Path=/\r\n"
+                                 b"Set-Cookie: scoped=1; Path=/a\r\n"),
+        "/a/drop": (b"200 OK", b"Set-Cookie: scoped=; Max-Age=0; Path=/a\r\n"),
+    }
+    agent = f"User-agent: webrely/{__version__}"
+    form_type = "Content-type: application/x-www-form-urlencoded"
+    both, session_only = "Cookie: scoped=1; session=tok", "Cookie: session=tok"
+    handler, seen = _wire(answers)
+    with serving(handler) as url, Session() as session:
+        assert session.fetch(url + "/", timeout=5).text == "ok"
+        assert login(session, url, "professor", AUTH["professor"], 5) == "/a/home"
+        for path in ("/a/page", "/a/page?x=1", "/b", "/a/drop", "/a/page"):
+            assert session.fetch(url + path, timeout=5).status == 200
+        session.fetch(url + "/a/form", {"op": "insert", "name": "x y"}, timeout=5)
+    login_body = b"view=professor&username=prof&password=prof123"
+    assert seen == [
+        _head("GET", url + "/", agent),
+        _head("POST", url + "/login", f"Content-Length: {len(login_body)}", agent, form_type)
+        + login_body,
+        _head("GET", url + "/a/page", both, agent),
+        _head("GET", url + "/a/page?x=1", both, agent),
+        _head("GET", url + "/b", session_only, agent),
+        _head("GET", url + "/a/drop", both, agent),
+        _head("GET", url + "/a/page", session_only, agent),
+        _head("POST", url + "/a/form", "Content-Length: 18", session_only, agent, form_type)
+        + b"op=insert&name=x+y",
+    ]
+
+
+def test_cookie_expires_when_the_jar_says(serving, monkeypatch):
+    now = [1_700_000_000.5]
+    monkeypatch.setattr(time, "time", lambda: now[0])
+    answers = {"/set": (b"200 OK", b"Set-Cookie: brief=1; Max-Age=60; Path=/\r\n")}
+    agent = f"User-agent: webrely/{__version__}"
+    handler, seen = _wire(answers)
+    # the reference: urllib's own cookie handling over a jar of its own
+    jar = CookieJar()
+    with serving(handler) as url, Session() as session:
+        session.fetch(url + "/set", timeout=5)
+        build_opener(ProxyHandler({}), HTTPCookieProcessor(jar)).open(url + "/set").read()
+        sent = []
+        for elapsed in (0, 59, 59.49, 59.5, 60, 61):
+            now[0] = 1_700_000_000.5 + elapsed
+            session.fetch(url + "/page", timeout=5)
+            request = Request(url + "/page")
+            jar.add_cookie_header(request)
+            sent.append((elapsed, seen[-1], request.has_header("Cookie")))
+    cookie = _head("GET", url + "/page", "Cookie: brief=1", agent)
+    bare = _head("GET", url + "/page", agent)
+    assert sent == [(0, cookie, True), (59, cookie, True), (59.49, cookie, True),
+                    (59.5, bare, False), (60, bare, False), (61, bare, False)]
+
+
+def test_jar_is_asked_once_per_url(monkeypatch, tmp_path):
+    asked, extracted = [], []
+    add, extract = CookieJar.add_cookie_header, CookieJar.extract_cookies
+
+    def counting_add(jar, request):
+        asked.append(urlparse(request.full_url).path)
+        add(jar, request)
+
+    def counting_extract(jar, response, request):
+        extracted.append(urlparse(request.full_url).path)
+        extract(jar, response, request)
+
+    monkeypatch.setattr(CookieJar, "add_cookie_header", counting_add)
+    monkeypatch.setattr(CookieJar, "extract_cookies", counting_extract)
+    steps = (
+        Step("/professor", "read", {}),
+        Step("/professor/courses", "read", {}),
+        Step("/professor/courses", "insert", {"name": "x", "credits": "1"}),
+        Step("/professor/courses/edit", "read", {}),
+        Step("/professor/courses/edit", "update", {"course_id": "1", "name": "y"}),
+        Step("/professor", "read", {}),
+    )
+    case = TestCase(id="case-j", view="professor", seed=0, steps=steps)
+    cfg = HarnessConfig(duration_s=60.0, arrival_mean_s=0.001, workers=1)
+    with MockTarget() as target:
+        paths = run_evaluation(target.base_url, [case], default_profiles(), cfg, tmp_path, 0)
+    records, _ = parse_log_file(paths[0])
+    assert [r.outcome for r in records] == ["ok"] * (len(steps) + 3)
+    # the probe and the login go out with an empty jar; only the login sets a cookie
+    assert asked == ["/professor", "/professor/courses", "/professor/courses/edit"]
+    assert extracted == ["/login"]
