@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from dataclasses import fields
 from pathlib import Path
 
 from . import errors
-from .project import Analysis, EiProject
+from .project import Analysis, EiProject, check_label
 from .stats import compare_models, weibull_pdf
 from .stats.serialize import (
     comparison_to_dict,
@@ -86,12 +85,15 @@ def config_keys(config_class) -> dict:
 
 def _read_input(path, read, *args):
     """read(path, *args) on a file the user named.  An OSError while reading
-    it becomes UnreadableInput (exit 2); one while writing artifacts is not
-    caught here and stays an unexpected failure."""
+    it, or text that is not UTF-8, becomes UnreadableInput (exit 2); an
+    OSError while writing artifacts is not caught here and stays an
+    unexpected failure."""
     try:
         return read(path, *args)
     except OSError as exc:
         raise errors.UnreadableInput(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise errors.UnreadableInput(f"cannot read {path}: {exc}") from None
 
 
 def _parse_kv(path: str | Path) -> dict[str, str]:
@@ -353,14 +355,11 @@ def cmd_mock_serve(args) -> int:
 
 
 def phase_label(text: str) -> str:
-    """A label names one directory under the project: not empty, not . or ..,
-    and free of path separators.  It holds no "__vs__" either, the separator
-    of a compare directory's name, so two comparisons never share one."""
-    if text in ("", ".", "..") or any(sep and sep in text for sep in (os.sep, os.altsep)):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a single directory name")
-    if "__vs__" in text:
-        raise argparse.ArgumentTypeError(f"{text!r} contains '__vs__', which names comparisons")
-    return text
+    """project.check_label's rule, as a usage error."""
+    try:
+        return check_label(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def port_number(text: str) -> int:

@@ -43,7 +43,7 @@ from .stats.serialize import (
     save_samples_text,
 )
 
-__all__ = ["Analysis", "EiProject", "PhaseResult"]
+__all__ = ["Analysis", "EiProject", "PhaseResult", "check_label"]
 
 LOCK_NAME = ".webrely.lock"
 
@@ -52,6 +52,18 @@ LOCK_NAME = ".webrely.lock"
 # (model.json and logs/, written by evaluate before the phase, stay)
 DERIVED_ARTIFACTS = ("samples.txt", "sample_set.json", "histogram.csv", "fit.json",
                      "fit_error.json")
+
+
+def check_label(label: str) -> str:
+    """A label names one directory under the project: not empty, not . or ..,
+    and free of path separators.  It holds no "__vs__" either, the separator
+    of a compare directory's name, so two comparisons never share one.
+    Returns the label; raises ValueError otherwise."""
+    if label in ("", ".", "..") or any(sep and sep in label for sep in (os.sep, os.altsep)):
+        raise ValueError(f"{label!r} is not a single directory name")
+    if "__vs__" in label:
+        raise ValueError(f"{label!r} contains '__vs__', which names comparisons")
+    return label
 
 
 @dataclass(frozen=True)
@@ -112,16 +124,16 @@ class EiProject:
         finally:
             path.unlink(missing_ok=True)
 
-    # --- paths ------------------------------------------------------------
+    # --- paths (each label must pass check_label) --------------------------
 
     def phase_dir(self, label: str) -> Path:
-        return self.root / "phases" / label
+        return self.root / "phases" / check_label(label)
 
     def psp_dir(self, label: str) -> Path:
-        return self.root / "psp" / label
+        return self.root / "psp" / check_label(label)
 
     def compare_dir(self, label_a: str, label_b: str) -> Path:
-        return self.root / "compare" / f"{label_a}__vs__{label_b}"
+        return self.root / "compare" / f"{check_label(label_a)}__vs__{check_label(label_b)}"
 
     # --- artifacts ----------------------------------------------------------
 

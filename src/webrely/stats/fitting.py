@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from ..errors import EmptySample, NoConvergence, NonIdentifiable
 from .gof import GofResult
@@ -95,7 +96,7 @@ def _max_abs(log_xs: list[float]) -> float:
 
 def score(values, a: float) -> float:
     """g(a) for the given strictly positive sample; exposed for oracles."""
-    log_xs = [math.log(v) for v in values]
+    log_xs = list(map(math.log, values))
     return _score_and_slope(log_xs, _max_abs(log_xs), sum(log_xs) / len(log_xs), a)[0]
 
 
@@ -113,7 +114,7 @@ def _scale_for(values: list[float], log_xs: list[float], max_abs_log: float, a: 
     n = len(values)
     if a * max_abs_log <= _LOG_SPACE_LIMIT:
         # direct form of the closed-scale equation, kept exact for re-substitution
-        return (math.fsum(v**a for v in values) / n) ** (1.0 / a)
+        return (math.fsum(map(pow, values, repeat(a, n))) / n) ** (1.0 / a)
     _, _, log_s0 = _sums(log_xs, max_abs_log, a)
     return math.exp((log_s0 - math.log(n)) / a)
 
@@ -145,7 +146,7 @@ def fit_weibull(samples: DefectSampleSet) -> FitReport:
             "all sample values are equal; the shape score g(a) = -1/a has no root"
         )
 
-    log_xs = [math.log(v) for v in positive]
+    log_xs = list(map(math.log, positive))
     max_abs_log = _max_abs(log_xs)
     mean_log = sum(log_xs) / len(log_xs)
 

@@ -7,6 +7,12 @@ incomplete gamma for chi-square (Numerical Recipes section 6.2), and for
 KS a lookup in one of two tables, for a model given from outside or for a
 Weibull fitted to the same data (Lilliefors, JASA 62, 1967).  KS takes
 only the significances in KS_SIGNIFICANCES.
+
+KS reads the sample's sorted_values, sorted once by the anomaly policy,
+and scans it pruned: a block of order statistics whose bound cannot beat
+the largest term found so far is skipped.  Both i/n and the CDF rise with
+i, so the bound from a block's two ends holds for every term inside it,
+and the statistic is the full scan's float (see _ks_statistic).
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ __all__ = ["GOF_METHODS", "KS_SIGNIFICANCES", "GofResult", "goodness_of_fit"]
 
 GOF_METHODS = ("chi-square", "ks")
 MIN_EXPECTED_PER_BIN = 5.0
+
+# the slack that a block's bound must clear in the pruned KS scan, far
+# above rounding in the CDF
+_KS_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -147,18 +157,7 @@ def _ks(samples: DefectSampleSet, model: WeibullModel, significance: float,
     if n < 5:
         raise InsufficientData(f"ks needs >= 5 samples, got {n}")
     threshold = ks_critical(n, significance, fitted_params)
-    xs = sorted(samples.values)
-    shape, log_scale = model.shape, math.log(model.scale)
-    d = 0.0
-    for i, x in enumerate(xs, start=1):
-        f = _cdf(shape, log_scale, x)
-        # two strict comparisons keep max(d, above, below)'s choice on ties
-        above = i / n - f
-        if above > d:
-            d = above
-        below = f - (i - 1) / n
-        if below > d:
-            d = below
+    d = _ks_statistic(samples.sorted_values, model)
     return GofResult(
         statistic=d,
         threshold=threshold,
@@ -167,3 +166,44 @@ def _ks(samples: DefectSampleSet, model: WeibullModel, significance: float,
         method="ks",
         significance=significance,
     )
+
+
+def _ks_statistic(xs: tuple[float, ...], model: WeibullModel) -> float:
+    """D = max over i of i/n - F(x_i) and F(x_i) - (i-1)/n, for xs sorted.
+
+    The scan is pruned by blocks of about sqrt(n)/8 order statistics, so a
+    block's width 1/(8 sqrt(n)) stays small beside D, which is of order
+    1/sqrt(n) for a model that fits.  Within a block both i/n and F(x_i)
+    rise with i, so no term there exceeds the block's bound: its last i/n
+    less F at its first value, or F at the next block's first value (1 past
+    the end) less its first (i-1)/n.  Blocks are scanned term by term in
+    decreasing order of bound until a bound, plus _KS_MARGIN, no longer
+    beats D.  Every term is computed by the same expression as in a full
+    scan, and a skipped block holds no term above D (the margin is far above
+    the few ulps by which a rounded F can step back), so D is the full
+    scan's float.
+    """
+    n = len(xs)
+    block = max(2, math.isqrt(n) // 8)
+    shape, log_scale = model.shape, math.log(model.scale)
+    starts = range(0, n, block)
+    fs = [_cdf(shape, log_scale, xs[lo]) for lo in starts] + [1.0]
+    bounds = sorted(
+        ((max(min(lo + block, n) / n - fs[k], fs[k + 1] - lo / n), lo)
+         for k, lo in enumerate(starts)),
+        reverse=True,
+    )
+    d = 0.0
+    for bound, lo in bounds:
+        if bound + _KS_MARGIN <= d:
+            break
+        for i in range(lo + 1, min(lo + block, n) + 1):
+            f = _cdf(shape, log_scale, xs[i - 1])
+            # two strict comparisons keep max(d, above, below)'s choice on ties
+            above = i / n - f
+            if above > d:
+                d = above
+            below = f - (i - 1) / n
+            if below > d:
+                d = below
+    return d

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import EmptySample
 
@@ -43,6 +44,12 @@ class DefectSampleSet:
     @property
     def n(self) -> int:
         return len(self.values)
+
+    @cached_property
+    def sorted_values(self) -> tuple[float, ...]:
+        """The retained values in ascending order, sorted once per set;
+        apply_policy fills it in from the window it already holds."""
+        return tuple(sorted(self.values))
 
 
 @dataclass(frozen=True)
@@ -120,11 +127,12 @@ def apply_policy(samples: DefectSampleSet, policy: AnomalyPolicy) -> DefectSampl
 
     An empty input, or one the policy discards entirely, comes back with no
     retained values; deciding that this is an error is the caller's job.
+    The result's sorted_values is the final window, so it is not sorted again.
     """
-    values = [float(v) for v in samples.values]
+    values = list(map(float, samples.values))
     s = sorted(values)
     i, j = 0, len(s)
-    inside = list(values)
+    inside = list(values) if policy.method == "zscore" else []
     # discarded value -> its pass; equal values always leave in the same pass
     first_out: dict[float, int] = {}
     reasons = []  # each pass's reason function
@@ -151,7 +159,13 @@ def apply_policy(samples: DefectSampleSet, policy: AnomalyPolicy) -> DefectSampl
             p = first_out[v]
             by_pass[p].append(DiscardRecord(v, reasons[p](v)))
     dropped = tuple(record for records in by_pass for record in records)
-    return DefectSampleSet(tuple(kept), samples.discarded + dropped, samples.source_label)
+    result = DefectSampleSet(tuple(kept), samples.discarded + dropped, samples.source_label)
+    # what cached_property would store on first read (the dataclass is
+    # frozen, so write the instance dict directly); trimming s in place
+    # first spares the fit's peak memory a second copy of the window
+    del s[j:], s[:i]
+    result.__dict__["sorted_values"] = tuple(s)
+    return result
 
 
 @dataclass(frozen=True)

@@ -39,20 +39,27 @@ __all__ = [
 
 
 def load_samples_text(path: str | Path, source_label: str = "") -> DefectSampleSet:
-    values = []
-    for number, raw_line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            values.append(float(line))
-        except ValueError:
-            raise ValueError(f"{path}:{number}: not a number: {line!r}") from None
-    return DefectSampleSet(tuple(values), (), source_label)
+    lines = [line for line in map(str.strip, Path(path).read_text().splitlines())
+             if line and line[0] != "#"]
+    try:
+        values = tuple(map(float, lines))
+    except ValueError:
+        # walk the file line by line only to name the first bad line; it is
+        # read again so that the parse above holds one list of lines, not two
+        for number, raw_line in enumerate(Path(path).read_text().splitlines(), 1):
+            line = raw_line.strip()
+            if line and line[0] != "#":
+                try:
+                    float(line)
+                except ValueError:
+                    raise ValueError(f"{path}:{number}: not a number: {line!r}") from None
+        raise
+    return DefectSampleSet(values, (), source_label)
 
 
 def save_samples_text(samples: DefectSampleSet, path: str | Path) -> None:
-    Path(path).write_text("".join(f"{v:g}\n" for v in samples.values))
+    """One value per line in %g form: six significant digits."""
+    Path(path).write_text(("%g\n" * samples.n) % tuple(samples.values))
 
 
 def load_samples_csv(path: str | Path, column: str, source_label: str = "") -> DefectSampleSet:

@@ -26,10 +26,10 @@ from webrely.harness import (
 )
 from webrely.harness.crawler import Session
 from webrely.harness.model import SiteModel
-from webrely.project import Analysis
+from webrely.project import Analysis, EiProject
 from webrely.psp import PHASES as PSP_PHASES
 from webrely.simulator import SimConfig
-from webrely.stats import AnomalyPolicy, WeibullModel, weibull_pdf
+from webrely.stats import AnomalyPolicy, DefectSampleSet, WeibullModel, weibull_pdf
 
 DATA = Path(__file__).parent / "data"
 
@@ -176,6 +176,17 @@ def test_missing_input_file_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "proj" / "phases").exists()
 
 
+@pytest.mark.parametrize("command", UNREADABLE_INPUTS)
+def test_input_file_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "latin1"
+    path.write_bytes(b"1\n\xff\n")
+    assert run_cli("--project-dir", tmp_path / "proj", *UNREADABLE_INPUTS[command](path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert "can't decode byte 0xff" in err
+    assert not (tmp_path / "proj" / "phases").exists()
+
+
 def test_directory_as_input_file_exits_2(tmp_path, capsys):
     assert run_cli("--project-dir", tmp_path / "proj", "fit", "--samples", tmp_path, "--label", "x") == 2
     assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
@@ -231,6 +242,23 @@ def test_label_with_compare_separator_exits_2(tmp_path, capsys, command, label):
     assert exc.value.code == 2
     assert "contains '__vs__'" in capsys.readouterr().err
     assert set(tmp_path.rglob("*")) == inputs
+
+
+def test_project_refuses_labels_that_share_a_directory(tmp_path):
+    # the rule is the project's own, so a library caller gets it too
+    project = EiProject(tmp_path)
+    for label_a, label_b in (("a__vs__b", "c"), ("a", "b__vs__c")):
+        with pytest.raises(ValueError, match="contains '__vs__'"):
+            project.compare_dir(label_a, label_b)
+    for label in ("", ".", "..", "a/b", "../escape"):
+        with pytest.raises(ValueError, match="not a single directory name"):
+            project.phase_dir(label)
+        with pytest.raises(ValueError, match="not a single directory name"):
+            project.psp_dir(label)
+    with pytest.raises(ValueError, match="contains '__vs__'"):
+        project.persist_phase("x__vs__y", DefectSampleSet((1.0, 2.0)), {})
+    assert not (tmp_path / "phases").exists()
+    assert project.compare_dir("a", "b") == tmp_path / "compare" / "a__vs__b"
 
 
 @pytest.mark.parametrize("port", ["70000", "-1"])

@@ -17,6 +17,7 @@ from webrely.stats import (
     sample,
     weibull_cdf,
 )
+from webrely.stats import gof
 from webrely.stats._quantiles import _KS_SIZES, _KS_TABLES, chi2_ppf, ks_critical
 from webrely.stats.gof import KS_SIGNIFICANCES
 
@@ -97,6 +98,50 @@ KS_MODELS = [FIXTURE_MODEL, WRONG_MODEL, WeibullModel(0.4, 30.0), WeibullModel(3
 def test_ks_statistic_matches_reference_loop(values, model):
     got = goodness_of_fit(None, model, "ks", 0.05, samples=DefectSampleSet(tuple(values)))
     assert got.statistic == reference_ks_statistic(values, model)
+
+
+def ks_sample(kind: str, n: int, rng: random.Random) -> list:
+    values = sample(FIXTURE_MODEL, n, rng)
+    if kind == "ties":
+        return [round(v, 1) for v in values]
+    if kind == "zeros":
+        return [0.0 if rng.random() < 0.1 else v for v in values]
+    return values
+
+
+# n up to 2000 spans many blocks of the pruned scan; the generating and the
+# fitted model leave D small, so most blocks are skipped
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(5, 2000),
+    st.sampled_from(["draws", "ties", "zeros"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["fitted", "generating", "wrong", "saturated"]),
+)
+def test_ks_statistic_matches_reference_loop_on_large_samples(n, kind, seed, which):
+    values = ks_sample(kind, n, random.Random(seed))
+    if which == "fitted":
+        positive = [v for v in values if v > 0.0]
+        if len(set(positive)) < 2:
+            return
+        model = fit_weibull(DefectSampleSet(tuple(values))).model
+    else:
+        model = {"generating": FIXTURE_MODEL, "wrong": WRONG_MODEL,
+                 "saturated": WeibullModel(300.0, 1.0)}[which]
+    got = goodness_of_fit(None, model, "ks", 0.05, samples=DefectSampleSet(tuple(values)))
+    assert got.statistic == reference_ks_statistic(values, model)
+
+
+def test_ks_scan_skips_most_blocks_near_the_fit(monkeypatch):
+    values = sample(FIXTURE_MODEL, 2000, random.Random("pruned"))
+    samples = DefectSampleSet(tuple(values))
+    model = fit_weibull(samples).model
+    calls = []
+    cdf = gof._cdf
+    monkeypatch.setattr(gof, "_cdf", lambda *args: calls.append(args) or cdf(*args))
+    got = goodness_of_fit(None, model, "ks", 0.05, samples=samples)
+    assert got.statistic == reference_ks_statistic(values, model)
+    assert len(calls) < len(values) / 2
 
 
 def test_ks_statistic_with_zeros_and_saturated_cdf():

@@ -220,6 +220,26 @@ def test_zscore_records_grouped_by_pass_in_input_order():
     assert out.values == (1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(TUKEY_VALUES, max_size=80),
+    st.sampled_from(["tukey", "zscore", "none"]),
+    st.sampled_from([0.1, 0.5, 1.0, 3.0]),
+)
+@example(raw=[0.0, 2.0], method="zscore", k=0.1)  # all discarded
+@example(raw=[0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 50.0, 50.0, 0.0], method="tukey", k=0.5)
+@example(raw=[], method="none", k=3.0)
+def test_policy_result_carries_its_sorted_window(raw, method, k):
+    out = discard(raw, AnomalyPolicy(method, k))
+    # filled in by apply_policy, not sorted again on first read
+    assert "sorted_values" in vars(out)
+    assert out.sorted_values == tuple(sorted(out.values))
+
+
+def test_sorted_values_of_a_set_built_directly():
+    assert DefectSampleSet((3.0, 0.0, 1.5, 0.0)).sorted_values == (0.0, 0.0, 1.5, 3.0)
+
+
 def test_partition_covers_raw_input():
     data = [5.0, 5.0, 5.0, 5.0, 5.0, 99.0, 5.0]
     out = discard(data, TUKEY3)

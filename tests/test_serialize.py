@@ -1,7 +1,12 @@
 import json
 import math
+import random
+import struct
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from webrely.project import Analysis, EiProject
 from webrely.stats import (
@@ -55,6 +60,80 @@ def test_samples_text_skips_comments(tmp_path):
     path = tmp_path / "s.txt"
     path.write_text("# header\n1.0\n\n2.5\n")
     assert load_samples_text(path).values == (1.0, 2.5)
+
+
+def reference_load(path):
+    """load_samples_text's values or error message, read line by line."""
+    values = []
+    for number, raw_line in enumerate(Path(path).read_text().splitlines(), 1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            values.append(float(line))
+        except ValueError:
+            return f"{path}:{number}: not a number: {line!r}"
+    try:
+        return DefectSampleSet(tuple(values)).values
+    except ValueError as exc:
+        return str(exc)
+
+
+def load_outcome(path):
+    try:
+        return load_samples_text(path).values
+    except ValueError as exc:
+        return str(exc)
+
+
+SAMPLE_LINES = st.one_of(
+    st.floats(0.0, 1e6).map(repr),
+    st.floats(0.0, 1e6).map(lambda v: f" \t{v:g}  "),
+    st.integers(0, 10**6).map(str),
+    st.sampled_from([
+        "", "   ", "\t", "# comment", "  # indented", "#", "1e3", "1_000", " 2.5 ",
+        "\u00a01.5\u2003", "nan", "inf", "-1", "x", "1 2", "0x1p3", "1,5",
+    ]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SAMPLE_LINES, max_size=40), st.sampled_from(["\n", "\r\n", "\r"]))
+def test_load_samples_text_matches_per_line_reference(tmp_path_factory, lines, newline):
+    path = tmp_path_factory.getbasetemp() / "lines.txt"
+    path.write_text(newline.join(lines), newline="")
+    assert load_outcome(path) == reference_load(path)
+
+
+def test_load_samples_text_mixed_file_and_late_bad_line(tmp_path):
+    rng = random.Random("mixed")
+    lines = []
+    for _ in range(8999):
+        r = rng.random()
+        value = repr(rng.expovariate(1.0))
+        lines.append("" if r < 0.05 else "  \t " if r < 0.1 else "# note" if r < 0.15
+                     else f"  {value}\t" if r < 0.2 else value)
+    path = tmp_path / "mixed.txt"
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+    assert load_samples_text(path).values == reference_load(path)
+    assert len(load_samples_text(path).values) > 7000
+    path.write_text("\r\n".join(lines + ["abc"] + lines[:5]) + "\r\n", newline="")
+    with pytest.raises(ValueError, match=rf"mixed\.txt:9000: not a number: 'abc'$"):
+        load_samples_text(path)
+
+
+def test_save_samples_text_matches_per_value_format(tmp_path):
+    rng = random.Random("bit patterns")
+    patterns = (abs(struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0])
+                for _ in range(20_000))
+    edges = (0.0, -0.0, 5e-324, 1e16, 1e308, 0, 7, 10**6, 123456789, 2**53 + 1,
+             0.1, 1e-5, 9.999995e-5, 123456.5, 999999.5, 1234567.0)
+    values = edges + tuple(v for v in patterns if math.isfinite(v))
+    path = tmp_path / "samples.txt"
+    save_samples_text(DefectSampleSet(values), path)
+    assert path.read_bytes() == "".join(f"{v:g}\n" for v in values).encode()
+    save_samples_text(DefectSampleSet(()), path)
+    assert path.read_bytes() == b""
 
 
 def test_samples_csv_column(tmp_path):
