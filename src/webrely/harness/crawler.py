@@ -22,7 +22,7 @@ import select
 import string
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from html.parser import HTMLParser
 from http.client import HTTPConnection, HTTPException, HTTPMessage, HTTPSConnection, InvalidURL
@@ -64,8 +64,8 @@ class _PageScan(HTMLParser):
         super().__init__()
         self.base_path = base_path
         self.links: list[str] = []
-        self.forms: list[dict] = []
-        self._form: dict | None = None
+        self.forms: list[FormSpec] = []
+        self._form: FormSpec | None = None
 
     @staticmethod
     def _to_path(base_path: str, href: str) -> str | None:
@@ -83,20 +83,16 @@ class _PageScan(HTMLParser):
                 self.links.append(path)
         elif tag == "form":
             action = self._to_path(self.base_path, attrs.get("action") or self.base_path)
-            self._form = {
-                "action_path": action or self.base_path,
-                "method": (attrs.get("method") or "get").lower(),
-                "op": "read",
-                "fields": [],
-            }
+            method = (attrs.get("method") or "get").lower()
+            self._form = FormSpec(action or self.base_path, method, "read", ())
         elif tag == "input" and self._form is not None:
             name = attrs.get("name")
             if not name:
                 return
             if name == "op":
-                self._form["op"] = attrs.get("value", "read")
+                self._form = replace(self._form, op=attrs.get("value", "read"))
             else:
-                self._form["fields"].append(name)
+                self._form = replace(self._form, fields=self._form.fields + (name,))
 
     def handle_endtag(self, tag):
         if tag == "form" and self._form is not None:
@@ -355,17 +351,13 @@ def crawl_site(
                 scan = _PageScan(path)
                 scan.feed(response.text)
 
-                ops = sorted({f["op"] for f in scan.forms if f["op"] != "read"})
-                forms = tuple(
-                    FormSpec(f["action_path"], f["method"], f["op"], tuple(f["fields"]))
-                    for f in scan.forms
-                )
+                ops = sorted({f.op for f in scan.forms if f.op != "read"})
                 nodes[node_id(view, path)] = Node(
-                    view=view, path=path, actions=tuple(["read"] + ops), forms=forms
+                    view=view, path=path, actions=tuple(["read"] + ops), forms=tuple(scan.forms)
                 )
 
                 targets = set(scan.links)
-                targets.update(f["action_path"] for f in scan.forms if f["action_path"] != path)
+                targets.update(f.action_path for f in scan.forms if f.action_path != path)
                 for target in sorted(targets):
                     edges.add((node_id(view, path), node_id(view, target)))
                     if target not in seen:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..errors import EmptyModel
 
@@ -74,25 +74,8 @@ class SiteModel:
         return {
             "truncated": self.truncated,
             "entry_points": dict(sorted(self.entry_points.items())),
-            "nodes": [
-                {
-                    "id": n.id,
-                    "view": n.view,
-                    "path": n.path,
-                    "actions": list(n.actions),
-                    "forms": [
-                        {
-                            "action_path": f.action_path,
-                            "method": f.method,
-                            "op": f.op,
-                            "fields": list(f.fields),
-                        }
-                        for f in n.forms
-                    ],
-                }
-                for _, n in sorted(self.nodes.items())
-            ],
-            "edges": sorted([src, dst] for src, dst in self.edges),
+            "nodes": [{"id": n.id, **asdict(n)} for _, n in sorted(self.nodes.items())],
+            "edges": sorted(self.edges),
         }
 
     @classmethod

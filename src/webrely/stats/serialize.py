@@ -42,19 +42,13 @@ def load_samples_text(path: str | Path, source_label: str = "") -> DefectSampleS
     lines = [line for line in map(str.strip, Path(path).read_text().splitlines())
              if line and line[0] != "#"]
     try:
-        values = tuple(map(float, lines))
+        return DefectSampleSet(tuple(map(float, lines)), (), source_label)
     except ValueError:
-        # walk the file line by line only to name the first bad line; it is
-        # read again so that the parse above holds one list of lines, not two
-        for number, raw_line in enumerate(Path(path).read_text().splitlines(), 1):
-            line = raw_line.strip()
-            if line and line[0] != "#":
-                try:
-                    float(line)
-                except ValueError:
-                    raise ValueError(f"{path}:{number}: not a number: {line!r}") from None
+        # the file is read again so that the parse above holds one list of
+        # lines, not two
+        numbered = enumerate(map(str.strip, Path(path).read_text().splitlines()), 1)
+        _raise_bad_line(path, ((n, line) for n, line in numbered if line and line[0] != "#"))
         raise
-    return DefectSampleSet(values, (), source_label)
 
 
 def save_samples_text(samples: DefectSampleSet, path: str | Path) -> None:
@@ -63,7 +57,16 @@ def save_samples_text(samples: DefectSampleSet, path: str | Path) -> None:
 
 
 def load_samples_csv(path: str | Path, column: str, source_label: str = "") -> DefectSampleSet:
-    values = []
+    try:
+        return DefectSampleSet(tuple(float(cell) for _, cell in _csv_cells(path, column)),
+                               (), source_label)
+    except ValueError:
+        _raise_bad_line(path, _csv_cells(path, column))
+        raise
+
+
+def _csv_cells(path: str | Path, column: str):
+    """(line number, stripped cell) for each non-empty cell of column."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or column not in reader.fieldnames:
@@ -71,13 +74,24 @@ def load_samples_csv(path: str | Path, column: str, source_label: str = "") -> D
         for row in reader:
             cell = (row[column] or "").strip()
             if cell:
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{reader.line_num}: not a number: {cell!r}"
-                    ) from None
-    return DefectSampleSet(tuple(values), (), source_label)
+                yield reader.line_num, cell
+
+
+def _raise_bad_line(path: str | Path, numbered_cells) -> None:
+    """Name the first cell that is not a number, else the first that is no
+    defect density, as path:line.  The loaders walk a file this way only
+    after their one-pass parse has failed."""
+    values = []
+    for number, cell in numbered_cells:
+        try:
+            values.append((number, float(cell)))
+        except ValueError:
+            raise ValueError(f"{path}:{number}: not a number: {cell!r}") from None
+    for number, value in values:
+        try:
+            DefectSampleSet((value,))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
 
 
 def sample_set_to_dict(samples: DefectSampleSet) -> dict:

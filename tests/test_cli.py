@@ -572,14 +572,20 @@ def test_psp_json_not_a_list_of_objects_errors(tmp_path, capsys, text, reason):
     assert not (project / "psp").exists()
 
 
-@pytest.mark.parametrize("bad", ["abc", "inf", "nan", "-2"])
-def test_fit_rejects_bad_value_before_writing(tmp_path, capsys, bad):
-    samples = write(tmp_path / "s.txt", f"1.5\n2.5\n{bad}\n3.0\n")
+# a bad value on line 3 of a text file, or of a CSV file's column v
+@pytest.mark.parametrize("name,bad", [
+    ("s.txt", "abc"), ("s.txt", "inf"), ("s.txt", "nan"), ("s.txt", "-2"),
+    ("s.csv", "1e400"), ("s.csv", "-3"),
+], ids=["abc", "inf", "nan", "-2", "csv-1e400", "csv--3"])
+def test_fit_rejects_bad_value_before_writing(tmp_path, capsys, name, bad):
+    column = ["--column", "v"] if name.endswith(".csv") else []
+    head = "v\n1.5\n" if column else "1.5\n2.5\n"
+    samples = write(tmp_path / name, f"{head}{bad}\n3.0\n")
     project = tmp_path / "proj"
-    assert run_cli("--project-dir", project, "fit", "--samples", samples, "--label", "x") == 2
+    assert run_cli("--project-dir", project, "fit", "--samples", samples, *column,
+                   "--label", "x") == 2
     assert not (project / "phases/x").exists()
-    if bad == "abc":
-        assert f"{samples}:3" in capsys.readouterr().err
+    assert f"{samples}:3: " in capsys.readouterr().err
 
 
 def test_fit_text_samples(tmp_path, fixed_sample):

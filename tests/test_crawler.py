@@ -27,7 +27,7 @@ from webrely.harness import (
 )
 from webrely.harness import mock
 from webrely.harness.crawler import MAX_REDIRECTS, Session, login
-from webrely.stats.serialize import read_json
+from webrely.stats.serialize import dump_json
 
 AUTH = {
     "public": None,
@@ -68,10 +68,12 @@ def test_form_actions_discovered(crawled):
     assert insert_forms and set(insert_forms[0].fields) == {"name", "credits"}
 
 
-def test_whole_site_model_of_the_clean_mock(crawled):
-    # every view's nodes, actions, form fields and edges
+def test_whole_site_model_of_the_clean_mock(crawled, tmp_path):
+    # every view's nodes, actions, form fields and edges, as model.json's bytes
     model, _ = crawled
-    assert model.to_dict() == read_json(Path(__file__).parent / "data" / "mock_site_model.json")
+    dump_json(model.to_dict(), tmp_path / "model.json")
+    golden = Path(__file__).parent / "data" / "mock_site_model.json"
+    assert (tmp_path / "model.json").read_bytes() == golden.read_bytes()
 
 
 def test_entry_points_follow_login_redirects(crawled):

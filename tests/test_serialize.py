@@ -70,13 +70,13 @@ def reference_load(path):
         if not line or line.startswith("#"):
             continue
         try:
-            values.append(float(line))
+            values.append((number, float(line)))
         except ValueError:
             return f"{path}:{number}: not a number: {line!r}"
-    try:
-        return DefectSampleSet(tuple(values)).values
-    except ValueError as exc:
-        return str(exc)
+    for number, value in values:
+        if not 0.0 <= value < math.inf:
+            return f"{path}:{number}: defect density must be finite and >= 0, got {value}"
+    return tuple(value for _, value in values)
 
 
 def load_outcome(path):
@@ -145,6 +145,12 @@ def test_samples_csv_column(tmp_path):
         load_samples_csv(path, "nope")
     path.write_text("run,defect_density\n1,3\n2,x\n")
     with pytest.raises(ValueError, match=r"s\.csv:3: not a number: 'x'"):
+        load_samples_csv(path, "defect_density")
+    path.write_text("run,defect_density\n1,x\n2,-1\n3,y\n")
+    with pytest.raises(ValueError, match=r"s\.csv:2: not a number: 'x'"):
+        load_samples_csv(path, "defect_density")
+    path.write_text("run,defect_density\n1,3\n2,-1\n3,1e400\n")
+    with pytest.raises(ValueError, match=r"s\.csv:3: defect density must be finite and >= 0, got -1\.0$"):
         load_samples_csv(path, "defect_density")
 
 
