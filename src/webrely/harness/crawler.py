@@ -6,27 +6,45 @@ targets are visited in sorted order and node identities are sorted paths,
 so repeated crawls of a static site produce identical models.  login is
 the one login rule of the harness: the crawl and every tester call it.
 
-Session is the one HTTP client: http.client for the exchange and one
-http.cookiejar.CookieJar, with the headers and redirect rules of urllib.
-What depends only on its inputs is worked out once and reused: a URL's
-route (scheme, host, selector), a Content-Type's charset, and a URL's
-Cookie header until the jar changes or a cookie expires.  A request's
-bytes are those of a urllib.request.Request for the same URL.
+Session is the one HTTP client, with one http.cookiejar.CookieJar and the
+headers and redirect rules of urllib.  http.client opens each connection;
+Session frames the HTTP/1.1 exchange on it (RFC 9112) the way http.client
+does.  A request's bytes are those of a urllib.request.Request for the
+same URL, and an answer is read by the rules of http.client.HTTPResponse:
+the same status, fields, body and keep-alive, without building an email
+message except for an answer that sets a cookie.  What depends only on
+its inputs is worked out once and reused: a URL's route (scheme, host,
+request target), a connection's Host value, a Content-Type's charset, and
+a URL's Cookie header until the jar changes or a cookie expires.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import re
 import select
 import string
 import time
 from collections import deque
 from dataclasses import dataclass, replace
+from email.parser import Parser
 from functools import lru_cache
 from html.parser import HTMLParser
-from http.client import HTTPConnection, HTTPException, HTTPMessage, HTTPSConnection, InvalidURL
+from http.client import (
+    BadStatusLine,
+    HTTPConnection,
+    HTTPException,
+    HTTPMessage,
+    HTTPSConnection,
+    IncompleteRead,
+    InvalidURL,
+    LineTooLong,
+    RemoteDisconnected,
+    UnknownProtocol,
+)
 from http.cookiejar import CookieJar
+from types import SimpleNamespace
 from urllib.parse import quote, urlencode, urljoin, urlparse
 from urllib.request import Request
 
@@ -101,7 +119,8 @@ class _PageScan(HTMLParser):
 
 
 # raised by Session.fetch when no answer arrives; timeouts and refused or
-# dropped connections are OSErrors
+# dropped connections are OSErrors, and a malformed or truncated answer is
+# an HTTPException
 CLIENT_ERRORS = (OSError, HTTPException)
 
 MAX_REDIRECTS = 10
@@ -109,6 +128,35 @@ MAX_REDIRECTS = 10
 # request bytes are those of a urllib request
 _HEADERS = {"User-agent": f"webrely/{__version__}"}
 _FORM_HEADERS = {**_HEADERS, "Content-type": "application/x-www-form-urlencoded"}
+
+
+def _header_bytes(headers: dict[str, str]) -> bytes:
+    """headers as putheader writes them, each line ending in CRLF."""
+    return b"".join(b"%s: %s\r\n" % (name.encode("ascii"), value.encode("latin-1"))
+                    for name, value in headers.items())
+
+
+_GET_LINES = _header_bytes(_HEADERS)
+_FORM_LINES = _header_bytes(_FORM_HEADERS)
+
+# http.client's limits: the longest status, field, chunk-size or trailer
+# line, and the most field lines in one answer
+_MAXLINE = 65536
+_MAXHEADERS = 100
+# what http.client's putrequest refuses in a request target
+_BAD_TARGET = re.compile("[\x00-\x20\x7f]").search
+# The lines of a header block as email.feedparser, which parse_headers
+# runs, reads them.  Each match is one of: a field (a name of printable
+# ASCII but ":", a colon, and the value, which goes on over each following
+# line that starts with a space or tab); a line that belongs to no field (a
+# unix-from line, one that starts with a colon, or a continuation after
+# either); or the first line that is neither, which ends the fields and is
+# taken with all that follows.  Lines end in CRLF, CR or LF.
+_BLOCK_LINES = re.compile(
+    r"([\041-\071\073-\176]+):[ \t]*([^\r\n]*(?:(?:\r\n|\r|\n)[ \t][^\r\n]*)*)(?:\r\n|\r|\n|\Z)"
+    r"|(?:From |:|[ \t])[^\r\n]*(?:\r\n|\r|\n|\Z)"
+    r"|[\s\S]*"
+).findall
 
 
 @dataclass(frozen=True)
@@ -119,14 +167,35 @@ class Page:
 
 
 @lru_cache(maxsize=256)
-def _route(url: str) -> tuple[str, str, str] | None:
-    """(scheme, host, selector) of an http(s) URL, as urllib.request.Request
-    parses them; None for any other URL."""
+def _route(url: str) -> tuple[str, str, bytes] | None:
+    """(scheme, host, request target) of an http(s) URL, as
+    urllib.request.Request parses them and putrequest checks and encodes
+    the target; None for any other URL.  Raises InvalidURL for a target
+    that holds a control character or a space."""
     parts = urlparse(url)
     if parts.scheme not in ("http", "https") or not parts.netloc:
         return None
     request = Request(url)
-    return request.type, request.host, request.selector
+    target = request.selector or "/"
+    bad = _BAD_TARGET(target)
+    if bad:
+        raise InvalidURL(f"URL can't contain control characters. {target!r} "
+                         f"(found at least {bad.group()!r})")
+    return request.type, request.host, target.encode("ascii")
+
+
+@lru_cache(maxsize=64)
+def _host(host: str, port: int, default_port: int) -> bytes:
+    """The Host value putrequest sends to a connection's host and port:
+    IDNA for a name that is not ASCII, brackets round an IPv6 address with
+    its zone dropped, and no port when it is the scheme's default."""
+    try:
+        name = host.encode("ascii")
+    except UnicodeEncodeError:
+        name = host.encode("idna")
+    if ":" in host:
+        name = b"[" + name.partition(b"%")[0] + b"]"
+    return name if port == default_port else b"%s:%d" % (name, port)
 
 
 @lru_cache(maxsize=64)
@@ -148,19 +217,157 @@ def _hung_up(sock) -> bool:
     return bool(poller.poll(0))
 
 
+def _status_line(reader) -> tuple[str, int]:
+    """The version and status of the next status line, read as
+    HTTPResponse._read_status reads it."""
+    line = str(reader.readline(_MAXLINE + 1), "iso-8859-1")
+    if len(line) > _MAXLINE:
+        raise LineTooLong("status line")
+    if not line:
+        raise RemoteDisconnected("Remote end closed connection without response")
+    words = line.split(None, 2)
+    if len(words) < 2 or not words[0].startswith("HTTP/"):
+        raise BadStatusLine(line)
+    try:
+        status = int(words[1])
+    except ValueError:
+        raise BadStatusLine(line) from None
+    if not 100 <= status <= 999:
+        raise BadStatusLine(line)
+    return words[0], status
+
+
+def _lines(reader, kind: str, most: float = _MAXHEADERS) -> list[bytes]:
+    """The lines up to and including the blank one that ends a header block
+    or a trailer, or up to the end of the stream."""
+    lines = []
+    while True:
+        line = reader.readline(_MAXLINE + 1)
+        if len(line) > _MAXLINE:
+            raise LineTooLong(f"{kind} line")
+        lines.append(line)
+        if len(lines) > most:
+            raise HTTPException(f"got more than {most} headers")
+        if line in (b"\r\n", b"\n", b""):
+            return lines
+
+
+def _fields(block: str) -> dict[str, list[str]]:
+    """Lowercase field name -> its values in order, as get_all returns them
+    from the HTTPMessage that parse_headers makes of the header block."""
+    fields: dict[str, list[str]] = {}
+    for name, value in _BLOCK_LINES(block):
+        if name:
+            fields.setdefault(name.lower(), []).append(value)
+    return fields
+
+
+def _first(fields: dict[str, list[str]], name: str) -> str | None:
+    """A field's first value, as HTTPMessage.get returns it."""
+    values = fields.get(name)
+    return values[0] if values else None
+
+
+def _exactly(reader, size: int) -> bytes:
+    data = reader.read(size)
+    if len(data) < size:
+        raise IncompleteRead(data, size - len(data))
+    return data
+
+
+def _chunked(reader) -> bytes:
+    """A chunked body: each chunk's size line, its extensions dropped, then
+    the chunk and the two bytes after it; the last chunk's trailer lines
+    are read and dropped."""
+    chunks = []
+    while True:
+        line = reader.readline(_MAXLINE + 1)
+        if len(line) > _MAXLINE:
+            raise LineTooLong("chunk size")
+        try:
+            size = int(line.partition(b";")[0], 16)
+        except ValueError:
+            raise IncompleteRead(b"".join(chunks)) from None
+        if size == 0:
+            _lines(reader, "trailer", math.inf)
+            return b"".join(chunks)
+        chunks.append(_exactly(reader, size))
+        _exactly(reader, 2)
+
+
+def _closes(version: str, fields: dict[str, list[str]]) -> bool:
+    """Whether the server closes the connection after this answer, by the
+    rule of HTTPResponse._check_close."""
+    connection = (_first(fields, "connection") or "").lower()
+    if version not in ("HTTP/1.0", "HTTP/0.9"):
+        return "close" in connection
+    return not (_first(fields, "keep-alive") or "keep-alive" in connection
+                or "keep-alive" in (_first(fields, "proxy-connection") or "").lower())
+
+
+def _answer(reader) -> tuple[int, str, dict[str, list[str]], bytes, bool]:
+    """(status, header block, fields, body, closes) of the next answer
+    on reader, framed as HTTPResponse.begin and read() frame it (see
+    Session)."""
+    version, status = _status_line(reader)
+    while status == 100:
+        _lines(reader, "header")
+        version, status = _status_line(reader)
+    if not (version in ("HTTP/1.0", "HTTP/0.9") or version.startswith("HTTP/1.")):
+        raise UnknownProtocol(version)
+    block = b"".join(_lines(reader, "header")).decode("iso-8859-1")
+    fields = _fields(block)
+    closes = _closes(version, fields)
+    try:
+        length = int(_first(fields, "content-length") or "")
+    except ValueError:
+        length = -1  # no length: an invalid one counts as none, as a negative one does
+    if (_first(fields, "transfer-encoding") or "").lower() == "chunked":
+        body = _chunked(reader)
+    elif status in (204, 304) or 100 <= status < 200:
+        body = b""
+    elif length < 0:
+        body, closes = reader.read(), True
+    else:
+        body = _exactly(reader, length)
+    return status, block, fields, body, closes
+
+
 class Session:
     """HTTP/1.1 client with one cookie jar, for one crawl view or one tester.
 
-    It keeps one connection per (scheme, host) open until close().  Proxy
-    environment variables are not honoured: a proxy's failures must never
-    count as the target's.
+    It keeps one connection per (scheme, host) open until close(), an
+    error, or an answer after which the server closes it.  http.client
+    opens each connection (TCP_NODELAY, and TLS with SNI for https);
+    Session writes each request on it in one piece and reads each answer
+    itself, as http.client.HTTPResponse would:
+
+    - a 100 Continue before the answer is skipped;
+    - a 1xx, 204 or 304 answer has no body, unless it is chunked;
+    - a chunked body is unchunked, its chunk extensions and trailer dropped;
+    - else a Content-Length that is a non-negative integer sizes the body;
+    - else the body runs to the end of the stream, and the connection
+      closes after it;
+    - the connection is kept after an HTTP/1.1 answer unless its
+      Connection field says close, and after an HTTP/1.0 one only when it
+      asks for keep-alive.
+
+    There is no answer when the connection is refused, reset or times out
+    (an OSError), and when the answer is malformed or cut short (an
+    HTTPException): a status line that is not HTTP/1.x with a status of
+    three digits, a line over 65 536 bytes, more than 100 fields, a body
+    shorter than its length, or a chunk size that is not hex.  Either way
+    the connection is closed and the next request opens a new one.
+
+    Proxy environment variables are not honoured: a proxy's failures must
+    never count as the target's.
     """
 
     def __init__(self):
         self._jar = CookieJar()
         self._connections: dict[tuple[str, str], HTTPConnection] = {}
-        # URL -> the headers add_cookie_header adds to a request for it
-        self._cookie_headers: dict[str, dict[str, str]] = {}
+        # URL -> the header lines add_cookie_header adds to a request for it
+        self._cookie_lines: dict[str, bytes] = {}
         self._holds_cookies = False
         self._cookies_expire = math.inf  # the earliest expires in the jar
 
@@ -179,7 +386,8 @@ class Session:
               follow: bool = True) -> Page:
         """GET url, or POST form to it; every answer, whatever its status, is
         a Page.  Raises one of CLIENT_ERRORS when no answer comes back,
-        including for a URL that is not http(s).
+        including for a URL that is not http(s) and for an answer that is
+        malformed or cut short.
 
         Redirects follow urllib's rules: a GET follows 301, 302, 303, 307
         and 308; a POST follows only 301, 302 and 303, as a GET without its
@@ -206,34 +414,56 @@ class Session:
             page = self._exchange(url, route, data, timeout)
         return page
 
-    def _exchange(self, url: str, route: tuple[str, str, str], data: bytes | None,
+    def _exchange(self, url: str, route: tuple[str, str, bytes], data: bytes | None,
                   timeout: float) -> Page:
-        """One request and its answer over the kept-alive connection."""
-        scheme, host, selector = route
-        # urllib's order: the jar's headers, then the request's own
-        headers = {**self._cookies_for(url), **(_HEADERS if data is None else _FORM_HEADERS)}
+        """One request and its answer over the kept-alive connection.
+
+        The request is written in one piece, in urllib's order: the request
+        line, Host, Accept-Encoding, Content-Length for a POST, the jar's
+        headers, then the request's own.  Each answer is read through a
+        reader of its own, so bytes past its framing are never taken for
+        the next answer.  Any error closes the connection, and so does an
+        answer after which the server closes it.
+        """
+        scheme, host, target = route
+        cookies = self._cookies_for(url)
         connection = self._connection(scheme, host, timeout)
+        head = b"%s %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n" % (
+            b"GET" if data is None else b"POST", target,
+            _host(connection.host, connection.port, connection.default_port))
+        if data is None:
+            request = b"%s%s%s\r\n" % (head, cookies, _GET_LINES)
+        else:
+            request = b"%sContent-Length: %d\r\n%s%s\r\n%s" % (
+                head, len(data), cookies, _FORM_LINES, data)
         try:
-            connection.request("GET" if data is None else "POST", selector, data, headers)
-            response = connection.getresponse()
-            body = response.read()
+            if connection.sock is None:
+                connection.connect()
+            connection.sock.sendall(request)
+            with connection.sock.makefile("rb") as reader:
+                status, block, fields, body, closes = _answer(reader)
         except BaseException:
             connection.close()  # half a request or answer: the next one reconnects
             raise
-        # the jar makes no cookie from an answer without these headers
-        if "Set-Cookie" in response.headers or "Set-Cookie2" in response.headers:
-            self._jar.extract_cookies(response, Request(url))
+        if closes:
+            connection.close()
+        # the jar makes no cookie from an answer without these fields, and
+        # reads them from the HTTPMessage that the answer's info() returns
+        if "set-cookie" in fields or "set-cookie2" in fields:
+            message = Parser(_class=HTTPMessage).parsestr(block)
+            self._jar.extract_cookies(SimpleNamespace(info=lambda: message), Request(url))
             self._jar_changed()
-        charset = _charset(response.headers.get("Content-Type"))
+        charset = _charset(_first(fields, "content-type"))
         try:
             text = body.decode(charset, "replace")
         except (LookupError, ValueError):
             # no text codec by that name (a NUL in the name is a ValueError)
             text = body.decode("utf-8", "replace")
-        return Page(response.status, response.getheader("Location"), text)
+        location = fields.get("location")
+        return Page(status, None if location is None else ", ".join(location), text)
 
-    def _cookies_for(self, url: str) -> dict[str, str]:
-        """The headers CookieJar.add_cookie_header adds to a request for url.
+    def _cookies_for(self, url: str) -> bytes:
+        """The header lines CookieJar.add_cookie_header adds to a request for url.
 
         They change only when the jar does, so the jar is asked only while
         it holds a cookie, and once per URL until an answer sets a cookie or
@@ -243,17 +473,17 @@ class Session:
             self._jar.clear_expired_cookies()
             self._jar_changed()
         if not self._holds_cookies:
-            return {}
-        headers = self._cookie_headers.get(url)
-        if headers is None:
+            return b""
+        lines = self._cookie_lines.get(url)
+        if lines is None:
             request = Request(url)
             self._jar.add_cookie_header(request)
-            headers = self._cookie_headers[url] = request.unredirected_hdrs
-        return headers
+            lines = self._cookie_lines[url] = _header_bytes(request.unredirected_hdrs)
+        return lines
 
     def _jar_changed(self) -> None:
         """Forget every remembered Cookie header and note what the jar holds now."""
-        self._cookie_headers.clear()
+        self._cookie_lines.clear()
         expires = [cookie.expires for cookie in self._jar]
         self._holds_cookies = bool(expires)
         self._cookies_expire = min((e for e in expires if e is not None), default=math.inf)
@@ -264,7 +494,7 @@ class Session:
             kind = HTTPSConnection if scheme == "https" else HTTPConnection
             connection = self._connections[(scheme, host)] = kind(host, timeout=timeout)
         elif connection.sock is not None and _hung_up(connection.sock):
-            connection.close()  # the server hung up while idle; request() reconnects
+            connection.close()  # the server hung up while idle; the request reconnects
         if connection.timeout != timeout:
             connection.timeout = timeout
             if connection.sock is not None:

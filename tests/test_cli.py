@@ -832,7 +832,7 @@ def test_mock_serve_subprocess():
             preexec_fn=preexec_fn,
         )
         # the session stays open, so the signal meets an idle kept-alive client
-        with Session() as session:
+        with proc.stdout, Session() as session:
             try:
                 line = proc.stdout.readline()
                 url = line.split()[-4]  # "mock target serving on <url> (Ctrl-C to stop)"

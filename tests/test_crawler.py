@@ -96,8 +96,8 @@ def test_model_json_roundtrip(crawled):
 
 
 def test_post_login_returns_redirect_unfollowed():
-    with MockTarget() as target:
-        entry = login(Session(), target.base_url, "professor", AUTH["professor"], 5)
+    with MockTarget() as target, Session() as session:
+        entry = login(session, target.base_url, "professor", AUTH["professor"], 5)
     assert entry == "/professor"
 
 

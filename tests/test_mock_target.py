@@ -16,19 +16,24 @@ from webrely.harness.mock import CREDENTIALS
 from webrely.harness.runner import HarnessConfig
 
 
+def _fetch(url: str, form: dict | None = None):
+    """One request through a Session of its own, closed after the answer."""
+    with Session() as session:
+        return session.fetch(url, form, timeout=5)
+
+
 def test_public_pages_carry_markers():
     with MockTarget() as target:
         for path in ("/", "/courses", "/courses/view", "/about"):
-            r = Session().fetch(target.base_url + path, timeout=5)
+            r = _fetch(target.base_url + path)
             assert r.status == 200
             assert f"page:{path}" in r.text
             assert FAULT_MARKER not in r.text
 
 
 def test_view_pages_require_login():
-    with MockTarget() as target:
-        assert Session().fetch(target.base_url + "/professor", timeout=5).status == 403
-        s = Session()
+    with MockTarget() as target, Session() as s:
+        assert _fetch(target.base_url + "/professor").status == 403
         r = s.fetch(
             target.base_url + "/login",
             {"view": "professor", "username": "prof", "password": "prof123"},
@@ -42,11 +47,8 @@ def test_view_pages_require_login():
 
 def test_bad_credentials_rejected():
     with MockTarget() as target:
-        r = Session().fetch(
-            target.base_url + "/login",
-            {"view": "professor", "username": "prof", "password": "wrong"},
-            timeout=5,
-        )
+        r = _fetch(target.base_url + "/login",
+                   {"view": "professor", "username": "prof", "password": "wrong"})
         assert r.status == 403
 
 
@@ -85,7 +87,7 @@ def test_concurrent_logins_get_distinct_sessions():
 def test_unknown_path_is_404(method, path):
     form = None if method == "GET" else {}
     with MockTarget() as target:
-        assert Session().fetch(target.base_url + path, form, timeout=5).status == 404
+        assert _fetch(target.base_url + path, form).status == 404
 
 
 # each form page with a write that would show in the catalog or the grade list
@@ -111,23 +113,22 @@ def _login(target, view: str) -> Session:
 @pytest.mark.parametrize("path", sorted(FORM_POSTS))
 def test_form_post_without_the_view_session_is_403(path):
     view, form = FORM_POSTS[path]
-    with MockTarget() as target:
-        prof = _login(target, "professor")
+    other_view = "student" if view == "professor" else "professor"
+    with MockTarget() as target, _login(target, "professor") as prof, \
+            _login(target, other_view) as other:
 
         def tables():
-            return (Session().fetch(target.base_url + "/courses", timeout=5).text,
+            return (_fetch(target.base_url + "/courses").text,
                     prof.fetch(target.base_url + "/professor/students", timeout=5).text)
 
         before = tables()
-        other = _login(target, "student" if view == "professor" else "professor")
-        for session in (Session(), other):
-            assert session.fetch(target.base_url + path, form, timeout=5).status == 403
+        assert _fetch(target.base_url + path, form).status == 403
+        assert other.fetch(target.base_url + path, form, timeout=5).status == 403
         assert tables() == before
 
 
 def test_unknown_op_changes_nothing():
-    with MockTarget() as target:
-        s = _login(target, "professor")
+    with MockTarget() as target, _login(target, "professor") as s:
         r = s.fetch(target.base_url + "/professor/courses/edit",
                     {"op": "bogus", "course_id": "1"}, timeout=5)
         assert r.status == 200
@@ -135,8 +136,7 @@ def test_unknown_op_changes_nothing():
 
 
 def test_crud_roundtrip():
-    with MockTarget() as target:
-        s = Session()
+    with MockTarget() as target, Session() as s:
         s.fetch(target.base_url + "/login",
                 {"view": "professor", "username": "prof", "password": "prof123"}, timeout=5)
         r = s.fetch(target.base_url + "/professor/courses",
@@ -155,8 +155,7 @@ def test_crud_roundtrip():
 
 
 def test_course_table_stays_bounded():
-    with MockTarget() as target:
-        s = Session()
+    with MockTarget() as target, Session() as s:
         s.fetch(target.base_url + "/login",
                 {"view": "professor", "username": "prof", "password": "prof123"}, timeout=5)
         for _ in range(200):
@@ -176,8 +175,7 @@ def test_course_table_stays_bounded():
 
 
 def test_garbage_form_data_tolerated():
-    with MockTarget() as target:
-        s = Session()
+    with MockTarget() as target, Session() as s:
         s.fetch(target.base_url + "/login",
                 {"view": "student", "username": "stud", "password": "stud123"}, timeout=5)
         r = s.fetch(target.base_url + "/student/courses",
@@ -193,18 +191,17 @@ def test_fault_behaviors():
         SeededFault("/", "read", "missing-marker"),
     ]
     with MockTarget(faults) as target:
-        assert Session().fetch(target.base_url + "/about", timeout=5).status == 500
-        r = Session().fetch(target.base_url + "/courses", timeout=5)
+        assert _fetch(target.base_url + "/about").status == 500
+        r = _fetch(target.base_url + "/courses")
         assert r.status == 200 and FAULT_MARKER in r.text
-        r = Session().fetch(target.base_url + "/", timeout=5)
+        r = _fetch(target.base_url + "/")
         assert r.status == 200 and "page:/" not in r.text
 
 
 def test_fault_scoped_to_action():
     # a fault seeded on insert leaves plain reads of the same node healthy
     faults = [SeededFault("/professor/courses", "insert", "http-500")]
-    with MockTarget(faults) as target:
-        s = Session()
+    with MockTarget(faults) as target, Session() as s:
         s.fetch(target.base_url + "/login",
                 {"view": "professor", "username": "prof", "password": "prof123"}, timeout=5)
         assert s.fetch(target.base_url + "/professor/courses", timeout=5).status == 200

@@ -244,7 +244,8 @@ def test_rates_scale_inversely_with_time(factor):
 
 def test_csv_parse_error_positions(tmp_path):
     path = tmp_path / "bad.csv"
-    header = open(DATA / "psp_records.csv").readline()
+    with open(DATA / "psp_records.csv") as fh:
+        header = fh.readline()
     path.write_text(header + "program,xx,500,1,2,3,4,5,6,7,8,,,,\n")
     with pytest.raises(RecordParseError) as err:
         load_records(path)
