@@ -12,10 +12,12 @@ Session frames the HTTP/1.1 exchange on it (RFC 9112) the way http.client
 does.  A request's bytes are those of a urllib.request.Request for the
 same URL, and an answer is read by the rules of http.client.HTTPResponse:
 the same status, fields, body and keep-alive, without building an email
-message except for an answer that sets a cookie.  What depends only on
-its inputs is worked out once and reused: a URL's route (scheme, host,
+message except for an answer that sets a cookie.  Unlike http.client, it
+skips every interim 1xx answer, not only 100 Continue.  What depends only
+on its inputs is worked out once and reused: a URL's route (scheme, host,
 request target), a connection's Host value, a Content-Type's charset, and
-a URL's Cookie header until the jar changes or a cookie expires.
+a URL's Cookie header until the jar changes or a cookie expires.  The mock
+target reads each request's header block with the same reader.
 """
 
 from __future__ import annotations
@@ -75,6 +77,10 @@ class CrawlLimits:
             raise ValueError("crawl limits must be positive")
 
 
+# every ASCII character, which quote leaves as it is
+_ASCII = bytes(range(128))
+
+
 class _PageScan(HTMLParser):
     """Collects same-site link paths and form specs from one page."""
 
@@ -91,7 +97,9 @@ class _PageScan(HTMLParser):
         if parsed.scheme or parsed.netloc:
             return None  # off-site
         path = urlparse(urljoin(base_path, href)).path or "/"
-        return path
+        # a path that is not ASCII goes on the wire as UTF-8, percent-encoded
+        # (RFC 3986 section 2.1), as browsers send it
+        return path if path.isascii() else quote(path, _ASCII)
 
     def handle_starttag(self, tag, attrs):
         attrs = dict(attrs)
@@ -310,7 +318,7 @@ def _answer(reader) -> tuple[int, str, dict[str, list[str]], bytes, bool]:
     on reader, framed as HTTPResponse.begin and read() frame it (see
     Session)."""
     version, status = _status_line(reader)
-    while status == 100:
+    while 100 <= status < 200 and status != 101:  # interim answers (RFC 9110 section 15.2)
         _lines(reader, "header")
         version, status = _status_line(reader)
     if not (version in ("HTTP/1.0", "HTTP/0.9") or version.startswith("HTTP/1.")):
@@ -324,7 +332,7 @@ def _answer(reader) -> tuple[int, str, dict[str, list[str]], bytes, bool]:
         length = -1  # no length: an invalid one counts as none, as a negative one does
     if (_first(fields, "transfer-encoding") or "").lower() == "chunked":
         body = _chunked(reader)
-    elif status in (204, 304) or 100 <= status < 200:
+    elif status in (101, 204, 304):
         body = b""
     elif length < 0:
         body, closes = reader.read(), True
@@ -342,8 +350,9 @@ class Session:
     Session writes each request on it in one piece and reads each answer
     itself, as http.client.HTTPResponse would:
 
-    - a 100 Continue before the answer is skipped;
-    - a 1xx, 204 or 304 answer has no body, unless it is chunked;
+    - a 1xx answer other than 101 Switching Protocols is interim and is
+      skipped, where http.client skips only 100 Continue;
+    - a 101, 204 or 304 answer has no body, unless it is chunked;
     - a chunked body is unchunked, its chunk extensions and trailer dropped;
     - else a Content-Length that is a non-negative integer sizes the body;
     - else the body runs to the end of the stream, and the connection

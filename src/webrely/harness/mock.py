@@ -26,6 +26,14 @@ connection per worker (100 by default), so testers that start together
 are queued by the kernel, never refused.  The mock speaks HTTP/1.1 and
 keeps each connection open until its client hangs up; stop() hangs up on
 every open connection.
+
+http.server accepts each connection, reads each request line and
+dispatches it.  The handler reads the rest of the request itself, with the
+checks and error answers of BaseHTTPRequestHandler.parse_request, and its
+header block with the crawler's reader, the one the HTTP client uses.  It
+writes each answer in one piece, with the bytes send_response would write.
+Error answers (send_error) stay the stdlib's, and go out in two writes.
+tests/test_mock_framing.py checks the bytes against http.server's own path.
 """
 
 from __future__ import annotations
@@ -33,13 +41,19 @@ from __future__ import annotations
 import socket
 import sys
 import threading
+import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from email.utils import formatdate
+from functools import lru_cache
+from http import HTTPStatus
+from http.client import HTTPException, LineTooLong
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from ..stats.serialize import read_json
+from .crawler import _fields, _lines
 from .model import ACTIONS
 
 FAULT_MARKER = "##FAULT-MARKER##"
@@ -250,12 +264,21 @@ _PAGES = {
 }
 
 
+@lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The Date value of an answer sent in this whole second, as
+    date_time_string formats it."""
+    return formatdate(second, usegmt=True)
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "MockTarget/0.1"
     # keep-alive, as browsers use it; every answer carries a Content-Length
     protocol_version = "HTTP/1.1"
-    # headers and body go out in two writes; with Nagle's algorithm the body
-    # of a kept-alive answer waits for the client's delayed ACK (about 40 ms)
+    # an answer goes out in one write, but send_error writes an error
+    # answer's head and body apart, and a 100 Continue goes before its
+    # answer; with Nagle's algorithm the second write waits for the
+    # client's delayed ACK (about 40 ms)
     disable_nagle_algorithm = True
     # seconds a connection may sit silent, for example mid-way through a
     # body shorter than its Content-Length; then the server hangs up
@@ -264,18 +287,91 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # silence request logging
         pass
 
+    def parse_request(self) -> bool:
+        """BaseHTTPRequestHandler.parse_request, with its checks and error
+        answers, but with the header block read by the crawler's reader:
+        self.headers maps each lowercase field name to its first value."""
+        self.command = None  # set in case of an error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:  # enough to tell the version
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                number = version[5:].split(".")
+                # one dot between two numbers of at most ten digits each,
+                # leading zeros ignored (RFC 2145 section 3.1)
+                if len(number) != 2 or not all(n.isdigit() and len(n) <= 10 for n in number):
+                    raise ValueError
+                major, minor = int(number[0]), int(number[1])  # "²" is a digit, not an int
+            except ValueError:
+                self.send_error(HTTPStatus.BAD_REQUEST, "Bad request version (%r)" % version)
+                return False
+            if (major, minor) >= (1, 1):
+                self.close_connection = False
+            if major >= 2:
+                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                                "Invalid HTTP version (%s)" % version[5:])
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST, "Bad request syntax (%r)" % self.requestline)
+            return False
+        command, path = words[:2]
+        if len(words) == 2:  # HTTP/0.9: a GET, and no keep-alive
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(HTTPStatus.BAD_REQUEST, "Bad HTTP/0.9 request type (%r)" % command)
+                return False
+        if path.startswith("//"):  # it would read as a host (gh-87389)
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        try:
+            block = b"".join(_lines(self.rfile, "header")).decode("iso-8859-1")
+        except LineTooLong as err:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long", str(err))
+            return False
+        except HTTPException as err:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers",
+                            str(err))
+            return False
+        self.headers = {name: values[0] for name, values in _fields(block).items()}
+        connection = self.headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (self.headers.get("expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
+
     def _send(self, status: int, html: str, headers: dict | None = None):
+        """Write the answer in one piece, as the bytes send_response,
+        send_header and end_headers would write: the status line, Server,
+        Date, Content-Type, Content-Length, then headers, and the body.  An
+        answer to an HTTP/0.9 request is its body alone."""
         payload = html.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/html; charset=utf-8")
-        self.send_header("Content-Length", str(len(payload)))
-        for k, v in (headers or {}).items():
-            self.send_header(k, v)
-        self.end_headers()
-        self.wfile.write(payload)
+        headers = headers or {}
+        if headers.get("Connection") == "close":
+            self.close_connection = True  # as send_header sets it
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(payload)
+            return
+        head = "%s %d %s\r\nServer: %s\r\nDate: %s\r\n" \
+               "Content-Type: text/html; charset=utf-8\r\nContent-Length: %d\r\n%s\r\n" % (
+                   self.protocol_version, status, self.responses[status][0],
+                   self.version_string(), _http_date(int(time.time())), len(payload),
+                   "".join(f"{name}: {value}\r\n" for name, value in headers.items()))
+        self.wfile.write(head.encode("latin-1") + payload)
 
     def _session_view(self, state: _State) -> str | None:
-        cookie = self.headers.get("Cookie", "")
+        cookie = self.headers.get("cookie", "")
         for part in cookie.split(";"):
             name, _, value = part.strip().partition("=")
             if name == "session":
@@ -287,14 +383,14 @@ class _Handler(BaseHTTPRequestHandler):
     # connection ends after the answer instead.
 
     def do_GET(self):
-        if "Content-Length" in self.headers or "Transfer-Encoding" in self.headers:
+        if "content-length" in self.headers or "transfer-encoding" in self.headers:
             self.close_connection = True
         self._serve(None)
 
     def do_POST(self):
-        if "Transfer-Encoding" in self.headers:
+        if "transfer-encoding" in self.headers:
             self.close_connection = True
-        length = self.headers.get("Content-Length", "0").strip()
+        length = self.headers.get("content-length", "0").strip()
         if not (length.isascii() and length.isdigit()):  # junk or negative
             # the body cannot be skipped, so it would be read as the next
             # request: hang up after the answer (the header sets close_connection)

@@ -303,6 +303,36 @@ def test_unknown_charset_is_read_as_utf8(charset, serving, tmp_path):
     assert [(r.action, r.outcome) for r in records if r.action == "read"] == [("read", "ok")]
 
 
+class _Links(BaseHTTPRequestHandler):
+    """Answers GET / with a page that links /café, and every other path with
+    an empty page; records each request target."""
+
+    protocol_version = "HTTP/1.1"
+    seen: list
+
+    def log_message(self, *a):
+        pass
+
+    def do_GET(self):
+        self.seen.append(self.path)
+        body = ('<a href="/café">Café</a>' if self.path == "/" else "").encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "text/html; charset=utf-8")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+def test_crawl_follows_a_link_that_is_not_ascii(serving):
+    # the link goes on the wire as a browser sends it: UTF-8, percent-encoded
+    seen = []
+    with serving(type("Handler", (_Links,), {"seen": seen})) as url:
+        model = crawl_site(url + "/", {"public": None})
+    assert seen == ["/", "/caf%C3%A9"]
+    assert [n.path for n in model.view_nodes("public")] == ["/", "/caf%C3%A9"]
+    assert model.edges == {("public:/", "public:/caf%C3%A9")}
+
+
 class _Wire(socketserver.StreamRequestHandler):
     """Records each request's head and body as the bytes that arrived, and
     answers every path with "ok", plus the status and header lines that

@@ -225,6 +225,19 @@ def test_bytes_past_an_answer_are_never_the_next_answer(raw_server):
     assert [(p.status, p.text) for p in pages] == [(200, "ok")] * 3
 
 
+def test_interim_answers_are_skipped(raw_server):
+    # http.client takes a 103 for the final answer; RFC 9110 section 15.2
+    # has a client skip every 1xx before the final one
+    answers = {"/x": b"HTTP/1.1 103 Early Hints\r\nLink: </s.css>; rel=preload\r\n\r\n"
+                     b"HTTP/1.1 102 Processing\r\n\r\n"
+                     b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nlast"}
+    with raw_server(answers, set()) as (url, accepted), Session() as session:
+        page = session.fetch(url + "/x", timeout=5)
+        assert session.fetch(url + "/ok", timeout=5).text == "ok"
+    assert (page.status, page.text) == (200, "last")
+    assert len(accepted) == 1
+
+
 # email.feedparser's view of a header block is the reference for Session's
 _FIELD_LINES = st.sampled_from([
     "A: 1", "a:2", "B:\t x \t", " cont", "\tcont", "From x", "From: y", ":z", "no colon",
