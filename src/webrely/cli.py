@@ -59,25 +59,17 @@ COMPARE_CURVE_POINTS = 512
 # --- config files -------------------------------------------------------------
 # A config dataclass declares its keys: each field annotated float, int or str
 # is one key, parsed by that type and checked by the class on construction.
-# An absent key leaves its field at the dataclass default.
+# The key is the field's name, or the "key" in its metadata when the file
+# spells it otherwise.  An absent key leaves its field at the default.
 
 # an annotation is a string under `from __future__ import annotations`
 _PARSERS = {t: t for t in (float, int, str)} | {t.__name__: t for t in (float, int, str)}
-
-# the config-file keys that are not the name of their field
-KEY_OF_FIELD = {
-    "cases_per_round": "cases",
-    "duration_s": "duration",
-    "arrival_mean_s": "arrival_mean",
-    "request_timeout_s": "request_timeout",
-    "max_pages_per_view": "max_pages",
-}
 
 
 def config_keys(config_class) -> dict:
     """Config-file key -> (field, parser) for each keyed field of a config class."""
     return {
-        KEY_OF_FIELD.get(f.name, f.name): (f.name, _PARSERS[f.type])
+        f.metadata.get("key", f.name): (f.name, _PARSERS[f.type])
         for f in fields(config_class)
         if f.type in _PARSERS
     }

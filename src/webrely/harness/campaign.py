@@ -23,7 +23,7 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class CampaignConfig:
     evaluations: int = 500
-    cases_per_round: int = 1000
+    cases_per_round: int = field(default=1000, metadata={"key": "cases"})
     walk_length: int = 6
     seed: int = 0
     harness: HarnessConfig = HarnessConfig()

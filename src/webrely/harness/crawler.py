@@ -12,11 +12,11 @@ Session frames the HTTP/1.1 exchange on it (RFC 9112) the way http.client
 does.  A request's bytes are those of a urllib.request.Request for the
 same URL, and an answer is read by the rules of http.client.HTTPResponse:
 the same status, fields, body and keep-alive, without building an email
-message except for an answer that sets a cookie.  Unlike http.client, it
-skips every interim 1xx answer, not only 100 Continue.  What depends only
-on its inputs is worked out once and reused: a URL's route (scheme, host,
-request target), a connection's Host value, a Content-Type's charset, and
-a URL's Cookie header until the jar changes or a cookie expires.  The mock
+message; the cookie jar reads Set-Cookie from the parsed fields.  Unlike
+http.client, it skips every interim 1xx answer, not only 100 Continue.
+What depends only on its inputs is worked out once and reused: a URL's
+route (scheme, host, request target), a Content-Type's charset, and a
+URL's Cookie header until the jar changes or a cookie expires.  The mock
 target reads each request's header block with the same reader.
 """
 
@@ -29,8 +29,7 @@ import select
 import string
 import time
 from collections import deque
-from dataclasses import dataclass, replace
-from email.parser import Parser
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from html.parser import HTMLParser
 from http.client import (
@@ -70,7 +69,7 @@ class Credentials:
 @dataclass(frozen=True)
 class CrawlLimits:
     max_depth: int = 5
-    max_pages_per_view: int = 50
+    max_pages_per_view: int = field(default=50, metadata={"key": "max_pages"})
 
     def __post_init__(self):
         if self.max_depth < 1 or self.max_pages_per_view < 1:
@@ -192,7 +191,6 @@ def _route(url: str) -> tuple[str, str, bytes] | None:
     return request.type, request.host, target.encode("ascii")
 
 
-@lru_cache(maxsize=64)
 def _host(host: str, port: int, default_port: int) -> bytes:
     """The Host value putrequest sends to a connection's host and port:
     IDNA for a name that is not ASCII, brackets round an IPv6 address with
@@ -225,12 +223,18 @@ def _hung_up(sock) -> bool:
     return bool(poller.poll(0))
 
 
+def _line(reader, kind: str) -> bytes:
+    """The next line, raising LineTooLong when it is over _MAXLINE bytes."""
+    line = reader.readline(_MAXLINE + 1)
+    if len(line) > _MAXLINE:
+        raise LineTooLong(kind)
+    return line
+
+
 def _status_line(reader) -> tuple[str, int]:
     """The version and status of the next status line, read as
     HTTPResponse._read_status reads it."""
-    line = str(reader.readline(_MAXLINE + 1), "iso-8859-1")
-    if len(line) > _MAXLINE:
-        raise LineTooLong("status line")
+    line = str(_line(reader, "status line"), "iso-8859-1")
     if not line:
         raise RemoteDisconnected("Remote end closed connection without response")
     words = line.split(None, 2)
@@ -250,9 +254,7 @@ def _lines(reader, kind: str, most: float = _MAXHEADERS) -> list[bytes]:
     or a trailer, or up to the end of the stream."""
     lines = []
     while True:
-        line = reader.readline(_MAXLINE + 1)
-        if len(line) > _MAXLINE:
-            raise LineTooLong(f"{kind} line")
+        line = _line(reader, f"{kind} line")
         lines.append(line)
         if len(lines) > most:
             raise HTTPException(f"got more than {most} headers")
@@ -289,11 +291,8 @@ def _chunked(reader) -> bytes:
     are read and dropped."""
     chunks = []
     while True:
-        line = reader.readline(_MAXLINE + 1)
-        if len(line) > _MAXLINE:
-            raise LineTooLong("chunk size")
         try:
-            size = int(line.partition(b";")[0], 16)
+            size = int(_line(reader, "chunk size").partition(b";")[0], 16)
         except ValueError:
             raise IncompleteRead(b"".join(chunks)) from None
         if size == 0:
@@ -313,18 +312,16 @@ def _closes(version: str, fields: dict[str, list[str]]) -> bool:
                 or "keep-alive" in (_first(fields, "proxy-connection") or "").lower())
 
 
-def _answer(reader) -> tuple[int, str, dict[str, list[str]], bytes, bool]:
-    """(status, header block, fields, body, closes) of the next answer
-    on reader, framed as HTTPResponse.begin and read() frame it (see
-    Session)."""
+def _answer(reader) -> tuple[int, dict[str, list[str]], bytes, bool]:
+    """(status, fields, body, closes) of the next answer on reader, framed
+    as HTTPResponse.begin and read() frame it (see Session)."""
     version, status = _status_line(reader)
     while 100 <= status < 200 and status != 101:  # interim answers (RFC 9110 section 15.2)
         _lines(reader, "header")
         version, status = _status_line(reader)
     if not (version in ("HTTP/1.0", "HTTP/0.9") or version.startswith("HTTP/1.")):
         raise UnknownProtocol(version)
-    block = b"".join(_lines(reader, "header")).decode("iso-8859-1")
-    fields = _fields(block)
+    fields = _fields(b"".join(_lines(reader, "header")).decode("iso-8859-1"))
     closes = _closes(version, fields)
     try:
         length = int(_first(fields, "content-length") or "")
@@ -338,7 +335,7 @@ def _answer(reader) -> tuple[int, str, dict[str, list[str]], bytes, bool]:
         body, closes = reader.read(), True
     else:
         body = _exactly(reader, length)
-    return status, block, fields, body, closes
+    return status, fields, body, closes
 
 
 class Session:
@@ -450,17 +447,18 @@ class Session:
                 connection.connect()
             connection.sock.sendall(request)
             with connection.sock.makefile("rb") as reader:
-                status, block, fields, body, closes = _answer(reader)
+                status, fields, body, closes = _answer(reader)
         except BaseException:
             connection.close()  # half a request or answer: the next one reconnects
             raise
         if closes:
             connection.close()
         # the jar makes no cookie from an answer without these fields, and
-        # reads them from the HTTPMessage that the answer's info() returns
+        # reads them with get_all on what the answer's info() returns
         if "set-cookie" in fields or "set-cookie2" in fields:
-            message = Parser(_class=HTTPMessage).parsestr(block)
-            self._jar.extract_cookies(SimpleNamespace(info=lambda: message), Request(url))
+            info = SimpleNamespace(
+                get_all=lambda name, default=None: fields.get(name.lower(), default))
+            self._jar.extract_cookies(SimpleNamespace(info=lambda: info), Request(url))
             self._jar_changed()
         charset = _charset(_first(fields, "content-type"))
         try:

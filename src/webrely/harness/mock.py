@@ -53,7 +53,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from ..stats.serialize import read_json
-from .crawler import _fields, _lines
+from .crawler import LOGIN_PATH, _fields, _lines
 from .model import ACTIONS
 
 FAULT_MARKER = "##FAULT-MARKER##"
@@ -397,14 +397,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(400, "<html><body><h1>Bad Request</h1></body></html>\n",
                        {"Connection": "close"})
             return
-        raw = self.rfile.read(int(length)).decode("utf-8")
+        # bytes that are not UTF-8 become U+FFFD, as parse_qs decodes escapes
+        raw = self.rfile.read(int(length)).decode("utf-8", "replace")
         self._serve({k: v[0] for k, v in parse_qs(raw).items()})
 
     def _serve(self, form: dict | None):
         """Answer a GET (form None) or a POST of form."""
         url = urlparse(self.path)
         state: _State = self.server.state  # type: ignore[attr-defined]
-        if form is not None and url.path == "/login":
+        if form is not None and url.path == LOGIN_PATH:
             self._login(state, form)
             return
         page = _PAGES.get(url.path)

@@ -98,6 +98,9 @@ class SiteModel:
                         for fd in nd.get("forms", [])
                     ),
                 )
+                if not str(node.path).isascii():  # no request target can carry it
+                    raise ValueError(f"site model node {node.id!r}: path is not ASCII; "
+                                     "percent-encode it as a crawl does")
                 nodes[node.id] = node
             return cls(
                 nodes=nodes,

@@ -18,7 +18,7 @@ import math
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from urllib.parse import urljoin
@@ -34,10 +34,10 @@ __all__ = ["HarnessConfig", "run_evaluation"]
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    duration_s: float = 100.0
-    arrival_mean_s: float = 4.0
+    duration_s: float = field(default=100.0, metadata={"key": "duration"})
+    arrival_mean_s: float = field(default=4.0, metadata={"key": "arrival_mean"})
     workers: int = 100
-    request_timeout_s: float = 10.0
+    request_timeout_s: float = field(default=10.0, metadata={"key": "request_timeout"})
 
     def __post_init__(self):
         for name in ("duration_s", "arrival_mean_s", "request_timeout_s"):

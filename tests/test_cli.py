@@ -203,6 +203,21 @@ def test_evaluate_malformed_model_exits_2(tmp_path, capsys, doc):
     assert not (project / "phases").exists()
 
 
+def test_evaluate_model_with_a_path_that_is_not_ascii_exits_2(tmp_path, capsys):
+    # no request target carries /café: a tester on that node would end the run
+    doc = json.loads((DATA / "mock_site_model.json").read_text())
+    doc["nodes"].append({"view": "public", "path": "/café", "actions": ["read"], "forms": []})
+    doc["edges"].append(["public:/", "public:/café"])
+    model = write(tmp_path / "model.json", json.dumps(doc))
+    cfg = write(tmp_path / "eval.cfg", EVAL_CFG)
+    project = tmp_path / "proj"
+    argv = ["evaluate", "--target", "http://127.0.0.1:9", "--label", "x",
+            "--config", cfg, "--model", model]
+    assert run_cli("--project-dir", project, *argv) == 2
+    assert "site model node 'public:/café': path is not ASCII" in capsys.readouterr().err
+    assert not (project / "phases").exists()
+
+
 # each label flag, as argv around the label; an unreachable target exits 6
 # if it is ever contacted
 LABEL_ARGVS = {
@@ -1000,6 +1015,16 @@ def _readme_config_keys() -> set[str]:
 def test_readme_lists_exactly_the_config_keys():
     classes = (SimConfig, CampaignConfig, HarnessConfig, CrawlLimits, Analysis)
     assert _readme_config_keys() == set().union(*map(cli.config_keys, classes))
+
+
+@pytest.mark.parametrize("classes", [
+    (SimConfig, Analysis),
+    (CampaignConfig, HarnessConfig, CrawlLimits, Analysis),
+], ids=["simulate", "evaluate"])
+def test_config_classes_read_together_share_no_key(classes):
+    # _read_config would give a shared key to the first class alone
+    keys = [set(cli.config_keys(c)) for c in classes]
+    assert sum(map(len, keys)) == len(set().union(*keys))
 
 
 def _per_point_pdf(model: WeibullModel, x: float) -> float:

@@ -1,3 +1,4 @@
+import email.parser
 import re
 import socketserver
 import time
@@ -424,6 +425,19 @@ def test_cookie_expires_when_the_jar_says(serving, monkeypatch):
     bare = _head("GET", url + "/page", agent)
     assert sent == [(0, cookie, True), (59, cookie, True), (59.49, cookie, True),
                     (59.5, bare, False), (60, bare, False), (61, bare, False)]
+
+
+def test_jar_reads_the_cookies_from_the_parsed_fields(monkeypatch):
+    # an answer's header block is parsed once, and no email message is made
+    # of it again for the jar
+    def refuse(*args, **kwargs):
+        raise AssertionError("a header block was parsed into an email message")
+
+    monkeypatch.setattr(email.parser.Parser, "parsestr", refuse)
+    with MockTarget() as target, Session() as session:
+        assert login(session, target.base_url, "student", AUTH["student"], 5) == "/student"
+        assert [cookie.name for cookie in session._jar] == ["session"]
+        assert session.fetch(target.base_url + "/student", timeout=5).status == 200
 
 
 def test_jar_is_asked_once_per_url(monkeypatch, tmp_path):

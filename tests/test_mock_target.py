@@ -298,6 +298,25 @@ def test_short_body_is_dropped_after_read_timeout(monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_post_body_that_is_not_utf8_is_a_bad_login(capsys):
+    # bytes that are not UTF-8 decode to U+FFFD, as parse_qs decodes escapes:
+    # the login is refused like any bad one, on the kept connection
+    login = b"POST /login HTTP/1.1\r\nHost: mock\r\nContent-Length: 1\r\n\r\n\xff"
+    statuses = []
+    with MockTarget() as target:
+        url = urlparse(target.base_url)
+        with socket.create_connection((url.hostname, url.port), timeout=5.0) as sock:
+            for request in (login, b"GET /about HTTP/1.1\r\nHost: mock\r\n\r\n"):
+                sock.sendall(request)
+                answer = http.client.HTTPResponse(sock)
+                answer.begin()
+                answer.read()
+                answer.close()
+                statuses.append(answer.status)
+    assert statuses == [403, 200]
+    assert capsys.readouterr().err == ""
+
+
 def test_stop_is_prompt_with_an_idle_client():
     # stop() waits for serve_forever's next poll, and server_close joins
     # every handler thread, so an idle kept-alive client would hold stop()
