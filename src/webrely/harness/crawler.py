@@ -4,31 +4,47 @@ Authenticated views log in first and start from wherever the login
 redirects; the public view starts at the crawl root.  Links and form
 targets are visited in sorted order and node identities are sorted paths,
 so repeated crawls of a static site produce identical models.  login is
-the one login rule of the harness: the crawl and every tester call it.
+the one login rule of the harness: the crawl and every tester use it,
+the crawl through login and a tester through logging_in, the generator
+that login drives.
 
 Session is the one HTTP client, with one http.cookiejar.CookieJar and the
-headers and redirect rules of urllib.  http.client opens each connection;
-Session frames the HTTP/1.1 exchange on it (RFC 9112) the way http.client
-does.  A request's bytes are those of a urllib.request.Request for the
-same URL, and an answer is read by the rules of http.client.HTTPResponse:
-the same status, fields, body and keep-alive, without building an email
-message; the cookie jar reads Set-Cookie from the parsed fields.  Unlike
+headers and redirect rules of urllib.  Session frames the HTTP/1.1
+exchange itself (RFC 9112) the way http.client does, over a non-blocking
+socket that it connects as http.client.HTTPConnection would.  A request's
+bytes are those of a urllib.request.Request for the same URL, and an
+answer is read by the rules of http.client.HTTPResponse: the same
+status, fields, body and keep-alive, without building an email message;
+the cookie jar reads Set-Cookie from the parsed fields.  Unlike
 http.client, it skips every interim 1xx answer, not only 100 Continue.
-What depends only on its inputs is worked out once and reused: a URL's
-route (scheme, host, request target), a Content-Type's charset, and a
-URL's Cookie header until the jar changes or a cookie expires.  The mock
-target reads each request's header block with the same reader.
+
+The exchange is a generator, Session.fetching, that yields (socket,
+selectors event) wherever it would block.  drive runs such generators on
+one selectors loop, each wait bounded by a timeout: Session.fetch and
+login run one, the harness's runner a round of testers.  Name resolution
+is the one blocking call in the exchange: a getaddrinfo the first time a
+Session connects to a host it has no addresses for, which returns at
+once for an IP literal.  What depends only on its inputs is worked out once and
+reused: a URL's route (scheme, host, request target), a Content-Type's
+charset, and a URL's Cookie header until the jar changes or a cookie
+expires.  The mock target reads each request's header block with the
+same reader.
 """
 
 from __future__ import annotations
 
+import errno
 import logging
 import math
+import os
 import re
 import select
+import socket
+import ssl
 import string
 import time
 from collections import deque
+from collections.abc import Generator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from html.parser import HTMLParser
@@ -45,6 +61,7 @@ from http.client import (
     UnknownProtocol,
 )
 from http.cookiejar import CookieJar
+from selectors import EVENT_READ, EVENT_WRITE
 from types import SimpleNamespace
 from urllib.parse import quote, urlencode, urljoin, urlparse
 from urllib.request import Request
@@ -53,7 +70,10 @@ from .. import __version__
 from ..errors import AuthFailed, Unreachable
 from .model import FormSpec, Node, SiteModel, node_id
 
-__all__ = ["CLIENT_ERRORS", "Credentials", "CrawlLimits", "Session", "crawl_site", "login"]
+__all__ = [
+    "CLIENT_ERRORS", "Credentials", "CrawlLimits", "Session", "Wait", "crawl_site", "drive",
+    "logging_in", "login",
+]
 
 log = logging.getLogger(__name__)
 
@@ -312,7 +332,11 @@ def _closes(version: str, fields: dict[str, list[str]]) -> bool:
                 or "keep-alive" in (_first(fields, "proxy-connection") or "").lower())
 
 
-def _answer(reader) -> tuple[int, dict[str, list[str]], bytes, bool]:
+# status, fields, body, and whether the server closes the connection after it
+_Answer = tuple[int, dict[str, list[str]], bytes, bool]
+
+
+def _answer(reader) -> _Answer:
     """(status, fields, body, closes) of the next answer on reader, framed
     as HTTPResponse.begin and read() frame it (see Session)."""
     version, status = _status_line(reader)
@@ -338,14 +362,200 @@ def _answer(reader) -> tuple[int, dict[str, list[str]], bytes, bool]:
     return status, fields, body, closes
 
 
+class _NeedMore(Exception):
+    """The bytes received so far end before the answer does; end is the
+    length they must reach before reading them again can tell more."""
+
+    def __init__(self, end: float):
+        super().__init__(end)
+        self.end = end
+
+
+class _Received:
+    """A reader, for _answer, over the bytes of a stream received so far.
+
+    It reads as a buffered reader of the stream would, except where that
+    reader would wait for more: at the end of the bytes it raises
+    _NeedMore, unless the stream has ended there.
+    """
+
+    __slots__ = ("data", "ended", "at")
+
+    def __init__(self, data: bytes, ended: bool):
+        self.data = data
+        self.ended = ended
+        self.at = 0
+
+    def _upto(self, end: float) -> bytes:
+        if end > len(self.data):
+            if not self.ended:
+                raise _NeedMore(end)
+            end = len(self.data)
+        taken = self.data[self.at:end]
+        self.at = end
+        return taken
+
+    def readline(self, limit: int) -> bytes:
+        """Up to and including the next LF, at most limit bytes."""
+        end = self.data.find(b"\n", self.at, self.at + limit) + 1 or self.at + limit
+        return self._upto(min(end, len(self.data) + 1))  # any byte more may be the LF
+
+    def read(self, size: int = -1) -> bytes:
+        """size bytes, or all that is left of the stream when size is negative."""
+        return self._upto(math.inf if size < 0 else self.at + size)
+
+
+# what Session.fetching and logging_in yield wherever they would block: a
+# socket and the selectors event to wait for on it (EVENT_READ or EVENT_WRITE)
+Wait = tuple[socket.socket, int]
+
+# the most bytes one recv asks for
+_RECV_SIZE = 65536
+
+
+def drive(starts: list[tuple[float, Generator[Wait, None, object]]], slots: int,
+          timeout: float) -> list:
+    """Run each (start time, steps) from the later of its start time and a
+    free slot among slots, in order, on one poll loop, and return the
+    values they return, in order.
+
+    steps yields a Wait wherever it would block, and the loop resumes it
+    when that socket is ready.  A wait that lasts timeout seconds gets
+    TimeoutError thrown in, where the socket call would have raised it.
+    An error that escapes one steps first closes every other in flight and
+    then propagates.
+    """
+    pending = deque(range(len(starts)))
+    values: list = [None] * len(starts)
+    # index -> (when its wait runs out, the file descriptor it waits on);
+    # every wait lasts the same timeout, so the earliest to run out is first
+    waiting: dict[int, tuple[float, int]] = {}
+    waiter: dict[int, int] = {}  # file descriptor -> index
+    poller = select.poll()
+
+    def resume(index: int, error: BaseException | None = None) -> None:
+        steps = starts[index][1]
+        try:
+            sock, event = steps.send(None) if error is None else steps.throw(error)
+        except StopIteration as stop:
+            values[index] = stop.value
+            return
+        fd = sock.fileno()
+        waiting[index] = (time.monotonic() + timeout, fd)
+        waiter[fd] = index
+        poller.register(fd, select.POLLIN if event == EVENT_READ else select.POLLOUT)
+
+    try:
+        while pending or waiting:
+            while pending and len(waiting) < slots and starts[pending[0]][0] <= time.monotonic():
+                resume(pending.popleft())
+            wake = next(iter(waiting.values()))[0] if waiting else math.inf
+            if pending and len(waiting) < slots:
+                wake = min(wake, starts[pending[0]][0])
+            for fd, _ in poller.poll(max(wake - time.monotonic(), 0.0) * 1000):
+                poller.unregister(fd)
+                index = waiter.pop(fd)
+                del waiting[index]
+                resume(index)
+            now = time.monotonic()
+            while waiting:
+                index, (deadline, fd) = next(iter(waiting.items()))
+                if deadline > now:
+                    break
+                poller.unregister(fd)
+                del waiter[fd]
+                del waiting[index]
+                resume(index, TimeoutError("timed out"))
+    except BaseException:
+        for index in waiting:
+            starts[index][1].close()
+        raise
+    return values
+
+
+def _receiving(sock: socket.socket) -> Generator[Wait, None, _Answer]:
+    """_answer over the bytes of the next answer on sock as they arrive.
+
+    They are read again from their start only once they reach the length
+    the last reading stopped short of, or the stream ends, so an answer
+    framed by its length is read at most twice once its header block is in.
+    """
+    received = bytearray()
+    needed = 1  # the length received must reach before it can tell more
+    yield sock, EVENT_READ  # no answer comes before its request
+    while True:
+        chunk = yield from _retrying(sock, sock.recv, EVENT_READ, _RECV_SIZE)
+        received += chunk
+        if chunk and len(received) < needed:
+            continue
+        try:
+            return _answer(_Received(bytes(received), not chunk))
+        except _NeedMore as more:
+            needed = more.end
+
+
+def _retrying(sock: socket.socket, call, event: int, *args) -> Generator[Wait, None, object]:
+    """call(*args) on the non-blocking sock, waiting for event on it, or for
+    what TLS asks for, each time the call would block."""
+    while True:
+        try:
+            return call(*args)
+        except ssl.SSLWantReadError:
+            yield sock, EVENT_READ
+        except ssl.SSLWantWriteError:
+            yield sock, EVENT_WRITE
+        except BlockingIOError:
+            yield sock, event
+
+
+def _connecting(connection: HTTPConnection,
+                addresses: dict[tuple[str, int], list]) -> Generator[Wait, None, None]:
+    """Open connection's socket as HTTPConnection.connect does, without
+    blocking: try each address in turn and raise the last one's error when
+    none connects, set TCP_NODELAY, and for https wrap the socket in TLS by
+    the connection's SSL context, with SNI for its host.  The addresses
+    are getaddrinfo's for (host, port), looked up, blocking, only when
+    addresses does not hold them yet, and kept there."""
+    key = (connection.host, connection.port)
+    if key not in addresses:
+        addresses[key] = socket.getaddrinfo(*key, 0, socket.SOCK_STREAM)
+    error: OSError = OSError("getaddrinfo returns an empty list")
+    for family, kind, proto, _, address in addresses[key]:
+        sock = socket.socket(family, kind, proto)
+        try:
+            sock.setblocking(False)
+            code = sock.connect_ex(address)
+            if code == errno.EINPROGRESS:
+                yield sock, EVENT_WRITE
+                code = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+            if code:
+                raise OSError(code, os.strerror(code))
+        except OSError as exc:
+            sock.close()
+            error = exc
+            continue
+        except BaseException:
+            sock.close()
+            raise
+        break
+    else:
+        raise error
+    connection.sock = sock  # from here on, an error closes it with the connection
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    if isinstance(connection, HTTPSConnection):
+        connection.sock = sock = connection._context.wrap_socket(
+            sock, server_hostname=connection.host, do_handshake_on_connect=False)
+        yield from _retrying(sock, sock.do_handshake, EVENT_READ)
+
+
 class Session:
     """HTTP/1.1 client with one cookie jar, for one crawl view or one tester.
 
     It keeps one connection per (scheme, host) open until close(), an
-    error, or an answer after which the server closes it.  http.client
-    opens each connection (TCP_NODELAY, and TLS with SNI for https);
-    Session writes each request on it in one piece and reads each answer
-    itself, as http.client.HTTPResponse would:
+    error, or an answer after which the server closes it.  Session opens
+    each connection as http.client does (TCP_NODELAY, and TLS with SNI
+    for https), writes each request on it in one piece and reads each
+    answer itself, as http.client.HTTPResponse would:
 
     - a 1xx answer other than 101 Switching Protocols is interim and is
       skipped, where http.client skips only 100 Continue;
@@ -365,12 +575,27 @@ class Session:
     shorter than its length, or a chunk size that is not hex.  Either way
     the connection is closed and the next request opens a new one.
 
+    Its sockets never block.  fetching is the exchange as a generator
+    that yields a Wait wherever a socket call would block: the connect,
+    the TLS handshake, the rest of a request that does not fit the send
+    buffer, and the answer.  It reads the answer again from its start
+    only once the bytes received reach the length the last reading
+    stopped short of: the end of the header block or of the body, the
+    next chunk, or, for a body that runs to the end of the stream, the
+    end.  fetch runs that generator alone on drive's loop.  A host's name
+    is resolved by a blocking getaddrinfo the first time a connection to
+    it opens, and kept in addresses, which a Session can share with
+    another; it returns at once for an IP literal.
+
     Proxy environment variables are not honoured: a proxy's failures must
     never count as the target's.
     """
 
-    def __init__(self):
+    def __init__(self, addresses: dict[tuple[str, int], list] | None = None):
         self._jar = CookieJar()
+        # (host, port) -> its getaddrinfo list, shared with the Session that
+        # passed it in, if any
+        self.addresses = {} if addresses is None else addresses
         self._connections: dict[tuple[str, str], HTTPConnection] = {}
         # URL -> the header lines add_cookie_header adds to a request for it
         self._cookie_lines: dict[str, bytes] = {}
@@ -390,6 +615,12 @@ class Session:
 
     def fetch(self, url: str, form: dict | None = None, *, timeout: float,
               follow: bool = True) -> Page:
+        """fetching driven to its end, waiting on each socket for at most
+        timeout seconds; a wait that runs out is a TimeoutError."""
+        return drive([(0.0, self.fetching(url, form, follow=follow))], 1, timeout)[0]
+
+    def fetching(self, url: str, form: dict | None = None, *,
+                 follow: bool = True) -> Generator[Wait, None, Page]:
         """GET url, or POST form to it; every answer, whatever its status, is
         a Page.  Raises one of CLIENT_ERRORS when no answer comes back,
         including for a URL that is not http(s) and for an answer that is
@@ -407,7 +638,7 @@ class Session:
         if route is None:
             raise InvalidURL(f"not an http(s) URL: {url!r}")
         data = None if form is None else urlencode(form).encode()
-        page = self._exchange(url, route, data, timeout)
+        page = yield from self._exchange(url, route, data)
         for _ in range(MAX_REDIRECTS):
             moved = page.status in (301, 302, 303) or (page.status in (307, 308) and data is None)
             if not (follow and moved and page.location):
@@ -417,23 +648,23 @@ class Session:
             if route is None:
                 break
             data = None
-            page = self._exchange(url, route, data, timeout)
+            page = yield from self._exchange(url, route, data)
         return page
 
-    def _exchange(self, url: str, route: tuple[str, str, bytes], data: bytes | None,
-                  timeout: float) -> Page:
+    def _exchange(self, url: str, route: tuple[str, str, bytes],
+                  data: bytes | None) -> Generator[Wait, None, Page]:
         """One request and its answer over the kept-alive connection.
 
         The request is written in one piece, in urllib's order: the request
         line, Host, Accept-Encoding, Content-Length for a POST, the jar's
-        headers, then the request's own.  Each answer is read through a
-        reader of its own, so bytes past its framing are never taken for
+        headers, then the request's own.  Each answer is read from the bytes
+        received for it alone, so bytes past its framing are never taken for
         the next answer.  Any error closes the connection, and so does an
         answer after which the server closes it.
         """
         scheme, host, target = route
         cookies = self._cookies_for(url)
-        connection = self._connection(scheme, host, timeout)
+        connection = self._connection(scheme, host)
         head = b"%s %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n" % (
             b"GET" if data is None else b"POST", target,
             _host(connection.host, connection.port, connection.default_port))
@@ -444,10 +675,12 @@ class Session:
                 head, len(data), cookies, _FORM_LINES, data)
         try:
             if connection.sock is None:
-                connection.connect()
-            connection.sock.sendall(request)
-            with connection.sock.makefile("rb") as reader:
-                status, fields, body, closes = _answer(reader)
+                yield from _connecting(connection, self.addresses)
+            sock = connection.sock
+            unsent = memoryview(request)
+            while unsent:
+                unsent = unsent[(yield from _retrying(sock, sock.send, EVENT_WRITE, unsent)):]
+            status, fields, body, closes = yield from _receiving(sock)
         except BaseException:
             connection.close()  # half a request or answer: the next one reconnects
             raise
@@ -495,34 +728,29 @@ class Session:
         self._holds_cookies = bool(expires)
         self._cookies_expire = min((e for e in expires if e is not None), default=math.inf)
 
-    def _connection(self, scheme: str, host: str, timeout: float) -> HTTPConnection:
+    def _connection(self, scheme: str, host: str) -> HTTPConnection:
         connection = self._connections.get((scheme, host))
         if connection is None:
             kind = HTTPSConnection if scheme == "https" else HTTPConnection
-            connection = self._connections[(scheme, host)] = kind(host, timeout=timeout)
+            connection = self._connections[(scheme, host)] = kind(host)
         elif connection.sock is not None and _hung_up(connection.sock):
             connection.close()  # the server hung up while idle; the request reconnects
-        if connection.timeout != timeout:
-            connection.timeout = timeout
-            if connection.sock is not None:
-                connection.sock.settimeout(timeout)
         return connection
 
 
-def login(session: Session, root: str, view: str, creds: Credentials,
-          timeout: float) -> str:
+def logging_in(session: Session, root: str, view: str,
+               creds: Credentials) -> Generator[Wait, None, str]:
     """POST the login form and return the entry path it redirects to.
 
     The redirect is not followed, so the landing page's own health stays a
     separate observation from the login.  Raises Unreachable when no answer
     comes back, and AuthFailed unless the answer is a 200, 302 or 303 that
-    carries a Location.
+    carries a Location.  A generator over Session.fetching; login drives it.
     """
     try:
-        response = session.fetch(
+        response = yield from session.fetching(
             urljoin(root, LOGIN_PATH),
             {"view": view, "username": creds.username, "password": creds.password},
-            timeout=timeout,
             follow=False,
         )
     except CLIENT_ERRORS as exc:
@@ -533,6 +761,12 @@ def login(session: Session, root: str, view: str, creds: Credentials,
     if not entry:
         raise AuthFailed(f"view {view!r}: login response carried no redirect target")
     return urlparse(entry).path or "/"
+
+
+def login(session: Session, root: str, view: str, creds: Credentials,
+          timeout: float) -> str:
+    """logging_in driven to its end, as Session.fetch drives Session.fetching."""
+    return drive([(0.0, logging_in(session, root, view, creds))], 1, timeout)[0]
 
 
 def crawl_site(

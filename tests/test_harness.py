@@ -1,13 +1,17 @@
 import http.client
 import json
 import random
+import socket
+import socketserver
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import urlparse
 
 import pytest
 
+import webrely.harness.runner as runner
 from webrely.errors import TargetDown
 from webrely.harness import (
     CampaignConfig,
@@ -320,6 +324,166 @@ def test_added_fault_never_lowers_density(tmp_path, clean_model):
             cases, paths = _evaluate(target, clean_model, 40, seed=33)
             densities.append(analyze_logs(paths).defect_density)
     assert densities[1] >= densities[0] > 0
+
+
+# how long _Paced waits between the two writes of /split
+SPLIT_S = 1.0
+
+
+class _Paced(socketserver.StreamRequestHandler):
+    """Answers each GET on a kept-alive connection with its path's page
+    marker, in one write; /split in two writes SPLIT_S apart, and /never
+    not at all, until the client hangs up."""
+
+    def handle(self):
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        while True:
+            head = b""
+            while not head.endswith(b"\r\n\r\n"):
+                line = self.rfile.readline()
+                if not line:
+                    return
+                head += line
+            path = head.split(b" ")[1].decode()
+            if path == "/never":
+                self.rfile.read(1)
+                return
+            body = f"<!-- page:{path} -->".encode()
+            answer = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+            try:
+                if path == "/split":
+                    self.wfile.write(answer[:20])
+                    time.sleep(SPLIT_S)
+                    answer = answer[20:]
+                self.wfile.write(answer)
+            except OSError:
+                return  # the client gave up on the answer
+
+
+def _reads(case_id: str, *paths: str) -> TestCase:
+    return TestCase(id=case_id, view="public", seed=0,
+                    steps=tuple(Step(path, "read", {}) for path in paths))
+
+
+def _walked(path: Path) -> list:
+    records, _ = parse_log_file(path)
+    return [(r.node, r.outcome) for r in records if r.step_index >= 0]
+
+
+def _stamps(path: Path) -> dict:
+    """(action, outcome) -> the timestamp_ms of its first record."""
+    records, _ = parse_log_file(path)
+    stamps: dict = {}
+    for r in records:
+        stamps.setdefault((r.action, r.outcome), r.timestamp_ms)
+    return stamps
+
+
+def test_a_slow_answer_holds_up_no_other_tester(tmp_path, serving):
+    cases = [_reads("case-slow", "/split"), _reads("case-quick", *(f"/p{i}" for i in range(6)))]
+    cfg = HarnessConfig(duration_s=60.0, arrival_mean_s=0.001, workers=2, request_timeout_s=5.0)
+    with serving(_Paced) as url:
+        slow, quick = run_evaluation(url, cases, default_profiles(), cfg, tmp_path, 0)
+    assert _walked(slow) == [("/split", "ok")]
+    assert _walked(quick) == [(f"/p{i}", "ok") for i in range(6)]
+    slow_end = _stamps(slow)[("end", "ok")]
+    assert slow_end - _stamps(slow)[("begin", "ok")] >= SPLIT_S * 1000 - 100
+    # the quick walk ended well before the slow answer's second write
+    assert _stamps(quick)[("end", "ok")] <= slow_end - SPLIT_S * 1000 / 2
+
+
+def test_a_step_never_answered_times_out_alone(tmp_path, serving):
+    # the two unanswered steps wait at the same time, and the third tester
+    # walks while they wait
+    cases = [_reads("case-0", "/never", "/p1"), _reads("case-1", "/p2", "/never"),
+             _reads("case-2", "/p3", "/p4", "/p5")]
+    timeout = 1.0
+    cfg = HarnessConfig(duration_s=60.0, arrival_mean_s=0.001, workers=3,
+                        request_timeout_s=timeout)
+    with serving(_Paced) as url:
+        started = time.monotonic()
+        paths = run_evaluation(url, cases, default_profiles(), cfg, tmp_path, 0)
+        took = time.monotonic() - started
+    assert [_walked(path) for path in paths] == [
+        [("/never", "nav_error"), ("/p1", "ok")],
+        [("/p2", "ok"), ("/never", "nav_error")],
+        [("/p3", "ok"), ("/p4", "ok"), ("/p5", "ok")],
+    ]
+    # the third walk ended well before the first wait ran out
+    timed_out = min(_stamps(path)[("read", "nav_error")] for path in paths[:2])
+    assert _stamps(paths[2])[("end", "ok")] <= timed_out - timeout * 1000 / 2
+    assert timeout <= took < 2 * timeout  # one timeout, not one after the other
+
+
+def test_a_round_starts_no_thread(tmp_path, clean_model, monkeypatch):
+    caller = threading.current_thread()
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        if threading.current_thread() is caller:
+            started.append(thread.name)
+        start(thread)
+
+    with _Target(tmp_path) as target, monkeypatch.context() as patch:
+        patch.setattr(threading.Thread, "start", recording_start)
+        _, paths = _evaluate(target, clean_model, 20, seed=3)
+    assert len(paths) == 20
+    assert started == []
+
+
+def test_an_error_in_one_tester_closes_the_others_first(tmp_path, serving, monkeypatch):
+    sessions = []
+
+    class Recorded(runner.Session):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sessions.append(self)
+
+    classify = runner._classify
+
+    def failing_classify(status, text, node_path):
+        if node_path == "/boom":
+            raise RuntimeError("classifier bug")
+        return classify(status, text, node_path)
+
+    monkeypatch.setattr(runner, "Session", Recorded)
+    monkeypatch.setattr(runner, "_classify", failing_classify)
+    cases = [_reads("case-slow", "/split"), _reads("case-boom", "/boom")]
+    cfg = HarnessConfig(duration_s=60.0, arrival_mean_s=0.001, workers=2, request_timeout_s=5.0)
+    with serving(_Paced) as url:
+        started = time.monotonic()
+        # the traceback holds the round's frames, so the garbage collector
+        # closes no tester before the asserts below
+        with pytest.raises(RuntimeError, match="classifier bug") as raised:
+            run_evaluation(url, cases, default_profiles(), cfg, tmp_path, 0)
+        took = time.monotonic() - started
+    assert raised.traceback  # held until here
+    assert took < SPLIT_S  # the slow tester was not waited for
+    assert len(sessions) == 3  # the probe's and the two testers'
+    assert all(session._connections == {} for session in sessions)
+    # the slow tester's log was ended and closed while its step was in flight
+    records, _ = parse_log_file(tmp_path / "tester-00000.log")
+    assert [(r.action, r.outcome) for r in records] == [("begin", "ok"), ("end", "ok")]
+
+
+def test_a_round_resolves_the_target_once(tmp_path, serving, monkeypatch):
+    looked_up = []
+    getaddrinfo = socket.getaddrinfo
+
+    def recording_getaddrinfo(host, port, *args):
+        looked_up.append((host, port))
+        return getaddrinfo(host, port, *args)
+
+    monkeypatch.setattr(socket, "getaddrinfo", recording_getaddrinfo)
+    cases = [_reads(f"case-{i}", "/p1", "/p2") for i in range(3)]
+    cfg = HarnessConfig(duration_s=60.0, arrival_mean_s=0.001, workers=3, request_timeout_s=5.0)
+    with serving(_Paced) as url:
+        port = urlparse(url).port
+        paths = run_evaluation(f"http://localhost:{port}", cases, default_profiles(), cfg,
+                               tmp_path, 0)
+    assert [_walked(path) for path in paths] == [[("/p1", "ok"), ("/p2", "ok")]] * 3
+    assert looked_up == [("localhost", port)]  # by the probe, before the loop
 
 
 @pytest.mark.parametrize(

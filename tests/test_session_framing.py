@@ -4,15 +4,18 @@ Each raw answer of the corpus is served over a socket to a Session and
 replayed from memory through http.client, the reference: both must agree
 on status, Location, text, cookies set and whether the connection is
 kept.  Malformed answers must raise one of CLIENT_ERRORS, close the
-connection, and turn into a tester's nav_error.
+connection, and turn into a tester's nav_error.  Read from its bytes as
+they arrive, split anywhere, each answer reads as it does whole.
 """
 
 import io
 import re
 import shutil
+import socket
 import socketserver
 import ssl
 import subprocess
+from collections import deque
 from contextlib import contextmanager
 from http.client import HTTPConnection, HTTPException, HTTPResponse, HTTPSConnection, parse_headers
 from http.cookiejar import CookieJar
@@ -30,7 +33,8 @@ from webrely.harness import (
     parse_log_file,
     run_evaluation,
 )
-from webrely.harness.crawler import CLIENT_ERRORS, Session, _fields, _host
+import webrely.harness.crawler as crawler
+from webrely.harness.crawler import CLIENT_ERRORS, Session, _fields, _host, _receiving
 
 OK = b"HTTP/1.1 200 OK\r\nContent-Type: text/html; charset=utf-8\r\nContent-Length: 2\r\n\r\nok"
 
@@ -214,6 +218,93 @@ def test_malformed_answer_is_a_testers_nav_error(name, raw_server, tmp_path):
     assert [(r.action, r.node, r.outcome) for r in records] == [
         ("begin", "-", "ok"), ("read", "/x", "nav_error"),
         ("read", "/ok", "fault:missing-marker"), ("end", "-", "ok")]
+
+
+class _Arriving:
+    """A non-blocking socket on which the chunks have arrived, followed by
+    the end of the stream if it closes; past them, recv would block."""
+
+    def __init__(self, chunks: list, closes_stream: bool):
+        self.chunks = deque([chunk for chunk in chunks if chunk] + [b""] * closes_stream)
+
+    def recv(self, size: int) -> bytes:
+        if not self.chunks:
+            raise BlockingIOError
+        chunk = self.chunks.popleft()
+        if len(chunk) > size:
+            self.chunks.appendleft(chunk[size:])
+        return chunk[:size]
+
+
+def _read_as_it_arrives(chunks: list, closes_stream: bool):
+    """What the exchange makes of an answer that arrives in chunks: the
+    answer, or the class of the error it raises, once the bytes so far
+    hold the answer, or else when the stream ends after them; None while
+    it waits for more."""
+    receiving = _receiving(_Arriving(chunks, closes_stream))
+    try:
+        next(receiving)  # the wait for the answer's first bytes
+        next(receiving)  # a wait for more
+    except StopIteration as stop:
+        return stop.value
+    except HTTPException as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS) + sorted(MALFORMED))
+def test_answer_split_anywhere_reads_as_it_does_whole(name):
+    raw, closes_stream = CORPUS.get(name) or MALFORMED[name]
+    whole = _read_as_it_arrives([raw], closes_stream)
+    if name in CORPUS:
+        assert isinstance(whole, tuple)  # (status, fields, body, closes)
+        # an answer that stops short while the stream is open asks for more
+        assert all(_read_as_it_arrives([raw[:end]], False) is None for end in range(len(raw)))
+    else:
+        assert isinstance(whole, type) and issubclass(whole, HTTPException)
+    for split in range(len(raw) + 1):
+        assert _read_as_it_arrives([raw[:split], raw[split:]], closes_stream) == whole, split
+    assert _read_as_it_arrives([raw[i:i + 1] for i in range(len(raw))], closes_stream) == whole
+
+
+LONG_BODY = 4 << 20
+
+
+class _Trickling(socketserver.StreamRequestHandler):
+    """Answers one GET with a body of LONG_BODY bytes in writes of 4 KB,
+    Nagle's algorithm off: framed by its length at /length, and by the end
+    of the stream at /close."""
+
+    def handle(self):
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        head = b""
+        while not head.endswith(b"\r\n\r\n"):
+            line = self.rfile.readline()
+            if not line:
+                return
+            head += line
+        framing = b"" if b" /close " in head else b"Content-Length: %d\r\n" % LONG_BODY
+        answer = b"HTTP/1.1 200 OK\r\n%s\r\n%s" % (framing, b"x" * LONG_BODY)
+        self.wfile.write(answer[:answer.index(b"\r\n\r\n") + 4])
+        for at in range(len(answer) - LONG_BODY, len(answer), 4096):
+            self.wfile.write(answer[at:at + 4096])
+
+
+@pytest.mark.parametrize("path", ["/length", "/close"])
+def test_a_long_answer_in_small_writes_is_read_a_few_times(path, serving, monkeypatch):
+    readings = []
+    answer = crawler._answer
+
+    def counted(reader):
+        readings.append(len(reader.data))
+        return answer(reader)
+
+    monkeypatch.setattr(crawler, "_answer", counted)
+    with serving(_Trickling) as url, Session() as session:
+        page = session.fetch(url + path, timeout=10)
+    assert page.text == "x" * LONG_BODY
+    # once the header block is in, once the body is, and never once per write
+    assert len(readings) <= 4, readings[:10]
 
 
 def test_bytes_past_an_answer_are_never_the_next_answer(raw_server):
