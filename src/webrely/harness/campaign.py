@@ -13,7 +13,7 @@ from ..stats.serialize import dump_json
 from .analyzer import analyze_logs
 from .cases import TestProfile, default_profiles, generate_test_cases
 from .model import SiteModel
-from .runner import HarnessConfig, run_evaluation
+from .runner import HarnessConfig, arrival_offsets, run_evaluation
 
 __all__ = ["CampaignConfig", "run_campaign"]
 
@@ -57,9 +57,11 @@ def run_campaign(
         if round_callback is not None:
             round_callback(index)
         round_seed = cfg.seed * 1_000_003 + index
+        # a case for each tester that arrives; the rest would never run
+        arrivals = len(arrival_offsets(cfg.harness, cfg.cases_per_round, round_seed))
         cases = generate_test_cases(
-            model, cfg.profiles, cfg.cases_per_round, round_seed, cfg.walk_length
-        )
+            model, cfg.profiles, arrivals, round_seed, cfg.walk_length
+        ) if arrivals else []
         round_dir = log_root / f"round-{index:04d}"
         try:
             paths = run_evaluation(

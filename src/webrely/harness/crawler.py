@@ -20,7 +20,7 @@ http.client, it skips every interim 1xx answer, not only 100 Continue.
 
 The exchange is a generator, Session.fetching, that yields (socket,
 selectors event) wherever it would block.  drive runs such generators on
-one selectors loop, each wait bounded by a timeout: Session.fetch and
+one select.poll loop, each wait bounded by a timeout: Session.fetch and
 login run one, the harness's runner a round of testers.  Name resolution
 is the one blocking call in the exchange: a getaddrinfo the first time a
 Session connects to a host it has no addresses for, which returns at

@@ -12,7 +12,7 @@ lines.  Each tester holds one crawler.Session, and a step's URL is joined
 from the target and its node path once per process, not on every step.
 
 A round's testers run on the calling thread, as generators on
-crawler.drive's selectors loop.  A tester yields wherever its Session
+crawler.drive's select.poll loop.  A tester yields wherever its Session
 would block: the connect, the TLS handshake, the rest of a request that
 does not fit the send buffer, and the answer; the loop resumes it when
 that socket is ready.  Tester i starts at the later of its arrival (t0 +
@@ -42,7 +42,7 @@ from .cases import TestCase, TestProfile
 from .crawler import CLIENT_ERRORS, Session, Wait, drive, logging_in
 from .mock import FAULT_MARKER
 
-__all__ = ["HarnessConfig", "run_evaluation"]
+__all__ = ["HarnessConfig", "arrival_offsets", "run_evaluation"]
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,21 @@ def _tester(
             record(-1, "end", "ok", "-")
 
 
+def arrival_offsets(cfg: HarnessConfig, cap: int, seed: int) -> list[float]:
+    """The round's tester arrivals, as offsets from its start: exponential
+    gaps of mean arrival_mean_s drawn from f"{seed}/arrivals", up to the
+    first that falls at or past duration_s or until cap have arrived."""
+    rng = random.Random(f"{seed}/arrivals")
+    offsets: list[float] = []
+    offset = 0.0
+    while len(offsets) < cap:
+        offset += rng.expovariate(1.0 / cfg.arrival_mean_s)
+        if offset >= cfg.duration_s:
+            break  # arrivals only increase, so every later tester is outside too
+        offsets.append(offset)
+    return offsets
+
+
 def run_evaluation(
     target: str,
     cases: list[TestCase],
@@ -145,18 +160,10 @@ def run_evaluation(
     except CLIENT_ERRORS as exc:
         raise TargetDown(f"target {target} did not answer the probe: {exc}") from exc
 
-    rng = random.Random(f"{seed}/arrivals")
-    offset = 0.0
+    offsets = arrival_offsets(cfg, len(cases), seed)
+    paths = [log_dir / f"tester-{i:05d}.log" for i in range(len(offsets))]
     t0 = time.monotonic()
-    paths: list[Path] = []
-    starts = []
-    for i, case in enumerate(cases):
-        offset += rng.expovariate(1.0 / cfg.arrival_mean_s)
-        if offset >= cfg.duration_s:
-            break  # arrivals only increase, so every later tester is outside too
-        path = log_dir / f"tester-{i:05d}.log"
-        paths.append(path)
-        starts.append((t0 + offset, _tester(i, case, profiles[case.view], target, path,
-                                            probe.addresses)))
-    drive(starts, cfg.workers, cfg.request_timeout_s)
+    drive([(t0 + offset, _tester(i, case, profiles[case.view], target, path, probe.addresses))
+           for i, (offset, case, path) in enumerate(zip(offsets, cases, paths))],
+          cfg.workers, cfg.request_timeout_s)
     return paths

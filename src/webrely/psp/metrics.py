@@ -7,6 +7,7 @@ different things.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 from ..stats.serialize import csv_text
@@ -103,12 +104,12 @@ def _least_squares_slope(xs: list[float], ys: list[float]) -> float | None:
     if len(xs) < 2:
         return None
     n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
+    mx = math.fsum(xs) / n
+    my = math.fsum(ys) / n
+    sxx = math.fsum((x - mx) ** 2 for x in xs)
     if sxx == 0.0:
         return None
-    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+    return math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
 
 
 def trend_report(records) -> PspTrendReport:

@@ -74,7 +74,7 @@ class PspProgramRecord:
 
     def time_in(self, phases) -> float:
         """Total minutes across the given phases."""
-        return sum(self.phase_times[p] for p in phases)
+        return math.fsum(self.phase_times[p] for p in phases)
 
     def injected_in(self, phases) -> int:
         return sum(1 for d in self.defects if d.injected_phase in phases)

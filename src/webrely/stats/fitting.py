@@ -97,7 +97,7 @@ def _max_abs(log_xs: list[float]) -> float:
 def score(values, a: float) -> float:
     """g(a) for the given strictly positive sample; exposed for oracles."""
     log_xs = list(map(math.log, values))
-    return _score_and_slope(log_xs, _max_abs(log_xs), sum(log_xs) / len(log_xs), a)[0]
+    return _score_and_slope(log_xs, _max_abs(log_xs), math.fsum(log_xs) / len(log_xs), a)[0]
 
 
 def _score_and_slope(
@@ -148,7 +148,7 @@ def fit_weibull(samples: DefectSampleSet) -> FitReport:
 
     log_xs = list(map(math.log, positive))
     max_abs_log = _max_abs(log_xs)
-    mean_log = sum(log_xs) / len(log_xs)
+    mean_log = math.fsum(log_xs) / len(log_xs)
 
     a = INITIAL_SHAPE
     lo, hi = 0.0, math.inf

@@ -87,13 +87,13 @@ def _quantile(s: list[float], i: int, j: int, q: float) -> float:
     return s[i + lo] + (h - lo) * (s[i + lo + 1] - s[i + lo])
 
 
-def _rule(policy: AnomalyPolicy, s: list[float], i: int, j: int, inside: list[float]):
+def _rule(policy: AnomalyPolicy, s: list[float], i: int, j: int):
     """The policy's rule on the window s[i:j]: (outside, reason), two
     functions of a value, or None when it discards nothing ("none", or a
     z-score window with no spread).  What either rule discards lies at the
     window's ends: Tukey keeps an interval, and |z| grows with the distance
-    from the mean.  The z-score rule narrows inside, the values of an
-    enclosing window in input order, to this window and sums in that order.
+    from the mean.  The z-score sums are exactly rounded (math.fsum), so
+    they do not depend on the order of the values.
     """
     k = policy.k
     if policy.method == "tukey":
@@ -104,10 +104,9 @@ def _rule(policy: AnomalyPolicy, s: list[float], i: int, j: int, inside: list[fl
         reason = f"tukey(k={k:g}): outside [{lo:g}, {hi:g}]"
         return (lambda v: v < lo or v > hi), (lambda v: reason)
     if policy.method == "zscore":
-        first, last = s[i], s[j - 1]
-        inside[:] = [v for v in inside if first <= v <= last]
-        mean = sum(inside) / len(inside)
-        std = math.sqrt(sum((v - mean) ** 2 for v in inside) / len(inside))
+        window = s[i:j]
+        mean = math.fsum(window) / len(window)
+        std = math.sqrt(math.fsum((v - mean) ** 2 for v in window) / len(window))
         if std == 0.0:
             return None
         return (lambda v: abs(v - mean) / std > k,
@@ -132,11 +131,10 @@ def apply_policy(samples: DefectSampleSet, policy: AnomalyPolicy) -> DefectSampl
     values = list(map(float, samples.values))
     s = sorted(values)
     i, j = 0, len(s)
-    inside = list(values) if policy.method == "zscore" else []
     # discarded value -> its pass; equal values always leave in the same pass
     first_out: dict[float, int] = {}
     reasons = []  # each pass's reason function
-    while i < j and (rule := _rule(policy, s, i, j, inside)) is not None:
+    while i < j and (rule := _rule(policy, s, i, j)) is not None:
         outside, reason = rule
         i0, j0 = i, j
         while i < j and outside(s[i]):

@@ -11,6 +11,7 @@ from urllib.parse import urlparse
 
 import pytest
 
+import webrely.harness.campaign as campaign
 import webrely.harness.runner as runner
 from webrely.errors import TargetDown
 from webrely.harness import (
@@ -609,6 +610,31 @@ def test_campaign_warns_on_round_with_nav_errors(tmp_path, clean_model, caplog):
     warned = [r.getMessage() for r in caplog.records if "nav errors" in r.getMessage()]
     assert len(warned) == 2
     assert all("counts only the steps that ran" in m for m in warned)
+
+
+@pytest.mark.parametrize("duration_s", [0.02, 1e-4])
+def test_campaign_generates_only_the_cases_that_arrive(tmp_path, clean_model, monkeypatch,
+                                                       duration_s):
+    # the window admits fewer testers than the cap (in the shorter one, none);
+    # the generator is asked for exactly the cases whose testers leave logs
+    asked = []
+    generate = campaign.generate_test_cases
+
+    def recording(model, profiles, count, *args):
+        asked.append(count)
+        return generate(model, profiles, count, *args)
+
+    monkeypatch.setattr(campaign, "generate_test_cases", recording)
+    cfg = CampaignConfig(
+        evaluations=3, cases_per_round=40, walk_length=3, seed=9,
+        harness=HarnessConfig(duration_s=duration_s, arrival_mean_s=0.001, workers=4),
+    )
+    with MockTarget() as target:
+        samples = run_campaign(target.base_url, clean_model, cfg, tmp_path)
+    logs = [len(list((tmp_path / f"round-{i:04d}").glob("tester-*.log"))) for i in range(3)]
+    assert samples.n == 3
+    assert asked == [n for n in logs if n] and max(logs) < cfg.cases_per_round
+    assert (max(logs) > 0) == (duration_s > 0.001)
 
 
 def test_campaign_density_matches_offline_replay(tmp_path, clean_model):

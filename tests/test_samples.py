@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -177,13 +178,13 @@ def test_tukey_records_grouped_by_pass_in_input_order():
 
 def reference_zscore(values, k):
     """The z-score rule as repeated passes: each pass takes the mean and
-    standard deviation of what the last one kept, summed in input order,
-    and drops, in input order, every value with |z| > k."""
+    standard deviation of what the last one kept, exactly rounded
+    (math.fsum), and drops, in input order, every value with |z| > k."""
     kept, dropped = list(values), []
     while kept:
         n = len(kept)
-        mean = sum(kept) / n
-        std = math.sqrt(sum((v - mean) ** 2 for v in kept) / n)
+        mean = math.fsum(kept) / n
+        std = math.sqrt(math.fsum((v - mean) ** 2 for v in kept) / n)
         if std == 0.0:
             break
         now = []
@@ -202,12 +203,21 @@ def reference_zscore(values, k):
 @given(st.lists(TUKEY_VALUES, min_size=1, max_size=80), st.sampled_from([0.5, 1.0, 2.0, 3.0]))
 @example(raw=[0.0, 1.0], k=0.5)
 @example(raw=[0.0, 0.0, 1.0, 1.0, 2.0, 50.0, 1e9], k=1.0)
-# |z| of the outlier is 2 to within rounding, so summing in sorted order
-# instead of input order keeps it
+# |z| of the outlier is 2 to within rounding, so a sum that is not exactly
+# rounded keeps or discards it by the order of the input
 @example(raw=[4.0, 1873.8269590821571, 564723231272.2075, 6.0, 0.0], k=2.0)
 def test_one_sort_zscore_matches_multi_pass_reference(raw, k):
     out = discard(raw, AnomalyPolicy("zscore", k))
     assert (out.values, out.discarded) == reference_zscore(raw, k)
+
+
+def test_zscore_verdict_does_not_depend_on_input_order():
+    # the pinned example above: |z| of the outlier is 2 to within rounding;
+    # every one of the 120 orderings keeps the same values
+    raw = [4.0, 1873.8269590821571, 564723231272.2075, 6.0, 0.0]
+    kept = {out.sorted_values for out in
+            (discard(order, AnomalyPolicy("zscore", 2.0)) for order in permutations(raw))}
+    assert len(kept) == 1
 
 
 def test_zscore_records_grouped_by_pass_in_input_order():
