@@ -45,10 +45,10 @@ def run_campaign(
     """Run cfg.evaluations rounds sequentially; one defect density each.
 
     Rounds use seeds derived from (cfg.seed, round index) so a campaign is
-    reproducible end to end.  A round whose target probe fails is recorded
-    as a discarded value, never silently dropped.  round_callback(index),
-    when given, runs before each round (progress reporting, fault
-    injection in tests).
+    reproducible end to end.  A round whose target probe fails, or in
+    which no tester arrived, is recorded as a discarded value, never
+    silently dropped.  round_callback(index), when given, runs before
+    each round (progress reporting, fault injection in tests).
     """
     log_root = Path(log_root)
     values: list[float] = []
@@ -78,5 +78,9 @@ def run_campaign(
                 index, error_log.nav_errors,
             )
         dump_json(error_log.to_dict(), round_dir / "error_log.json")
+        if not arrivals:  # a density of 0 would read as a round with no fault
+            reason = f"round {index}: no tester arrived in the window"
+            discarded.append(DiscardRecord(math.nan, reason))
+            continue
         values.append(float(error_log.defect_density))
     return DefectSampleSet(tuple(values), tuple(discarded), source_label)

@@ -1,11 +1,11 @@
 """Deterministic single-run event loop for the ideal-conditions model.
 
 One run is one function, run_single, over local state: the clock, the
-queue size, the counters, the next arrival held aside as a (when, seq)
-pair, and a heap of (when, seq, kind) exits (departures and error exits)
-of the users in the system.  seq breaks ties in scheduling order: each
-step takes whichever of the next arrival and the earliest exit comes
-first by (when, seq).  Users arrive with exponential gaps and each
+queue size, the counters, the next arrival's (when, seq) and a heap of
+(when, seq, kind) exits of the users in the system.  Each arrival first
+takes the exits before it by (when, seq), with seq breaking exact ties
+in scheduling order; after the last, (when, seq) is (inf, inf) and the
+same step drains the rest.  Users arrive with exponential gaps and each
 arrival applies admit_decision: a user is admitted when the server has
 spare capacity AND an independent uniform draw clears the 1/(n+1) rule
 for the current queue size n.  An admitted user holds a normally
@@ -36,7 +36,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from math import exp, log, sqrt
+from math import exp, inf, log, sqrt
 
 from ..errors import InvariantBreach
 from .config import SimConfig
@@ -75,8 +75,6 @@ def run_single(cfg: SimConfig, run_index: int, trace=None) -> RunResult:
     trace, when given, is called as trace(clock, kind, queue_size) after
     every processed event.
     """
-    if cfg.events_per_run == 0:
-        return RunResult(0, 0, 0)
     rng = stream_for_run(cfg.seed, run_index)
     random = rng.random
     rate = 1.0 / cfg.interarrival_mean
@@ -86,60 +84,60 @@ def run_single(cfg: SimConfig, run_index: int, trace=None) -> RunResult:
     clock = 0.0
     queue = admitted = rejected = errors = 0
     exits = []
-    arrival = (-log(1.0 - random()) / rate, 0)
+    when, order = -log(1.0 - random()) / rate, 0  # the next arrival
     seq = 1
-    arrivals_left = cfg.events_per_run  # the held arrival included
+    arrivals_left = cfg.events_per_run
     while True:
-        if exits and (not arrivals_left or exits[0] < arrival):
-            when, _, kind = pop(exits)
-            if when < clock:
+        while exits:  # the exits before the next arrival, (when, order)
+            exit_when = exits[0][0]
+            if exit_when > when or exit_when == when and exits[0][1] > order:
+                break
+            _, _, kind = pop(exits)
+            if exit_when < clock:
                 raise InvariantBreach("event time went backwards")
-            clock = when
+            clock = exit_when
             if queue <= 0:
                 raise InvariantBreach("departure with empty queue: event ordering bug")
             queue -= 1
             if kind == ERROR_EXIT:
                 errors += 1
-        elif arrivals_left:
-            when = arrival[0]
-            if when < clock:
-                raise InvariantBreach("event time went backwards")
-            clock = when
-            kind = ARRIVAL
-            arrivals_left -= 1
-            if arrivals_left:
-                # clock + gap, with the gap -log(1.0 - random()) / rate
-                arrival = (clock - log(1.0 - random()) / rate, seq)
-                seq += 1
-            if admit_decision(queue, capacity, rng):
-                # the view uniform: no simulated count depends on the view,
-                # but the draw keeps every later draw where the documented
-                # order puts it
-                random()
-                queue += 1
-                admitted += 1
-                while True:
-                    u1 = random()
-                    u2 = 1.0 - random()
-                    z = _NV_MAGICCONST * (u1 - 0.5) / u2
-                    if z * z / 4.0 <= -log(u2):
-                        break
-                service = mu + z * sigma
-                if service < SERVICE_FLOOR:
-                    service = SERVICE_FLOOR
-                faulted = random() < fault_probability
-                at = random() * service  # drawn even without a fault
-                if faulted:
-                    push(exits, (clock + at, seq, ERROR_EXIT))
-                else:
-                    push(exits, (clock + service, seq, DEPARTURE))
-                seq += 1
-            else:
-                rejected += 1
-        else:
+            if trace is not None:
+                trace(clock, kind, queue)
+        if not arrivals_left:
             break
+        if when < clock:
+            raise InvariantBreach("event time went backwards")
+        clock = when
+        arrivals_left -= 1
+        if arrivals_left:  # clock + gap, the gap -log(1.0 - random()) / rate
+            when, order = clock - log(1.0 - random()) / rate, seq
+            seq += 1
+        else:
+            when = order = inf
+        if admit_decision(queue, capacity, rng):
+            random()  # the view uniform: unused, but kept in the documented order
+            queue += 1
+            admitted += 1
+            while True:
+                u1 = random()
+                u2 = 1.0 - random()
+                z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            service = mu + z * sigma
+            if service < SERVICE_FLOOR:
+                service = SERVICE_FLOOR
+            faulted = random() < fault_probability
+            at = random() * service  # drawn even without a fault
+            if faulted:
+                push(exits, (clock + at, seq, ERROR_EXIT))
+            else:
+                push(exits, (clock + service, seq, DEPARTURE))
+            seq += 1
+        else:
+            rejected += 1
         if trace is not None:
-            trace(clock, kind, queue)
+            trace(clock, ARRIVAL, queue)
     if queue:
         raise InvariantBreach(f"drained run left {queue} users in the system")
     return RunResult(defect_density=errors, admitted=admitted, rejected=rejected)

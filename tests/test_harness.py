@@ -1,5 +1,6 @@
 import http.client
 import json
+import math
 import random
 import socket
 import socketserver
@@ -616,7 +617,8 @@ def test_campaign_warns_on_round_with_nav_errors(tmp_path, clean_model, caplog):
 def test_campaign_generates_only_the_cases_that_arrive(tmp_path, clean_model, monkeypatch,
                                                        duration_s):
     # the window admits fewer testers than the cap (in the shorter one, none);
-    # the generator is asked for exactly the cases whose testers leave logs
+    # the generator is asked for exactly the cases whose testers leave logs,
+    # and a round that no tester reached is a discard, not a density of 0
     asked = []
     generate = campaign.generate_test_cases
 
@@ -632,7 +634,12 @@ def test_campaign_generates_only_the_cases_that_arrive(tmp_path, clean_model, mo
     with MockTarget() as target:
         samples = run_campaign(target.base_url, clean_model, cfg, tmp_path)
     logs = [len(list((tmp_path / f"round-{i:04d}").glob("tester-*.log"))) for i in range(3)]
-    assert samples.n == 3
+    empty = [i for i, n in enumerate(logs) if not n]
+    assert samples.n == 3 - len(empty)
+    assert [(math.isnan(d.value), d.reason) for d in samples.discarded] == [
+        (True, f"round {i}: no tester arrived in the window") for i in empty
+    ]
+    assert all((tmp_path / f"round-{i:04d}" / "error_log.json").is_file() for i in range(3))
     assert asked == [n for n in logs if n] and max(logs) < cfg.cases_per_round
     assert (max(logs) > 0) == (duration_s > 0.001)
 

@@ -360,12 +360,21 @@ def _gap(u: float) -> float:
     return -math.log(1.0 - u) / 1.0  # interarrival_mean = 1.0
 
 
+def _landing(clock: float, target: float) -> float:
+    """The uniform whose gap from clock lands on target (the tie cases
+    check that it lands exactly)."""
+    return -math.expm1(-(target - clock))
+
+
 # Each user admitted below draws admission 0.0 (always admits), view 0.0,
 # service uniforms 0.5 and 0.0 (z = 0, so the service is exactly
-# service_mean), fault 0.5 (never faults at probability 0) and position 0.5.
+# service_mean, or SERVICE_FLOOR when service_mean is below it), fault 0.5
+# (never faults at probability 0) and position 0.5.
 _ADMITTED = [0.0, 0.0, 0.5, 0.0, 0.5, 0.5]
 _T1 = _gap(0.5) + _gap(0.5)
 _T2 = _gap(0.5) + _gap(0.25) + _gap(0.25)
+# the first user's floor-bound exit, at the first arrival plus SERVICE_FLOOR
+_TF = _gap(0.5) + engine.SERVICE_FLOOR
 TIE_CASES = {
     # the arrival was scheduled first (lower seq), so it goes first: the
     # first user's service equals the second gap, and the second arrival
@@ -382,6 +391,19 @@ TIE_CASES = {
         _T2,
         [(_T2, "departure", 0), (_T2, "arrival", 1)],
     ),
+    # the same two orders with a floor-bound service: the second gap equals
+    # SERVICE_FLOOR, or the second and third gaps add up to it
+    "arrival-first-floor": (
+        2, 0.005, [0.5, _landing(_gap(0.5), _TF), *_ADMITTED], _TF,
+        [(_TF, "arrival", 1), (_TF, "departure", 0)],
+    ),
+    "exit-first-floor": (
+        3,
+        0.005,
+        [0.5, 0.005, *_ADMITTED, _landing(_gap(0.5) + _gap(0.005), _TF), *_ADMITTED],
+        _TF,
+        [(_TF, "departure", 0), (_TF, "arrival", 1)],
+    ),
 }
 
 
@@ -396,6 +418,27 @@ def test_tie_between_exit_and_arrival_goes_by_seq(monkeypatch, case):
     _, rows = traced(cfg, 0)
     assert [row for row in rows if row[0] == tie] == tied_rows
     assert_matches_reference(cfg, 0)
+
+
+@pytest.mark.parametrize("fault_probability", [0.0, 1.0])
+def test_overflowing_service_times_drain_as_in_the_reference(fault_probability):
+    # 1e308 + z * 1e308 overflows to inf once z exceeds about 0.8, so some
+    # users hold an exit at inf, which only the drain after the last arrival
+    # takes; at probability 1 the error position random() * inf is inf too
+    def cfg(events):
+        return SimConfig(
+            service_mean=1e308, service_std=1e308,
+            events_per_run=events, fault_probability=fault_probability,
+        )
+
+    for events in (1, 10):
+        for run_index in range(40):
+            assert_matches_reference(cfg(events), run_index)
+    # with one arrival per run, that arrival is the last and is always
+    # admitted, so a run whose trace ends at inf is one whose last arrival
+    # was admitted with an infinite exit
+    ends = [traced(cfg(1), run_index)[1][-1][0] for run_index in range(40)]
+    assert math.inf in ends
 
 
 def test_engine_draws_are_the_stdlib_variates(monkeypatch):
