@@ -292,6 +292,11 @@ def _fields(block: str) -> dict[str, list[str]]:
     return fields
 
 
+def _header_fields(reader) -> dict[str, list[str]]:
+    """The _fields of the next header block on reader."""
+    return _fields(b"".join(_lines(reader, "header")).decode("iso-8859-1"))
+
+
 def _first(fields: dict[str, list[str]], name: str) -> str | None:
     """A field's first value, as HTTPMessage.get returns it."""
     values = fields.get(name)
@@ -345,7 +350,7 @@ def _answer(reader) -> _Answer:
         version, status = _status_line(reader)
     if not (version in ("HTTP/1.0", "HTTP/0.9") or version.startswith("HTTP/1.")):
         raise UnknownProtocol(version)
-    fields = _fields(b"".join(_lines(reader, "header")).decode("iso-8859-1"))
+    fields = _header_fields(reader)
     closes = _closes(version, fields)
     try:
         length = int(_first(fields, "content-length") or "")

@@ -53,7 +53,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from ..stats.serialize import read_json
-from .crawler import LOGIN_PATH, _fields, _lines
+from .crawler import LOGIN_PATH, _header_fields
 from .model import ACTIONS
 
 FAULT_MARKER = "##FAULT-MARKER##"
@@ -332,7 +332,7 @@ class _Handler(BaseHTTPRequestHandler):
             path = "/" + path.lstrip("/")
         self.command, self.path = command, path
         try:
-            block = b"".join(_lines(self.rfile, "header")).decode("iso-8859-1")
+            fields = _header_fields(self.rfile)
         except LineTooLong as err:
             self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long", str(err))
             return False
@@ -340,7 +340,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers",
                             str(err))
             return False
-        self.headers = {name: values[0] for name, values in _fields(block).items()}
+        self.headers = {name: values[0] for name, values in fields.items()}
         connection = self.headers.get("connection", "").lower()
         if connection == "close":
             self.close_connection = True

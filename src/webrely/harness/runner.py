@@ -56,6 +56,8 @@ class HarnessConfig:
         for name in ("duration_s", "arrival_mean_s", "request_timeout_s"):
             if not 0.0 < getattr(self, name) < math.inf:  # also catches nan
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 1.0 / self.arrival_mean_s < math.inf:
+            raise ValueError(f"arrival_mean_s {self.arrival_mean_s} gives no finite arrival rate")
         if self.workers < 1:
             raise ValueError("need at least one worker")
 

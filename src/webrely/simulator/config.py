@@ -29,6 +29,8 @@ class SimConfig:
         for name in ("interarrival_mean", "service_mean", "service_std"):
             if not 0.0 < getattr(self, name) < math.inf:  # also catches nan
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 1.0 / self.interarrival_mean < math.inf:
+            raise ValueError(f"interarrival_mean {self.interarrival_mean} gives no finite arrival rate")
         if self.capacity < 0:
             raise ValueError("capacity must be >= 0")
         if self.events_per_run < 0 or self.runs < 0:

@@ -4,20 +4,13 @@ The shape estimate solves the score equation
 
     g(a) = sum(x_i**a * ln x_i) / sum(x_i**a) - 1/a - mean(ln x_i) = 0
 
-by Newton-Raphson from a = 1, kept inside a bracket (lo, hi) that starts
-at (0, inf): a step that leaves the bracket, or is not finite, becomes the
-bracket's midpoint, or doubles the shape while hi is still infinite
-("rtsafe", Numerical Recipes 3rd ed. section 9.4).  The scale then follows
-directly as (sum(x_i**a) / n) ** (1/a).
+by bracketed Newton-Raphson from a = 1 (_bracketed_root).  The scale then
+follows directly as (sum(x_i**a) / n) ** (1/a).
 
 g is strictly increasing (its derivative is a weighted variance of ln x
 plus 1/a**2) and runs from -inf at 0+ to max(ln x) - mean(ln x) > 0, so
 every sample of two or more distinct positive values has exactly one
 root, and the bracketed iteration reaches it.
-
-The reported residual is |g| at the returned shape: the smallest |g| the
-iteration evaluated (the one that chose the shape), so g is not evaluated
-again.
 """
 
 from __future__ import annotations
@@ -119,6 +112,41 @@ def _scale_for(values: list[float], log_xs: list[float], max_abs_log: float, a: 
     return math.exp((log_s0 - math.log(n)) / a)
 
 
+def _bracketed_root(score_and_slope, start: float) -> tuple[float, int, float]:
+    """Root of an increasing g on (0, inf); score_and_slope(a) is (g, g').
+
+    Newton-Raphson from start, kept inside a bracket (lo, hi) that starts
+    at (0, inf): a step that leaves the bracket, or is not finite, becomes the
+    bracket's midpoint, or doubles a while hi is still infinite ("rtsafe",
+    Numerical Recipes 3rd ed. section 9.4).  Returns (root, iterations,
+    residual): the evaluated a with the smallest |g| and that |g|, so g is not
+    evaluated again.  A residual above TOLERANCE means MAX_ITERATIONS ran out.
+    """
+    lo, hi = 0.0, math.inf
+    a, best_a, best_g, polish = start, start, math.inf, 0
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        g, g_prime = score_and_slope(a)
+        if abs(g) < best_g:
+            best_g, best_a = abs(g), a
+        step = g / g_prime
+        if abs(g) <= TOLERANCE:
+            # where g is flat (the Weibull score of near-identical samples)
+            # |g| <= tol still leaves the root loose, so polish until the step
+            # stalls; the sign of g is rounding noise here, so the bracket stays put
+            if g == 0.0 or abs(step) <= 1e-13 * max(1.0, a) or polish >= 3:
+                break
+            polish += 1
+        elif g < 0.0:
+            lo = a
+        else:
+            hi = a
+        a_next = a - step
+        if not lo < a_next < hi:  # also catches inf and nan
+            a_next = 2.0 * a if hi == math.inf else 0.5 * (lo + hi)
+        a = a_next
+    return best_a, iterations, best_g
+
+
 def fit_weibull(samples: DefectSampleSet) -> FitReport:
     """Fit shape and scale to the retained sample by maximum likelihood.
 
@@ -150,33 +178,9 @@ def fit_weibull(samples: DefectSampleSet) -> FitReport:
     max_abs_log = _max_abs(log_xs)
     mean_log = math.fsum(log_xs) / len(log_xs)
 
-    a = INITIAL_SHAPE
-    lo, hi = 0.0, math.inf
-    best_a, best_g = a, math.inf
-    iterations = polish = 0
-    for _ in range(MAX_ITERATIONS):
-        iterations += 1
-        g, g_prime = _score_and_slope(log_xs, max_abs_log, mean_log, a)
-        if abs(g) < best_g:
-            best_g, best_a = abs(g), a
-        step = g / g_prime
-        if abs(g) <= TOLERANCE:
-            # where g is flat (near-identical samples) |g| <= tol still
-            # leaves the root loose, so polish until the step stalls; the
-            # sign of g is rounding noise here, so the bracket stays put
-            if g == 0.0 or abs(step) <= 1e-13 * max(1.0, a) or polish >= 3:
-                break
-            polish += 1
-        elif g < 0.0:
-            lo = a
-        else:
-            hi = a
-        a_next = a - step
-        if not lo < a_next < hi:  # also catches inf and nan
-            a_next = 2.0 * a if hi == math.inf else 0.5 * (lo + hi)
-        a = a_next
-
-    a, residual = best_a, best_g
+    a, iterations, residual = _bracketed_root(
+        lambda a: _score_and_slope(log_xs, max_abs_log, mean_log, a), INITIAL_SHAPE
+    )
     if residual > TOLERANCE:
         raise NoConvergence(
             f"residual |g| = {residual:.3e} above tolerance {TOLERANCE:g} "

@@ -136,21 +136,30 @@ BAD_VALUES = [
     + [("fit", line) for line in BAD_VALUES]
     + [("evaluate", "policy = bogus"), ("evaluate", "request_timeout = 0"),
        ("evaluate", "request_timeout = nan")]
+    # a mean this small is positive and finite, but 1 / mean overflows to inf
+    + [("simulate", "interarrival_mean = 5e-324"), ("evaluate", "arrival_mean = 5e-324")]
     # the ks tables have four significance columns only
     + [pytest.param("fit", "gof_method = ks\nsignificance = 0.2", id="fit-ks significance 0.2")],
 )
 def test_bad_config_value_fails_before_any_work(tmp_path, fixed_sample, command, line):
     project = tmp_path / "proj"
+
+    def config(base):
+        # line replaces base's own line for its key, which would otherwise
+        # fail as a duplicate key whatever the value
+        kept = [kv for kv in base.splitlines(True) if kv.split("=")[0] != line.split("=")[0]]
+        return write(tmp_path / "c.cfg", "".join(kept) + line + "\n")
+
     if command == "simulate":
-        cfg = write(tmp_path / "c.cfg", SIM_CFG + line + "\n")
+        cfg = config(SIM_CFG)
         argv = ["simulate"]
     elif command == "fit":
-        cfg = write(tmp_path / "c.cfg", line + "\n")
+        cfg = config("")
         samples = write(tmp_path / "s.txt", "".join(f"{v}\n" for v in fixed_sample.values))
         argv = ["fit", "--samples", samples, "--label", "ideal"]
     else:
         # an unreachable target exits 6 once the crawl starts; 2 shows it never did
-        cfg = write(tmp_path / "c.cfg", EVAL_CFG + line + "\n")
+        cfg = config(EVAL_CFG)
         argv = ["evaluate", "--target", "http://127.0.0.1:9", "--label", "ideal"]
     assert run_cli("--project-dir", project, *argv, "--config", cfg) == 2
     assert not (project / "phases/ideal").exists()

@@ -27,14 +27,14 @@ SHORT_CFG = (
     "arrival_mean = 0.001\nworkers = 2\nseed = 9\n"
 )
 
-# simulate's fitted (shape, scale) per seed on its default config.  The fit
-# sums with math.fsum, whose result is the same on every Python; the built-in
-# float sum is compensated from 3.12 on, so a sum through it writes other
-# digits on 3.11 than on 3.12 and 3.13.
+# simulate's fitted (shape, scale, iterations, residual) per seed on its
+# default config.  The fit sums with math.fsum, whose result is the same on
+# every Python; the built-in float sum is compensated from 3.12 on, so a sum
+# through it writes other digits on 3.11 than on 3.12 and 3.13.
 PINNED_FITS = {
-    0: (1.9988141562675976, 2.8387065762989265),
-    1: (2.099237660646152, 2.756071324946333),
-    2: (2.071331051559996, 2.9714936012908617),
+    0: (1.9988141562675976, 2.8387065762989265, 7, 2.7755575615628914e-15),
+    1: (2.099237660646152, 2.756071324946333, 7, 5.329070518200751e-15),
+    2: (2.071331051559996, 2.9714936012908617, 7, 5.440092820663267e-15),
 }
 
 
@@ -76,7 +76,7 @@ def test_simulate_fit_is_pinned_across_python_versions(tmp_path):
         project = tmp_path / f"seed-{seed}"
         webrely(project, "simulate", "--seed", seed)
         fit = json.loads((project / "phases/ideal/fit.json").read_text())
-        assert (fit["shape"], fit["scale"]) == pinned
+        assert (fit["shape"], fit["scale"], fit["iterations"], fit["residual"]) == pinned
 
 
 def test_crawl_and_evaluate_against_the_faulty_mock(tmp_path):

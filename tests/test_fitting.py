@@ -109,6 +109,104 @@ def test_no_convergence_with_tiny_budget(monkeypatch):
         fit_weibull(DefectSampleSet((1.0, math.e)))
 
 
+NEAR_EQUAL = (0.023518549418094812, 0.023518549418094812, 0.023518550711860032)
+
+
+@pytest.mark.parametrize(
+    "values,pinned",
+    [
+        ((1.0, math.e), (2.3993572805154675, 2.111344648570565, 7, 5.551115123125783e-17)),
+        # midpoint: the first step leaves (0, 1)
+        ((1e-8, 1.0, 1e8), (0.07572778467992955, 1757.5814893789573, 10, 7.105427357601002e-13)),
+        # doubling, polish and the log-space sums
+        (NEAR_EQUAL, (38515965.07681607, 0.0235185501725538, 36, 5.042366524321551e-11)),
+        (None, (1.5758354592490746, 2.3840952502241, 6, 1.1102230246251565e-16)),
+    ],
+    ids=["two-point", "wide-spread", "near-equal", "fixed-sample"],
+)
+def test_fit_and_its_bookkeeping_are_pinned(values, pinned, fixed_sample):
+    # every bit of each value, so a change to the solver that moves one shows
+    samples = fixed_sample if values is None else DefectSampleSet(values)
+    report = fit_weibull(samples)
+    assert (report.model.shape, report.model.scale, report.iterations, report.residual) == pinned
+
+
+def solve(score_and_slope, start):
+    """_bracketed_root's (root, iterations, residual) and the points at
+    which it evaluated score_and_slope, in order."""
+    points = []
+
+    def recorded(a):
+        points.append(a)
+        return score_and_slope(a)
+
+    return fitting._bracketed_root(recorded, start), points
+
+
+def newton(score_and_slope, a):
+    g, g_prime = score_and_slope(a)
+    return a - g / g_prime
+
+
+def test_root_newton_step_inside_the_bracket():
+    assert solve(lambda a: (a - 3.0, 1.0), 1.0) == ((3.0, 2, 0.0), [1.0, 3.0])
+
+
+def test_root_exact_zero_stops_at_once():
+    assert solve(lambda a: (a - 1.0, 1.0), 1.0) == ((1.0, 1, 0.0), [1.0])
+
+
+def test_root_step_past_the_open_bracket_doubles():
+    # a slope that rounding left with the wrong sign, as the Weibull score's
+    # is for near-equal samples, sends the step below lo = 1
+    def f(a):
+        return a - 4.0, -1.0 if a == 1.0 else 1.0
+
+    assert solve(f, 1.0) == ((4.0, 3, 0.0), [1.0, 2.0, 4.0])
+
+
+def test_root_step_past_the_closed_bracket_takes_the_midpoint():
+    # from a = 1 (hi = 1) the Newton step of this concave g lands below 0
+    def f(a):
+        return 1.0 - math.exp(4.0 * (0.5 - a)), 4.0 * math.exp(4.0 * (0.5 - a))
+
+    assert newton(f, 1.0) < 0.0
+    assert solve(f, 1.0) == ((0.5, 2, 0.0), [1.0, 0.5])
+
+
+def test_root_non_finite_step_takes_the_midpoint():
+    # g overflows to inf above a = 3.8, so the step from there is inf
+    def f(a):
+        return (a - 2.0) * 1e308, 1e308
+
+    assert solve(f, 10.0) == ((2.0, 4, 0.0), [10.0, 5.0, 2.5, 2.0])
+
+
+def test_root_polish_stops_on_a_stalled_step():
+    assert solve(lambda a: (a - 1.0 - 1e-20, 1.0), 1.0) == ((1.0, 1, 1e-20), [1.0])
+
+
+def test_root_polish_stops_after_three_steps():
+    # |g| <= TOLERANCE at every point, and no step stalls
+    def f(a):
+        return 1e-12 * (a**3 - 8.0), 3e-12 * a * a
+
+    points = [1.0]
+    for _ in range(3):
+        points.append(newton(f, points[-1]))
+    assert solve(f, 1.0) == ((points[-1], 4, abs(f(points[-1])[0])), points)
+
+
+def test_root_exhausted_budget_returns_the_best_point(monkeypatch):
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 2)
+
+    def f(a):
+        return a**3 - 8.0, 3.0 * a * a
+
+    # g(1) = -7 and g(10/3) = 29: the residual is 7, far above TOLERANCE
+    assert solve(f, 1.0) == ((1.0, 2, 7.0), [1.0, newton(f, 1.0)])
+
+
 def test_score_log_space_path_finite():
     # 2**900 overflows a double; the shifted log-space sums must not
     got = score([0.5, 2.0], 900.0)
