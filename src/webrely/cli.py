@@ -330,10 +330,12 @@ def cmd_mock_serve(args) -> int:
     # KeyboardInterrupt so either one stops the target and exits 0
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, signal.default_int_handler)
-    target.start()
-    # flush so piped callers (tests, scripts) see the URL immediately
-    print(f"mock target serving on {target.base_url} (Ctrl-C to stop)", flush=True)
+    # the try starts first, so a signal sent as soon as the URL is read,
+    # even before print returns, still stops the target
     try:
+        target.start()
+        # flush so piped callers (tests, scripts) see the URL immediately
+        print(f"mock target serving on {target.base_url} (Ctrl-C to stop)", flush=True)
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:

@@ -77,18 +77,9 @@ def parse_log_file(path: str | Path) -> tuple[list[ActivityRecord], list[str]]:
         if len(parts) != 7:
             skipped.append(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
             continue
-        try:
-            records.append(
-                ActivityRecord(
-                    timestamp_ms=int(parts[0]),
-                    tester_id=int(parts[1]),
-                    test_case_id=parts[2],
-                    step_index=int(parts[3]),
-                    action=parts[4],
-                    outcome=parts[5],
-                    node=parts[6],
-                )
-            )
+        try:  # the fields in to_line's order
+            records.append(ActivityRecord(int(parts[0]), int(parts[1]), parts[2],
+                                          int(parts[3]), *parts[4:]))
         except ValueError as exc:
             skipped.append(f"{path}:{lineno}: {exc}")
     return records, skipped

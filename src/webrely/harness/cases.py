@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from ..errors import EmptyModel
 from .crawler import Credentials
-from .mock import _COURSE_IDS, CREDENTIALS
+from .mock import COURSE_IDS, CREDENTIALS
 from .model import ACTIONS, Node, SiteModel
 
 __all__ = [
@@ -85,7 +85,7 @@ def _step_data(rng: random.Random, node: Node, action: str) -> dict:
         if form.op == action:
             for name in form.fields:
                 if name.endswith("_id") or name == "credits":
-                    data[name] = str(rng.choice(_COURSE_IDS))
+                    data[name] = str(rng.choice(COURSE_IDS))
                 else:
                     data[name] = f"v{rng.randrange(1_000_000)}"
             break

@@ -30,7 +30,7 @@ every open connection.
 http.server accepts each connection, reads each request line and
 dispatches it.  The handler reads the rest of the request itself, with the
 checks and error answers of BaseHTTPRequestHandler.parse_request, and its
-header block with the crawler's reader, the one the HTTP client uses.  It
+header block with the client's reader, http.header_fields.  It
 writes each answer in one piece, with the bytes send_response would write.
 Error answers (send_error) stay the stdlib's, and go out in two writes.
 tests/test_mock_framing.py checks the bytes against http.server's own path.
@@ -53,7 +53,8 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from ..stats.serialize import read_json
-from .crawler import LOGIN_PATH, _header_fields
+from .crawler import LOGIN_PATH
+from .http import header_fields
 from .model import ACTIONS
 
 FAULT_MARKER = "##FAULT-MARKER##"
@@ -69,7 +70,7 @@ VIEW_HOMES = {"professor": "/professor", "student": "/student"}
 
 # the ids an insert fills; generated test cases draw theirs from here too, so
 # their deletes reach every inserted row
-_COURSE_IDS = range(1, 10)
+COURSE_IDS = range(1, 10)
 
 # seconds between serve_forever's checks for a shutdown request, so about
 # the longest stop() waits; socketserver's default, 0.5 s, would add half
@@ -129,7 +130,7 @@ class _State:
 
 
 def _add_course(state: _State, form: dict) -> str:
-    free = [i for i in _COURSE_IDS if i not in state.courses]
+    free = [i for i in COURSE_IDS if i not in state.courses]
     if not free:
         return ""
     state.courses[free[0]] = {"name": form.get("name", f"course-{free[0]}"),
@@ -289,7 +290,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def parse_request(self) -> bool:
         """BaseHTTPRequestHandler.parse_request, with its checks and error
-        answers, but with the header block read by the crawler's reader:
+        answers, but with the header block read by http.header_fields:
         self.headers maps each lowercase field name to its first value."""
         self.command = None  # set in case of an error on the first line
         self.request_version = self.default_request_version
@@ -332,7 +333,7 @@ class _Handler(BaseHTTPRequestHandler):
             path = "/" + path.lstrip("/")
         self.command, self.path = command, path
         try:
-            fields = _header_fields(self.rfile)
+            fields = header_fields(self.rfile)
         except LineTooLong as err:
             self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long", str(err))
             return False

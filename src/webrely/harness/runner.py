@@ -5,24 +5,20 @@ whose arrival falls inside duration_s runs its whole walk.  Testers share
 only the immutable case list and the target address.  A step's outcome
 is decided by three rules: 2xx status class, the page marker for the
 node must be present, and the fixture fault marker must be absent.  A
-step that gets no answer (one of crawler.CLIENT_ERRORS) is a nav_error.
+step that gets no answer (one of http.CLIENT_ERRORS) is a nav_error.
 Testers of authenticated views log in through crawler.logging_in, the
 rule the crawl uses, and write their logs as analyzer.ActivityRecord
-lines.  Each tester holds one crawler.Session, and a step's URL is joined
+lines.  Each tester holds one http.Session, and a step's URL is joined
 from the target and its node path once per process, not on every step.
 
 A round's testers run on the calling thread, as generators on
-crawler.drive's select.poll loop.  A tester yields wherever its Session
-would block: the connect, the TLS handshake, the rest of a request that
-does not fit the send buffer, and the answer; the loop resumes it when
-that socket is ready.  Tester i starts at the later of its arrival (t0 +
-its offset) and a free slot among cfg.workers testers in flight, in
-index order.  Every wait is bounded by request_timeout_s: when one runs
-out, the loop throws TimeoutError into that tester, so the step is a
-nav_error.  The target's host is resolved once per round, by the probe
-before the loop starts, and every tester's Session connects to those
-addresses, so the loop resolves no name unless a redirect leads to
-another host.
+http.drive's poll loop.  Tester i starts at the later of its arrival
+(t0 + its offset) and a free slot among cfg.workers testers in flight,
+in index order.  When a wait runs out after request_timeout_s, the loop
+throws TimeoutError into that tester, so the step is a nav_error.  The
+target's host is resolved once per round, by the probe before the loop
+starts, and every tester's Session connects to those addresses, so the
+loop resolves no name unless a redirect leads to another host.
 """
 
 from __future__ import annotations
@@ -39,7 +35,8 @@ from urllib.parse import urljoin
 from ..errors import AuthFailed, TargetDown, Unreachable
 from .analyzer import ActivityRecord
 from .cases import TestCase, TestProfile
-from .crawler import CLIENT_ERRORS, Session, Wait, drive, logging_in
+from .crawler import logging_in
+from .http import CLIENT_ERRORS, Session, Wait, drive
 from .mock import FAULT_MARKER
 
 __all__ = ["HarnessConfig", "arrival_offsets", "run_evaluation"]
@@ -144,7 +141,7 @@ def run_evaluation(
     """Execute the cases whose testers arrive in the window; returns their log files.
 
     Raises TargetDown when the pre-run probe gets no answer at all, that
-    is, when Session.fetch raises one of crawler.CLIENT_ERRORS: a refused
+    is, when Session.fetch raises one of http.CLIENT_ERRORS: a refused
     connection, a timeout or a URL that is not http(s).  Mid-run client
     errors degrade to nav_error outcomes so one flaky page never kills an
     evaluation.  A login that crawler.logging_in refuses (no answer, or

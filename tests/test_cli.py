@@ -24,7 +24,7 @@ from webrely.harness import (
     load_fault_table,
     predict_density,
 )
-from webrely.harness.crawler import Session
+from webrely.harness.http import Session
 from webrely.harness.model import SiteModel
 from webrely.project import Analysis, EiProject
 from webrely.psp import PHASES as PSP_PHASES
@@ -121,6 +121,24 @@ def test_simulate_empty_campaign_exit_code(tmp_path):
 def test_simulate_unknown_config_key(tmp_path):
     cfg = write(tmp_path / "sim.cfg", "bogus = 1\n")
     assert run_cli("--project-dir", tmp_path / "proj", "simulate", "--config", cfg) == 2
+
+
+def test_config_comments_and_blank_lines_are_skipped(tmp_path):
+    cfg = write(tmp_path / "c.cfg",
+                "# a sweep\n\nruns = 40  # trailing\nevents_per_run = 60\nseed = 5\n")
+    assert cli._parse_kv(cfg) == {"runs": "40", "events_per_run": "60", "seed": "5"}
+    assert run_cli("--project-dir", tmp_path / "proj", "simulate", "--config", cfg) == 0
+
+
+@pytest.mark.parametrize("text, error", [
+    ("seed = 5\nruns 40\n", "expected 'key = value', got 'runs 40'"),
+    ("runs = 40\nruns = 50\n", "duplicate key 'runs'"),
+])
+def test_config_line_errors_name_the_line(tmp_path, capsys, text, error):
+    cfg = write(tmp_path / "c.cfg", text)
+    assert run_cli("--project-dir", tmp_path / "proj", "simulate", "--config", cfg) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}:2: {error}\n"
+    assert not (tmp_path / "proj").exists()
 
 
 BAD_VALUES = [

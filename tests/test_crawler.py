@@ -18,6 +18,7 @@ from webrely.harness import (
     Credentials,
     HarnessConfig,
     MockTarget,
+    SeededFault,
     SiteModel,
     Step,
     TestCase,
@@ -27,7 +28,8 @@ from webrely.harness import (
     run_evaluation,
 )
 from webrely.harness import mock
-from webrely.harness.crawler import MAX_REDIRECTS, Session, login
+from webrely.harness.crawler import login
+from webrely.harness.http import MAX_REDIRECTS, Session
 from webrely.stats.serialize import dump_json
 
 AUTH = {
@@ -122,6 +124,24 @@ def test_page_cap_marks_truncated():
     assert len(model.view_nodes("public")) <= 2
 
 
+def test_depth_limit_marks_truncated():
+    # /courses/view is two links from / and stays unvisited
+    with MockTarget() as target:
+        model = crawl_site(target.base_url, {"public": None}, CrawlLimits(max_depth=1))
+    assert [n.path for n in model.view_nodes("public")] == ["/", "/about", "/courses"]
+    assert model.truncated
+
+
+def test_page_answering_500_is_skipped_and_logged(caplog):
+    with MockTarget([SeededFault("/about", "read", "http-500")]) as target:
+        with caplog.at_level("WARNING", logger="webrely.harness.crawler"):
+            model = crawl_site(target.base_url, {"public": None})
+    assert "view public: /about answered 500" in caplog.messages
+    assert [n.path for n in model.view_nodes("public")] == ["/", "/courses", "/courses/view"]
+    assert len(model.edges) == 3  # the two edges to and from /about are dropped
+    assert not model.truncated
+
+
 def test_limit_validation():
     with pytest.raises(ValueError):
         CrawlLimits(max_depth=0)
@@ -190,8 +210,9 @@ def test_connection_closed_while_idle_is_replaced(monkeypatch):
 
 
 class _Redirects(BaseHTTPRequestHandler):
-    """GET /loop/<n> redirects to /loop/<n + 1> forever; POST /see-other
-    answers 303, POST /temporary answers 307, both to /landing."""
+    """GET /loop/<n> redirects to /loop/<n + 1> forever, GET /ftp redirects
+    to an ftp URL; POST /see-other answers 303, POST /temporary answers
+    307, both to /landing."""
 
     protocol_version = "HTTP/1.1"
     seen: list  # (method, path, request body)
@@ -211,6 +232,8 @@ class _Redirects(BaseHTTPRequestHandler):
         self.seen.append(("GET", self.path, self.headers.get("Content-Length")))
         if self.path.startswith("/loop/"):
             self._answer(302, f"/loop/{int(self.path.rsplit('/', 1)[1]) + 1}")
+        elif self.path == "/ftp":
+            self._answer(302, "ftp://example.org/x")
         else:
             self._answer(200, body=b"landed")
 
@@ -259,6 +282,14 @@ def test_unfollowed_redirect_keeps_its_location(redirects):
         page = session.fetch(url + "/loop/0", timeout=5, follow=False)
     assert (page.status, page.location) == (302, "/loop/1")
     assert len(seen) == 1
+
+
+def test_redirect_to_a_url_that_is_not_http_is_the_page(redirects):
+    url, seen = redirects
+    with Session() as session:
+        page = session.fetch(url + "/ftp", timeout=5)
+    assert (page.status, page.location) == (302, "ftp://example.org/x")
+    assert [path for _, path, _ in seen] == ["/ftp"]
 
 
 def test_kept_alive_requests_do_not_stall():
@@ -332,6 +363,40 @@ def test_crawl_follows_a_link_that_is_not_ascii(serving):
     assert seen == ["/", "/caf%C3%A9"]
     assert [n.path for n in model.view_nodes("public")] == ["/", "/caf%C3%A9"]
     assert model.edges == {("public:/", "public:/caf%C3%A9")}
+
+
+class _Unanswered(BaseHTTPRequestHandler):
+    """Answers GET / with a page that links an off-site URL and /gone, and
+    hangs up on GET /gone without an answer; records each request target."""
+
+    protocol_version = "HTTP/1.1"
+    seen: list
+
+    def log_message(self, *a):
+        pass
+
+    def do_GET(self):
+        self.seen.append(self.path)
+        if self.path == "/gone":
+            self.close_connection = True
+            return
+        body = b'<a href="http://elsewhere/">off</a> <a href="/gone">gone</a>'
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+def test_crawl_drops_off_site_links_and_skips_pages_with_no_answer(serving, caplog):
+    seen = []
+    with serving(type("Handler", (_Unanswered,), {"seen": seen})) as url:
+        with caplog.at_level("WARNING", logger="webrely.harness.crawler"):
+            model = crawl_site(url + "/", {"public": None})
+    assert seen == ["/", "/gone"]
+    assert "view public: /gone unreachable during crawl, skipped" in caplog.messages
+    assert [n.path for n in model.view_nodes("public")] == ["/"]
+    assert model.edges == frozenset()
+    assert not model.truncated
 
 
 class _Wire(socketserver.StreamRequestHandler):

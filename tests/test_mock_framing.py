@@ -17,7 +17,7 @@ from urllib.parse import urlparse
 import pytest
 
 from webrely.harness import MockTarget, mock
-from webrely.harness.crawler import Session
+from webrely.harness.http import Session
 
 LOGIN = b"view=student&username=stud&password=stud123"
 POST_LOGIN = b"POST /login HTTP/1.1\r\nContent-Length: 43\r\n\r\n" + LOGIN

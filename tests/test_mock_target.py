@@ -11,7 +11,8 @@ from urllib.parse import urlencode, urlparse
 import pytest
 
 from webrely.harness import FAULT_MARKER, MockTarget, SeededFault, default_profiles, mock
-from webrely.harness.crawler import Session, crawl_site
+from webrely.harness.crawler import crawl_site
+from webrely.harness.http import Session
 from webrely.harness.mock import CREDENTIALS
 from webrely.harness.runner import HarnessConfig
 

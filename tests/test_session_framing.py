@@ -33,8 +33,8 @@ from webrely.harness import (
     parse_log_file,
     run_evaluation,
 )
-import webrely.harness.crawler as crawler
-from webrely.harness.crawler import CLIENT_ERRORS, Session, _fields, _host, _receiving
+import webrely.harness.http as harness_http
+from webrely.harness.http import CLIENT_ERRORS, Session, _fields, _host, _receiving
 
 OK = b"HTTP/1.1 200 OK\r\nContent-Type: text/html; charset=utf-8\r\nContent-Length: 2\r\n\r\nok"
 
@@ -91,6 +91,8 @@ CORPUS = {
 MALFORMED = {
     "bad-status-line": (b"HTTX/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", False),
     "status-not-a-number": (b"HTTP/1.1 2OO OK\r\nContent-Length: 2\r\n\r\nok", False),
+    "status-below-100": (b"HTTP/1.1 099 Low\r\nContent-Length: 2\r\n\r\nok", False),
+    "status-over-999": (b"HTTP/1.1 1000 High\r\nContent-Length: 2\r\n\r\nok", False),
     "unknown-protocol": (b"HTTP/2 200 OK\r\nContent-Length: 2\r\n\r\nok", False),
     "no-answer": (b"", True),
     "truncated-body": (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort", True),
@@ -293,13 +295,13 @@ class _Trickling(socketserver.StreamRequestHandler):
 @pytest.mark.parametrize("path", ["/length", "/close"])
 def test_a_long_answer_in_small_writes_is_read_a_few_times(path, serving, monkeypatch):
     readings = []
-    answer = crawler._answer
+    answer = harness_http._answer
 
     def counted(reader):
         readings.append(len(reader.data))
         return answer(reader)
 
-    monkeypatch.setattr(crawler, "_answer", counted)
+    monkeypatch.setattr(harness_http, "_answer", counted)
     with serving(_Trickling) as url, Session() as session:
         page = session.fetch(url + path, timeout=10)
     assert page.text == "x" * LONG_BODY
