@@ -34,7 +34,6 @@ from .stats.serialize import (
     load_samples_text,
     read_json,
 )
-from .stats.weibull import _pdf
 
 EXIT_CODES: dict[type, int] = {
     errors.UnreadableInput: 2,
@@ -283,13 +282,8 @@ def _curves_csv(model_a, model_b) -> str:
     )
     step = hi / (COMPARE_CURVE_POINTS - 1)
     xs = (i * step for i in range(COMPARE_CURVE_POINTS))
-    a, log_a, log_scale_a = model_a.shape, math.log(model_a.shape), math.log(model_a.scale)
-    b, log_b, log_scale_b = model_b.shape, math.log(model_b.shape), math.log(model_b.scale)
-    # weibull_pdf holds the density's limit at 0, which depends on the shape
     return csv_text(["x", "pdf_a", "pdf_b"], (
-        [f"{x:.6g}",
-         f"{_pdf(a, log_a, log_scale_a, x) if x > 0.0 else weibull_pdf(model_a, x):.6g}",
-         f"{_pdf(b, log_b, log_scale_b, x) if x > 0.0 else weibull_pdf(model_b, x):.6g}"]
+        [f"{x:.6g}", f"{weibull_pdf(model_a, x):.6g}", f"{weibull_pdf(model_b, x):.6g}"]
         for x in xs
     ))
 

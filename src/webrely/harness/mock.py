@@ -28,11 +28,11 @@ keeps each connection open until its client hangs up; stop() hangs up on
 every open connection.
 
 http.server accepts each connection, reads each request line and
-dispatches it.  The handler reads the rest of the request itself, with the
-checks and error answers of BaseHTTPRequestHandler.parse_request, and its
-header block with the client's reader, http.header_fields.  It
-writes each answer in one piece, with the bytes send_response would write.
-Error answers (send_error) stay the stdlib's, and go out in two writes.
+dispatches it.  The handler parses an HTTP/1.0 or 1.1 request line and its
+header block itself, and leaves every other line to http.server's own
+parse_request, with its checks and error answers.  It writes each answer
+in one piece, with the bytes send_response would write.  Error answers
+(send_error) stay the stdlib's, and go out in two writes.
 tests/test_mock_framing.py checks the bytes against http.server's own path.
 """
 
@@ -289,49 +289,21 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def parse_request(self) -> bool:
-        """BaseHTTPRequestHandler.parse_request, with its checks and error
-        answers, but with the header block read by http.header_fields:
-        self.headers maps each lowercase field name to its first value."""
-        self.command = None  # set in case of an error on the first line
-        self.request_version = self.default_request_version
-        self.close_connection = True
+        """Parse an HTTP/1.0 or 1.1 request line of three words whose target
+        does not start with "//", as Session and http.client send it, and
+        read its header block with http.header_fields: self.headers maps
+        each lowercase field name to its first value.  Any other request
+        line (HTTP/0.9, another version, a wrong word count, a "//" target)
+        goes to BaseHTTPRequestHandler.parse_request, which makes its own
+        checks and error answers; self.headers is then its HTTPMessage,
+        which the handler reads by lowercase name too, as it ignores case."""
         self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
         words = self.requestline.split()
-        if not words:
-            return False
-        if len(words) >= 3:  # enough to tell the version
-            version = words[-1]
-            try:
-                if not version.startswith("HTTP/"):
-                    raise ValueError
-                number = version[5:].split(".")
-                # one dot between two numbers of at most ten digits each,
-                # leading zeros ignored (RFC 2145 section 3.1)
-                if len(number) != 2 or not all(n.isdigit() and len(n) <= 10 for n in number):
-                    raise ValueError
-                major, minor = int(number[0]), int(number[1])  # "²" is a digit, not an int
-            except ValueError:
-                self.send_error(HTTPStatus.BAD_REQUEST, "Bad request version (%r)" % version)
-                return False
-            if (major, minor) >= (1, 1):
-                self.close_connection = False
-            if major >= 2:
-                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
-                                "Invalid HTTP version (%s)" % version[5:])
-                return False
-            self.request_version = version
-        if not 2 <= len(words) <= 3:
-            self.send_error(HTTPStatus.BAD_REQUEST, "Bad request syntax (%r)" % self.requestline)
-            return False
-        command, path = words[:2]
-        if len(words) == 2:  # HTTP/0.9: a GET, and no keep-alive
-            self.close_connection = True
-            if command != "GET":
-                self.send_error(HTTPStatus.BAD_REQUEST, "Bad HTTP/0.9 request type (%r)" % command)
-                return False
-        if path.startswith("//"):  # it would read as a host (gh-87389)
-            path = "/" + path.lstrip("/")
-        self.command, self.path = command, path
+        if (len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1")
+                or words[1].startswith("//")):
+            return super().parse_request()
+        self.command, self.path, self.request_version = words
+        self.close_connection = self.request_version == "HTTP/1.0"
         try:
             fields = header_fields(self.rfile)
         except LineTooLong as err:
@@ -348,7 +320,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif connection == "keep-alive":
             self.close_connection = False
         if (self.headers.get("expect", "").lower() == "100-continue"
-                and self.request_version >= "HTTP/1.1"):
+                and self.request_version == "HTTP/1.1"):
             return self.handle_expect_100()
         return True
 

@@ -106,6 +106,7 @@ def _add(records: dict[int, PspProgramRecord], position: int, record: PspProgram
 def load_records_csv(path: str | Path) -> list[PspProgramRecord]:
     programs: dict[int, PspProgramRecord] = {}
     defects: dict[int, list[Defect]] = {}
+    first_defect_row: dict[int, int] = {}  # program number -> row of its first defect
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_HEADER:
@@ -141,11 +142,12 @@ def load_records_csv(path: str | Path) -> list[PspProgramRecord]:
                 except ValueError as exc:
                     raise RecordParseError(row_number, "defect", str(exc)) from None
                 defects.setdefault(program, []).append(defect)
+                first_defect_row.setdefault(program, row_number)
             else:
                 raise RecordParseError(row_number, "row_type", f"unknown row type {kind!r}")
     orphans = set(defects) - set(programs)
     if orphans:
-        raise RecordParseError(0, "program_number",
+        raise RecordParseError(min(first_defect_row[n] for n in orphans), "program_number",
                                f"defect rows reference unknown programs {sorted(orphans)}")
     if not programs:
         raise RecordParseError(1, "row_type", "the file holds no program row")

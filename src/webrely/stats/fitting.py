@@ -133,7 +133,7 @@ def _bracketed_root(score_and_slope, start: float) -> tuple[float, int, float]:
             # where g is flat (the Weibull score of near-identical samples)
             # |g| <= tol still leaves the root loose, so polish until the step
             # stalls; the sign of g is rounding noise here, so the bracket stays put
-            if g == 0.0 or abs(step) <= 1e-13 * max(1.0, a) or polish >= 3:
+            if abs(step) <= 1e-13 * max(1.0, a) or polish >= 3:
                 break
             polish += 1
         elif g < 0.0:

@@ -82,8 +82,6 @@ def _quantile(s: list[float], i: int, j: int, q: float) -> float:
         return s[i]
     h = (n - 1) * q
     lo = int(math.floor(h))
-    if lo >= n - 1:
-        return s[j - 1]
     return s[i + lo] + (h - lo) * (s[i + lo + 1] - s[i + lo])
 
 

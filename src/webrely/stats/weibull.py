@@ -52,18 +52,12 @@ def weibull_pdf(model: WeibullModel, x: float) -> float:
         if a == 1.0:
             return 1.0 / b
         return math.inf
-    return _pdf(a, math.log(a), math.log(b), x)
-
-
-def _pdf(shape: float, log_shape: float, log_scale: float, x: float) -> float:
-    """weibull_pdf's formula for x > 0, for loops that compute log(shape)
-    and log(scale) once."""
     # work in logs so large x or extreme shapes cannot overflow the power
-    log_x = math.log(x)
-    log_z_pow = shape * (log_x - log_scale)
+    log_x, log_b = math.log(x), math.log(b)
+    log_z_pow = a * (log_x - log_b)
     if log_z_pow > 700.0:  # exp(-z**a) underflows to an exact 0 density
         return 0.0
-    return math.exp(log_shape - shape * log_scale + (shape - 1.0) * log_x - math.exp(log_z_pow))
+    return math.exp(math.log(a) - a * log_b + (a - 1.0) * log_x - math.exp(log_z_pow))
 
 
 def weibull_cdf(model: WeibullModel, x: float) -> float:

@@ -353,6 +353,15 @@ def test_crawl_writes_model(tmp_path):
     assert len(model.view_nodes("public")) == 4
 
 
+def test_crawl_cut_by_its_limits_says_so(tmp_path, capsys):
+    cfg = write(tmp_path / "crawl.cfg", "max_depth = 1\n")
+    with MockTarget() as target:
+        assert run_cli("crawl", "--config", cfg, "--target", target.base_url,
+                       "--out", tmp_path / "model.json") == 0
+    assert "note: crawl limits were hit; the model is truncated\n" in capsys.readouterr().out
+    assert json.loads((tmp_path / "model.json").read_text())["truncated"] is True
+
+
 @pytest.mark.parametrize("target", ["http://127.0.0.1:9", "127.0.0.1:9", "file:///etc/"])
 def test_crawl_unreachable_exit_code(tmp_path, target):
     assert run_cli("--project-dir", tmp_path, "crawl", "--target", target) == 6
@@ -565,6 +574,7 @@ def test_psp_single_record(tmp_path):
 
 PSP_HEADER = (DATA / "psp_records.csv").read_text().splitlines()[0]
 PSP_PROGRAM_ROW = "program,{n},500,30,60,10,120,15,{compile},90,20,,,,\n"
+PSP_DEFECT_ROW = "defect,{n},,,,,,,,,,code,test,{fix},logic\n"
 
 
 @pytest.mark.parametrize("name,text", [("none.json", "[]\n"), ("header-only.csv", PSP_HEADER + "\n")],
@@ -592,7 +602,21 @@ def _psp_json(*programs) -> str:
     ("nan.json", _psp_json((1, 30.0), (2, math.nan)), "row 1"),
     ("inf-fix.csv", PSP_HEADER + "\n" + PSP_PROGRAM_ROW.format(n=1, compile=30)
      + "defect,1,,,,,,,,,,code,test,inf,logic\n", "row 3"),
-], ids=["repeat-csv", "repeat-json", "nan-csv", "nan-json", "inf-fix-csv"])
+    # every other row error of a CSV file names its row and column too
+    ("orphan.csv", PSP_HEADER + "\n" + PSP_PROGRAM_ROW.format(n=1, compile=30)
+     + "".join(PSP_DEFECT_ROW.format(n=n, fix=3) for n in (1, 99, 98)),
+     "row 4, column 'program_number': defect rows reference unknown programs [98, 99]"),
+    ("loc.csv",
+     PSP_HEADER + "\n" + PSP_PROGRAM_ROW.format(n=1, compile=30).replace(",500,", ",5x0,"),
+     "row 2, column 'loc_new_changed': not an integer"),
+    ("fix.csv", PSP_HEADER + "\n" + PSP_PROGRAM_ROW.format(n=1, compile=30)
+     + PSP_DEFECT_ROW.format(n=1, fix="soon"), "row 3, column 'fix_minutes': not numeric"),
+    ("kind.csv",
+     PSP_HEADER + "\n" + PSP_PROGRAM_ROW.format(n=1, compile=30).replace("program", "task", 1),
+     "row 2, column 'row_type': unknown row type 'task'"),
+], ids=["repeat-csv", "repeat-json", "nan-csv", "nan-json", "inf-fix-csv",
+        "orphan-defect-csv", "loc-not-an-integer-csv", "fix-minutes-not-numeric-csv",
+        "unknown-row-type-csv"])
 def test_psp_rejects_repeated_program_and_non_finite_minutes(tmp_path, capsys, name, text, where):
     records = write(tmp_path / name, text)
     project = tmp_path / "proj"

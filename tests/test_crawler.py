@@ -109,6 +109,12 @@ def test_unreachable_root():
         crawl_site("http://127.0.0.1:9", {"public": None})
 
 
+def test_entry_answering_other_than_200_is_unreachable():
+    with MockTarget([SeededFault("/", "read", "http-500")]) as target:
+        with pytest.raises(Unreachable, match="^entry / for view 'public' answered 500$"):
+            crawl_site(target.base_url, {"public": None})
+
+
 def test_auth_failure():
     with MockTarget() as target:
         with pytest.raises(AuthFailed):

@@ -11,6 +11,7 @@ import re
 import socket
 import time
 from email.utils import formatdate
+from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler
 from urllib.parse import urlparse
 
@@ -91,6 +92,13 @@ CORPUS = {
     "empty-request-line": ((b"\r\n",), True),
     "unknown-method": ((b"PUT / HTTP/1.1\r\n\r\n",), True),
     "double-slash-path": ((_get(b"//about"),), False),
+    # fields sent on http.server's request path that the handler then reads
+    "post-login-version-with-a-leading-zero": ((POST_LOGIN.replace(b"HTTP/1.1", b"HTTP/01.1"),),
+                                               False),
+    "login-then-cookie-version-with-a-trailing-digit": (
+        (POST_LOGIN, _get(b"/student", b"Cookie: session=student-0", version=b"HTTP/1.01")),
+        False),
+    "post-login-double-slash": ((POST_LOGIN.replace(b"/login", b"//login"),), False),
     "field-line-of-65536-bytes": ((_get(b"/", b"X-Long: " + b"a" * 65526),), False),
     "field-line-of-65537-bytes": ((_get(b"/", b"X-Long: " + b"a" * 65527),), True),
     "head-with-a-field-line-too-long": (
@@ -181,6 +189,35 @@ def test_mock_answers_as_http_server_answers(name):
     # each Date is the time of its answer, as date_time_string writes it
     dates = {formatdate(second, usegmt=True).encode() for second in range(first, last + 1)}
     assert set(re.findall(rb"\r\nDate: ([^\r\n]*)", answers)) <= dates
+
+
+def test_only_lines_no_client_sends_take_http_servers_parse(monkeypatch):
+    # super().parse_request looks the stdlib's method up at call time
+    calls = []
+    parse = BaseHTTPRequestHandler.parse_request
+
+    def counting_parse(handler):
+        calls.append(handler.raw_requestline)
+        return parse(handler)
+
+    monkeypatch.setattr(BaseHTTPRequestHandler, "parse_request", counting_parse)
+    form = {"view": "student", "username": "stud", "password": "stud123"}
+    with MockTarget() as target:
+        with Session() as session:
+            assert session.fetch(target.base_url + "/about", timeout=5).status == 200
+            page = session.fetch(target.base_url + "/login", form, timeout=5, follow=False)
+            assert page.status == 302
+        url = urlparse(target.base_url)
+        connection = HTTPConnection(url.hostname, url.port, timeout=5)
+        try:
+            connection.request("GET", "/courses")
+            assert connection.getresponse().read().count(b"page:/courses") == 1
+        finally:
+            connection.close()
+        assert calls == []
+        _exchange(target, (_get(b"/", version=b"HTTP/1.01"),))
+        _exchange(target, (b"GET /\r\n\r\n",))
+    assert calls == [b"GET / HTTP/1.01\r\n", b"GET /\r\n"]
 
 
 def test_an_answer_is_one_write(monkeypatch):
