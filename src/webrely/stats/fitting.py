@@ -4,8 +4,17 @@ The shape estimate solves the score equation
 
     g(a) = sum(x_i**a * ln x_i) / sum(x_i**a) - 1/a - mean(ln x_i) = 0
 
-by bracketed Newton-Raphson from a = 1 (_bracketed_root).  The scale then
-follows directly as (sum(x_i**a) / n) ** (1/a).
+by bracketed Newton-Raphson from a = 1 (_bracketed_root).  g and its slope
+are summed in one centred form over the sample's sorted view: with
+d_i = ln x_i - ln x_max and weights w_i = exp(a * d_i) in (0, 1],
+
+    g(a)  = sum(w * d) / sum(w) - 1/a - mean(d)
+    g'(a) = sum(w * d**2) / sum(w) - (sum(w * d) / sum(w))**2 + 1/a**2
+
+so no weight overflows at any shape, and the sums, added in ascending
+order, depend on the values and not on their order.  The scale then
+follows directly as (sum(x_i**a) / n) ** (1/a), or as
+x_max * (sum(w) / n) ** (1/a) where x**a would leave double precision.
 
 g is strictly increasing (its derivative is a weighted variance of ln x
 plus 1/a**2) and runs from -inf at 0+ to max(ln x) - mean(ln x) > 0, so
@@ -16,6 +25,7 @@ root, and the bracketed iteration reaches it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -27,7 +37,7 @@ from .weibull import WeibullModel
 __all__ = ["FitReport", "fit_weibull", "score"]
 
 # beyond this value of a * max|ln x| the direct powers x**a would overflow
-# or underflow double precision, so sums switch to a shifted log-space form
+# or underflow double precision, so the scale takes its centred form
 _LOG_SPACE_LIMIT = 600.0
 
 # |g| at which a shape is accepted, the iteration budget and the starting
@@ -56,60 +66,39 @@ class FitReport:
     gof: GofResult | None = None
 
 
-def _sums(log_xs: list[float], max_abs_log: float, a: float) -> tuple[float, float, float]:
-    """Return (S1/S0, S2_ratio, log S0) for S_k = sum(x**a * (ln x)**k).
+def _centred(ascending) -> tuple[list[float], float]:
+    """(d, mean(d)) of an ascending positive sample, d_i = ln x_i - ln x_max."""
+    log_max = math.log(ascending[-1])
+    ds = [l - log_max for l in map(math.log, ascending)]
+    return ds, math.fsum(ds) / len(ds)
 
-    max_abs_log is max|ln x|, computed once per sample by the caller.  Uses
-    direct powers while safe and a shifted log-space (log-sum-exp) form
-    when a * max|ln x| exceeds the overflow limit.
-    """
+
+def _score_and_slope(ds: list[float], mean_d: float, a: float) -> tuple[float, float]:
     exp = math.exp
     s0 = s1 = s2 = 0.0
-    if a * max_abs_log <= _LOG_SPACE_LIMIT:
-        for l in log_xs:
-            w = exp(a * l)
-            wl = w * l
-            s0 += w
-            s1 += wl
-            s2 += wl * l
-        return s1 / s0, s2 / s0, math.log(s0)
-    shift = a * max(log_xs)
-    for l in log_xs:
-        w = exp(a * l - shift)
-        wl = w * l
+    for d in ds:
+        w = exp(a * d)
+        wd = w * d
         s0 += w
-        s1 += wl
-        s2 += wl * l
-    return s1 / s0, s2 / s0, shift + math.log(s0)
-
-
-def _max_abs(log_xs: list[float]) -> float:
-    return max(max(log_xs), -min(log_xs))
+        s1 += wd
+        s2 += wd * d
+    ratio = s1 / s0
+    # the weighted variance of d, s2/s0 - ratio**2, is >= 0, hence g' > 0
+    return ratio - 1.0 / a - mean_d, (s2 / s0 - ratio * ratio) + 1.0 / (a * a)
 
 
 def score(values, a: float) -> float:
     """g(a) for the given strictly positive sample; exposed for oracles."""
-    log_xs = list(map(math.log, values))
-    return _score_and_slope(log_xs, _max_abs(log_xs), math.fsum(log_xs) / len(log_xs), a)[0]
+    return _score_and_slope(*_centred(sorted(values)), a)[0]
 
 
-def _score_and_slope(
-    log_xs: list[float], max_abs_log: float, mean_log: float, a: float
-) -> tuple[float, float]:
-    ratio, ratio2, _ = _sums(log_xs, max_abs_log, a)
-    g = ratio - 1.0 / a - mean_log
-    # weighted variance of ln x is ratio2 - ratio**2 >= 0, hence g' > 0
-    g_prime = (ratio2 - ratio * ratio) + 1.0 / (a * a)
-    return g, g_prime
-
-
-def _scale_for(values: list[float], log_xs: list[float], max_abs_log: float, a: float) -> float:
-    n = len(values)
-    if a * max_abs_log <= _LOG_SPACE_LIMIT:
+def _scale_for(ascending, ds: list[float], a: float) -> float:
+    n = len(ds)
+    x_max = ascending[-1]
+    if a * max(-math.log(ascending[0]), math.log(x_max)) <= _LOG_SPACE_LIMIT:
         # direct form of the closed-scale equation, kept exact for re-substitution
-        return (math.fsum(map(pow, values, repeat(a, n))) / n) ** (1.0 / a)
-    _, _, log_s0 = _sums(log_xs, max_abs_log, a)
-    return math.exp((log_s0 - math.log(n)) / a)
+        return (math.fsum(map(pow, ascending, repeat(a, n))) / n) ** (1.0 / a)
+    return x_max * (math.fsum(map(math.exp, map(a.__mul__, ds))) / n) ** (1.0 / a)
 
 
 def _bracketed_root(score_and_slope, start: float) -> tuple[float, int, float]:
@@ -155,8 +144,9 @@ def fit_weibull(samples: DefectSampleSet) -> FitReport:
     remain.  Raises NonIdentifiable when all values are equal and
     NoConvergence when the iteration budget runs out above tolerance.
     """
-    positive = [v for v in samples.values if v > 0.0]
-    zeros = samples.n - len(positive)
+    sv = samples.sorted_values
+    zeros = bisect_right(sv, 0.0)
+    positive = sv[zeros:]
     if zeros:
         import logging  # only here, so a process that fits no zeros never loads it
 
@@ -169,30 +159,25 @@ def fit_weibull(samples: DefectSampleSet) -> FitReport:
         raise EmptySample(
             f"need >= 2 strictly positive values to fit, got {len(positive)}"
         )
-    if min(positive) == max(positive):
+    if positive[0] == positive[-1]:
         raise NonIdentifiable(
             "all sample values are equal; the shape score g(a) = -1/a has no root"
         )
 
-    log_xs = list(map(math.log, positive))
-    max_abs_log = _max_abs(log_xs)
-    mean_log = math.fsum(log_xs) / len(log_xs)
-
+    ds, mean_d = _centred(positive)
     a, iterations, residual = _bracketed_root(
-        lambda a: _score_and_slope(log_xs, max_abs_log, mean_log, a), INITIAL_SHAPE
+        lambda a: _score_and_slope(ds, mean_d, a), INITIAL_SHAPE
     )
     if residual > TOLERANCE:
         raise NoConvergence(
             f"residual |g| = {residual:.3e} above tolerance {TOLERANCE:g} "
             f"after {iterations} iterations"
         )
-    scale = _scale_for(positive, log_xs, max_abs_log, a)
     return FitReport(
-        model=WeibullModel(shape=a, scale=scale),
+        model=WeibullModel(shape=a, scale=_scale_for(positive, ds, a)),
         sample_count=len(positive),
         iterations=iterations,
         residual=residual,
         zeros_excluded=zeros,
         source_label=samples.source_label,
     )
-

@@ -190,10 +190,10 @@ def build_histogram(samples: DefectSampleSet, bin_width: float = 1.0, origin: fl
     if samples.n < 2:
         raise EmptySample(f"histogram needs >= 2 retained values, got {samples.n}")
 
-    indices = [math.floor((v - origin) / bin_width) for v in samples.values]
-    lo = min(indices)
-    hi = max(indices)
-    counts = [0] * (hi - lo + 1)
+    # floor is monotone, so the bin indices of the sorted view ascend
+    indices = [math.floor((v - origin) / bin_width) for v in samples.sorted_values]
+    lo = indices[0]
+    counts = [0] * (indices[-1] - lo + 1)
     for i in indices:
         counts[i - lo] += 1
     bins = tuple((origin + (lo + j) * bin_width, c) for j, c in enumerate(counts))

@@ -28,13 +28,14 @@ SHORT_CFG = (
 )
 
 # simulate's fitted (shape, scale, iterations, residual) per seed on its
-# default config.  The fit sums with math.fsum, whose result is the same on
-# every Python; the built-in float sum is compensated from 3.12 on, so a sum
-# through it writes other digits on 3.11 than on 3.12 and 3.13.
+# default config.  The fit sums with math.fsum and with += loops over the
+# sorted values, whose results are the same on every Python; the built-in
+# float sum is compensated from 3.12 on, so a sum through it writes other
+# digits on 3.11 than on 3.12 and 3.13.
 PINNED_FITS = {
-    0: (1.9988141562675976, 2.8387065762989265, 7, 2.7755575615628914e-15),
-    1: (2.099237660646152, 2.756071324946333, 7, 5.329070518200751e-15),
-    2: (2.071331051559996, 2.9714936012908617, 7, 5.440092820663267e-15),
+    0: (1.9988141562676047, 2.838706576298929, 7, 5.995204332975845e-15),
+    1: (2.0992376606461627, 2.756071324946336, 7, 2.6645352591003757e-15),
+    2: (2.07133105155998, 2.971493601290857, 7, 2.220446049250313e-16),
 }
 
 

@@ -1,10 +1,13 @@
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from webrely.errors import EmptySample, NoConvergence, NonIdentifiable
+from webrely.project import EiProject
+from webrely.simulator import SimConfig, run_campaign
 from webrely.stats import DefectSampleSet, fit_weibull, fitting
 from webrely.stats.fitting import score
 
@@ -115,12 +118,12 @@ NEAR_EQUAL = (0.023518549418094812, 0.023518549418094812, 0.023518550711860032)
 @pytest.mark.parametrize(
     "values,pinned",
     [
-        ((1.0, math.e), (2.3993572805154675, 2.111344648570565, 7, 5.551115123125783e-17)),
+        ((1.0, math.e), (2.399357280515468, 2.111344648570565, 7, 5.551115123125783e-17)),
         # midpoint: the first step leaves (0, 1)
         ((1e-8, 1.0, 1e8), (0.07572778467992955, 1757.5814893789573, 10, 7.105427357601002e-13)),
-        # doubling, polish and the log-space sums
-        (NEAR_EQUAL, (38515965.07681607, 0.0235185501725538, 36, 5.042366524321551e-11)),
-        (None, (1.5758354592490746, 2.3840952502241, 6, 1.1102230246251565e-16)),
+        # doubling, polish and the centred form of the scale
+        (NEAR_EQUAL, (38472041.49951197, 0.023518550172224574, 31, 0.0)),
+        (None, (1.5758354592490726, 2.384095250224099, 6, 4.440892098500626e-16)),
     ],
     ids=["two-point", "wide-spread", "near-equal", "fixed-sample"],
 )
@@ -129,6 +132,36 @@ def test_fit_and_its_bookkeeping_are_pinned(values, pinned, fixed_sample):
     samples = fixed_sample if values is None else DefectSampleSet(values)
     report = fit_weibull(samples)
     assert (report.model.shape, report.model.scale, report.iterations, report.residual) == pinned
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fit_json_depends_only_on_the_values(seed, tmp_path):
+    # the simulate phase's sample and the same values shuffled: the fit
+    # sums run over the sorted view, so fit.json keeps every byte
+    project = EiProject(tmp_path)
+    samples = run_campaign(SimConfig(seed=seed))
+    shuffled = list(samples.values)
+    random.Random(seed).shuffle(shuffled)
+    assert shuffled != list(samples.values)
+    project.persist_phase("ideal", samples, {})
+    project.persist_phase("shuffled", DefectSampleSet(tuple(shuffled), (), "ideal"), {})
+    fit_json = [(tmp_path / "phases" / label / "fit.json").read_bytes()
+                for label in ("ideal", "shuffled")]
+    assert fit_json[0] == fit_json[1]
+
+
+def test_near_equal_samples_converge():
+    # relative spreads of 1e-15 to 1e-6: centred sums keep the rounding
+    # noise in g below TOLERANCE down to a spread of a few ulps
+    for seed in range(400):
+        rng = random.Random(seed)
+        base = 10.0 ** rng.uniform(-3.0, 3.0)
+        spread = 10.0 ** rng.uniform(-15.0, -6.0)
+        values = tuple(base * (1.0 + spread * rng.random()) for _ in range(rng.randint(3, 40)))
+        if min(values) == max(values):
+            continue
+        report = fit_weibull(DefectSampleSet(values))
+        assert report.residual <= fitting.TOLERANCE
 
 
 def solve(score_and_slope, start):
@@ -208,7 +241,7 @@ def test_root_exhausted_budget_returns_the_best_point(monkeypatch):
 
 
 def test_score_log_space_path_finite():
-    # 2**900 overflows a double; the shifted log-space sums must not
+    # 2**900 overflows a double; the centred weights, each in (0, 1], do not
     got = score([0.5, 2.0], 900.0)
     assert math.isfinite(got)
     assert got > 0.6
@@ -216,7 +249,8 @@ def test_score_log_space_path_finite():
 
 def test_score_paths_agree_near_switchover():
     values = [0.8, 1.1, 1.9, 2.5]
-    # max |ln x| is ln 2.5 ~ 0.916, so the switch happens near a = 655
+    # a * max|ln x| (ln 2.5 ~ 0.916) passes _LOG_SPACE_LIMIT = 600 near
+    # a = 655, where the scale changes form; the score has one form on both sides
     below = score(values, 650.0)
     above = score(values, 660.0)
     assert abs(below - above) < 1e-3
