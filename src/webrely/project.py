@@ -21,7 +21,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import AllDiscarded, EmptySample, InsufficientData, LockHeld, MissingPhase
+from .errors import (AllDiscarded, EmptySample, InsufficientData, LockHeld, MissingPhase,
+                     UnreadableInput)
 from .stats import (
     AnomalyPolicy,
     DefectSampleSet,
@@ -108,7 +109,11 @@ class EiProject:
     @contextmanager
     def lock(self):
         """One command at a time per project directory."""
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file stands where the root or a parent of it should be
+            raise UnreadableInput(f"cannot create project directory {self.root}: "
+                                  f"{exc.strerror}") from None
         path = self.root / LOCK_NAME
         try:
             fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)

@@ -40,8 +40,7 @@ __all__ = ["FitReport", "fit_weibull", "score"]
 # or underflow double precision, so the scale takes its centred form
 _LOG_SPACE_LIMIT = 600.0
 
-# |g| at which a shape is accepted, the iteration budget and the starting
-# shape
+# the largest |g| fit_weibull accepts, the iteration budget and the start
 TOLERANCE = 1e-9
 MAX_ITERATIONS = 100
 INITIAL_SHAPE = 1.0
@@ -104,28 +103,23 @@ def _scale_for(ascending, ds: list[float], a: float) -> float:
 def _bracketed_root(score_and_slope, start: float) -> tuple[float, int, float]:
     """Root of an increasing g on (0, inf); score_and_slope(a) is (g, g').
 
-    Newton-Raphson from start, kept inside a bracket (lo, hi) that starts
-    at (0, inf): a step that leaves the bracket, or is not finite, becomes the
-    bracket's midpoint, or doubles a while hi is still infinite ("rtsafe",
-    Numerical Recipes 3rd ed. section 9.4).  Returns (root, iterations,
-    residual): the evaluated a with the smallest |g| and that |g|, so g is not
-    evaluated again.  A residual above TOLERANCE means MAX_ITERATIONS ran out.
+    Newton-Raphson from start inside a bracket (lo, hi), first (0, inf), that
+    each evaluated a narrows by the sign of g: a step that leaves it, or is
+    not finite, becomes its midpoint, or doubles a while hi is infinite
+    ("rtsafe", Numerical Recipes 3rd ed. section 9.4), until a step is at
+    most 1e-13 * a.  Returns (root, iterations, residual): the evaluated a
+    with the smallest |g| and that |g|, so g is not evaluated again.
     """
     lo, hi = 0.0, math.inf
-    a, best_a, best_g, polish = start, start, math.inf, 0
+    a, best_a, best_g = start, start, math.inf
     for iterations in range(1, MAX_ITERATIONS + 1):
         g, g_prime = score_and_slope(a)
         if abs(g) < best_g:
             best_g, best_a = abs(g), a
         step = g / g_prime
-        if abs(g) <= TOLERANCE:
-            # where g is flat (the Weibull score of near-identical samples)
-            # |g| <= tol still leaves the root loose, so polish until the step
-            # stalls; the sign of g is rounding noise here, so the bracket stays put
-            if abs(step) <= 1e-13 * max(1.0, a) or polish >= 3:
-                break
-            polish += 1
-        elif g < 0.0:
+        if abs(step) <= 1e-13 * a:
+            break
+        if g < 0.0:
             lo = a
         else:
             hi = a

@@ -9,6 +9,7 @@ from webrely.harness import (
     default_profiles,
     generate_test_cases,
 )
+from webrely.harness.model import Node, SiteModel
 
 AUTH = {
     "public": None,
@@ -79,9 +80,28 @@ def test_write_steps_carry_form_data(model):
         assert step.data  # every write fills its form fields
 
 
-def test_empty_model_rejected():
-    from webrely.harness import SiteModel
+# /a links to /b, a dead end
+DEAD_END = SiteModel(
+    nodes={node.id: node for node in (Node("student", "/a", ("insert", "read")),
+                                      Node("student", "/b", ("read",)))},
+    edges=frozenset({("student:/a", "student:/b")}),
+    entry_points={"student": "student:/a"},
+)
 
+
+def test_walk_ends_at_a_dead_end():
+    profiles = {"student": default_profiles()["student"]}
+    cases = generate_test_cases(DEAD_END, profiles, 20, seed=3, walk_length=5)
+    assert [[step.node_path for step in case.steps] for case in cases] == [["/a", "/b"]] * 20
+
+
+def test_step_reads_where_the_profile_allows_no_action_of_the_node():
+    profiles = {"student": TestProfile("student", None, {"delete": 1.0})}
+    cases = generate_test_cases(DEAD_END, profiles, 20, seed=3, walk_length=5)
+    assert {(step.action, len(step.data)) for case in cases for step in case.steps} == {("read", 0)}
+
+
+def test_empty_model_rejected():
     empty = SiteModel(nodes={}, edges=frozenset(), entry_points={})
     with pytest.raises(EmptyModel):
         generate_test_cases(empty, default_profiles(), 5, seed=1)

@@ -219,6 +219,21 @@ def test_directory_as_input_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
 
 
+@pytest.mark.parametrize(
+    "project,argv,why",
+    [("f", ["fit", "--samples", "{tmp}/s.txt", "--label", "x"], "File exists"),
+     ("f/sub", ["simulate", "--config", "{tmp}/sim.cfg"], "Not a directory")],
+    ids=["file", "under-a-file"],
+)
+def test_project_dir_that_cannot_be_a_directory_exits_2(tmp_path, capsys, project, argv, why):
+    write(tmp_path / "f", "")
+    write(tmp_path / "s.txt", "1\n2\n3\n")
+    write(tmp_path / "sim.cfg", SIM_CFG)
+    project = tmp_path / project
+    assert run_cli("--project-dir", project, *[arg.format(tmp=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: cannot create project directory {project}: {why}\n"
+
+
 @pytest.mark.parametrize("doc", [{"nodes": []}, {"nodes": [{"view": "public"}], "edges": []}, []])
 def test_evaluate_malformed_model_exits_2(tmp_path, capsys, doc):
     model = write(tmp_path / "model.json", json.dumps(doc))
@@ -436,6 +451,23 @@ def test_evaluate_repeat_same_seed_identical_artifacts(tmp_path):
     a.pop("config.json")
     b.pop("config.json")
     assert a == b
+
+
+def test_evaluate_seed_flag_overrides_config(tmp_path):
+    faults = [SeededFault("/student/profile", "update", "error-marker"),
+              SeededFault("/professor/courses", "insert", "http-500")]
+    results = []
+    with MockTarget(faults) as target:
+        # --seed 9 over a config file's seed = 4, and seed = 9 in the file
+        for name, seed_flag, seed in (("flag", ["--seed", 9], 4), ("config", [], 9)):
+            text = RICH_EVAL_CFG.replace("seed = 4", f"seed = {seed}")
+            cfg = write(tmp_path / f"{name}.cfg", text)
+            project = tmp_path / name
+            assert run_cli("--project-dir", project, *seed_flag, "evaluate",
+                           "--target", target.base_url, "--config", cfg) == 0
+            results.append(phase_files(project, "real"))
+    assert json.loads(results[0]["config.json"])["campaign"]["seed"] == 9
+    assert results[0] == results[1]
 
 
 def test_evaluate_with_cached_model(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings
@@ -150,9 +151,29 @@ def test_fit_json_depends_only_on_the_values(seed, tmp_path):
     assert fit_json[0] == fit_json[1]
 
 
+def exact_score_changes_sign(values, a, eps):
+    """Whether g, from the exact values of the doubles to 50 digits, is
+    negative at a * (1 - eps) and positive at a * (1 + eps): a lies within a
+    relative eps of its root."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        xs = [Decimal(x) for x in values]
+        top = max(xs)
+        # ln(x / x_max) keeps every digit of a near-equal sample's spread
+        ds = [(x / top).ln() for x in xs]
+        mean_d = sum(ds) / len(ds)
+        g = []
+        for shape in (Decimal(a) * (1 - Decimal(eps)), Decimal(a) * (1 + Decimal(eps))):
+            ws = [(shape * d).exp() for d in ds]
+            g.append(sum(w * d for w, d in zip(ws, ds)) / sum(ws) - 1 / shape - mean_d)
+    return g[0] < 0 < g[1]
+
+
 def test_near_equal_samples_converge():
     # relative spreads of 1e-15 to 1e-6: centred sums keep the rounding
-    # noise in g below TOLERANCE down to a spread of a few ulps
+    # noise in g below TOLERANCE down to a spread of a few ulps, and from a
+    # spread of 1e-12 the shape is near the root of the exact g; below it the
+    # rounding of ln x - ln x_max alone moves the root by about 1 %
     for seed in range(400):
         rng = random.Random(seed)
         base = 10.0 ** rng.uniform(-3.0, 3.0)
@@ -162,6 +183,16 @@ def test_near_equal_samples_converge():
             continue
         report = fit_weibull(DefectSampleSet(values))
         assert report.residual <= fitting.TOLERANCE
+        realised = max(values) / min(values) - 1.0
+        if realised >= 1e-12:
+            eps = 1e-6 if realised >= 1e-9 else 1e-3
+            assert exact_score_changes_sign(values, report.model.shape, eps), seed
+    # a shape below 1 stops at a step of 1e-13 of itself, not of 1
+    rng = random.Random(8)
+    values = tuple(math.exp(rng.uniform(-20.0, 20.0)) for _ in range(5))
+    shape = fit_weibull(DefectSampleSet(values)).model.shape
+    assert shape < 0.1
+    assert exact_score_changes_sign(values, shape, 1e-14)
 
 
 def solve(score_and_slope, start):
@@ -219,15 +250,19 @@ def test_root_polish_stops_on_a_stalled_step():
     assert solve(lambda a: (a - 1.0 - 1e-20, 1.0), 1.0) == ((1.0, 1, 1e-20), [1.0])
 
 
-def test_root_polish_stops_after_three_steps():
-    # |g| <= TOLERANCE at every point, and no step stalls
+def test_root_flat_score_is_polished_until_the_step_stalls():
+    # |g| <= TOLERANCE at every point: only the relative step stops the solver
     def f(a):
         return 1e-12 * (a**3 - 8.0), 3e-12 * a * a
 
     points = [1.0]
-    for _ in range(3):
-        points.append(newton(f, points[-1]))
-    assert solve(f, 1.0) == ((points[-1], 4, abs(f(points[-1])[0])), points)
+    while True:
+        g, g_prime = f(points[-1])
+        if abs(g / g_prime) <= 1e-13 * points[-1]:
+            break
+        points.append(points[-1] - g / g_prime)
+    assert points[-1] == 2.0
+    assert solve(f, 1.0) == ((2.0, len(points), 0.0), points)
 
 
 def test_root_exhausted_budget_returns_the_best_point(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import random
+from statistics import NormalDist
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +192,17 @@ def test_chi2_quantile_matches_scipy(significance):
     for dof in CHI2_DOFS:
         expected = chi2.ppf(1.0 - significance, dof)
         assert chi2_ppf(1.0 - significance, dof) == pytest.approx(expected, rel=1e-12), dof
+
+
+@pytest.mark.parametrize("dof,significance", [(1, 0.951), (1, 0.999), (1, 1 - 1e-9),
+                                               (2, 0.9962), (2, 0.99999)])
+def test_chi2_quantile_deep_in_the_lower_tail_matches_scipy(dof, significance):
+    # the Wilson-Hilferty start falls at or below 0 here, so the start
+    # comes from the series P(a, x) ~ x^a / Gamma(a + 1)
+    h = 2.0 / (9.0 * dof)
+    assert 1.0 - h + NormalDist().inv_cdf(1.0 - significance) * math.sqrt(h) <= 0.0
+    expected = chi2.ppf(1.0 - significance, dof)
+    assert chi2_ppf(1.0 - significance, dof) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("significance", KS_SIGNIFICANCES)
