@@ -37,6 +37,12 @@ PINNED_FITS = {
     1: (2.0992376606461627, 2.756071324946336, 7, 2.6645352591003757e-15),
     2: (2.07133105155998, 2.971493601290857, 7, 2.220446049250313e-16),
 }
+# and the (statistic, dof) of its chi-square test
+PINNED_GOF = {
+    0: (39.732719407345314, 4),
+    1: (22.40165452465254, 3),
+    2: (25.67437659661159, 4),
+}
 
 
 def webrely(project: Path, *argv) -> None:
@@ -78,6 +84,7 @@ def test_simulate_fit_is_pinned_across_python_versions(tmp_path):
         webrely(project, "simulate", "--seed", seed)
         fit = json.loads((project / "phases/ideal/fit.json").read_text())
         assert (fit["shape"], fit["scale"], fit["iterations"], fit["residual"]) == pinned
+        assert (fit["gof"]["statistic"], fit["gof"]["dof"]) == PINNED_GOF[seed]
 
 
 def test_crawl_and_evaluate_against_the_faulty_mock(tmp_path):

@@ -5,12 +5,13 @@ from statistics import NormalDist
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2, kstwo
+from scipy.stats import chi2, kstwo, weibull_min
 
 from webrely.errors import InsufficientData
 from webrely.project import Analysis
 from webrely.stats import (
     DefectSampleSet,
+    Histogram,
     WeibullModel,
     build_histogram,
     fit_weibull,
@@ -65,6 +66,47 @@ def test_expected_count_merging():
     hist = build_histogram(ss, 1.0, 0.0)
     result = goodness_of_fit(hist, WeibullModel(1.5, 2.0), "chi-square", 0.05)
     assert result.dof >= 1
+
+
+def reference_chi_square(hist, model):
+    """Pearson's statistic and the number of groups by the documented rule,
+    on scipy's Weibull CDF: a bin expects n (F(next lower edge) - F(lower
+    edge)), the first bin open below and the last above; bins merge left
+    to right until a group expects at least 5, and a short remainder joins
+    the last group when there are two or more."""
+    cdf = [0.0, *weibull_min.cdf([lower for lower, _ in hist.bins[1:]], model.shape,
+                                 scale=model.scale), 1.0]
+    groups, obs, exp = [], 0, 0.0
+    for (_, count), lo, hi in zip(hist.bins, cdf, cdf[1:]):
+        obs += count
+        exp += hist.total * (hi - lo)
+        if exp >= 5.0:
+            groups.append([obs, exp])
+            obs, exp = 0, 0.0
+    if obs or exp:
+        if len(groups) >= 2:
+            groups[-1][0] += obs
+            groups[-1][1] += exp
+        else:
+            groups.append([obs, exp])
+    return sum((o - e) ** 2 / e for o, e in groups), len(groups)
+
+
+SMALL_HIST = Histogram(bin_width=0.5, origin=0.0, total=47, bins=(
+    (0.5, 4), (1.0, 9), (1.5, 12), (2.0, 10), (2.5, 7), (3.0, 3), (3.5, 0), (4.0, 2)))
+
+
+@pytest.mark.parametrize("width", [None, 1.0, 0.3])
+@pytest.mark.parametrize("fitted_params", [0, 2])
+def test_chi_square_statistic_matches_reference(fixed_sample, width, fitted_params):
+    # None: a hand-made histogram whose fifth group merges two bins and
+    # whose last two bins, short of 5 together, join that group
+    hist = SMALL_HIST if width is None else build_histogram(fixed_sample, width, 0.0)
+    model = WeibullModel(2.0, 2.0) if width is None else FIXTURE_MODEL
+    statistic, groups = reference_chi_square(hist, model)
+    got = goodness_of_fit(hist, model, "chi-square", 0.05, fitted_params=fitted_params)
+    assert got.statistic == pytest.approx(statistic, rel=1e-12)
+    assert got.dof == groups - 1 - fitted_params
 
 
 def test_ks_accepts_generating_model(fixed_sample):
