@@ -79,19 +79,6 @@ def goodness_of_fit(
     raise ValueError(f"unknown goodness-of-fit method {method!r}")
 
 
-def _bin_probabilities(hist: Histogram, model: WeibullModel) -> list[float]:
-    # open the first bin downward and the last upward so probabilities
-    # cover the whole support and expected counts sum to n
-    probs = []
-    last = len(hist.bins) - 1
-    for i, (lower, _) in enumerate(hist.bins):
-        upper = lower + hist.bin_width
-        lo_cdf = 0.0 if i == 0 else weibull_cdf(model, lower)
-        hi_cdf = 1.0 if i == last else weibull_cdf(model, upper)
-        probs.append(max(hi_cdf - lo_cdf, 0.0))
-    return probs
-
-
 def _merge_bins(observed: list[int], expected: list[float]) -> list[tuple[float, float]]:
     """Greedy left-to-right merge until each group's expected count >= 5.
 
@@ -125,9 +112,11 @@ def _chi_square(
         raise InsufficientData(
             f"chi-square needs >= 3 histogram bins, got {len(hist.bins)}"
         )
+    # a bin ends where the next begins; the first is open below and the
+    # last above, so the expected counts sum to n
+    cdf = [0.0, *(weibull_cdf(model, lower) for lower, _ in hist.bins[1:]), 1.0]
     observed = [count for _, count in hist.bins]
-    probs = _bin_probabilities(hist, model)
-    expected = [hist.total * p for p in probs]
+    expected = [hist.total * (hi - lo) for lo, hi in zip(cdf, cdf[1:])]
     groups = _merge_bins(observed, expected)
     dof = len(groups) - 1 - fitted_params
     if dof < 1:
