@@ -78,9 +78,11 @@ def chi2_ppf(p: float, dof: float) -> float:
     x = 0.5 * dof * (1.0 - h + NormalDist().inv_cdf(p) * math.sqrt(h)) ** 3
     if x <= 0.0:  # far lower tail of few dof: P(a, x) ~ x^a / Gamma(a + 1)
         x = math.exp((math.log(p) + math.lgamma(a + 1.0)) / a)
-    for _ in range(100):  # Newton, never shrinking x by more than half
+    for _ in range(100):  # Newton, each step kept within [x/2, 2x]
         resid, density = _gamma_p_minus(a, x, p)
-        x_old, x = x, max(x - resid / density, 0.5 * x)
+        # a density that underflows to 0 steps to the bound on resid's side
+        newton = x - resid / density if density else -math.copysign(math.inf, resid)
+        x_old, x = x, min(max(newton, 0.5 * x), 2.0 * x)
         if abs(x - x_old) <= 1e-15 * x_old:
             break
     return 2.0 * x

@@ -29,7 +29,7 @@ from webrely.harness.model import SiteModel
 from webrely.project import Analysis, EiProject
 from webrely.psp import PHASES as PSP_PHASES
 from webrely.simulator import SimConfig
-from webrely.stats import AnomalyPolicy, DefectSampleSet, WeibullModel, weibull_pdf
+from webrely.stats import AnomalyPolicy, DefectSampleSet, WeibullModel, sample, weibull_pdf
 
 DATA = Path(__file__).parent / "data"
 
@@ -715,6 +715,22 @@ def test_fit_two_bin_sample_skips_goodness_of_fit(tmp_path):
     error = json.loads((project / "phases/x/fit_error.json").read_text())
     assert error["stage"] == "goodness-of-fit"
     assert "InsufficientData" in error["error"]
+
+
+def test_fit_at_a_significance_near_1_exits_0(tmp_path):
+    # chi2_ppf's threshold at p = 1e-9 and 9 dof: a Newton step from the
+    # start far below the root once overshot to where the density
+    # underflows to 0, and the next step divided by it
+    values = sample(WeibullModel(2.0, 4.0), 100, random.Random(1))
+    samples = write(tmp_path / "s.txt", "".join(f"{v!r}\n" for v in values))
+    cfg = write(tmp_path / "fit.cfg", "bin_width = 0.5\nsignificance = 0.999999999\n")
+    project = tmp_path / "proj"
+    argv = ["fit", "--samples", samples, "--config", cfg, "--label", "x"]
+    assert run_cli("--project-dir", project, *argv) == 0
+    gof = json.loads((project / "phases/x/fit.json").read_text())["gof"]
+    assert gof["dof"] == 9
+    # scipy.stats.chi2.ppf(1 - 0.999999999, 9)
+    assert gof["threshold"] == pytest.approx(0.04840705813071332, rel=1e-12)
 
 
 def test_compare_same_label_equal(tmp_path, fixed_sample):

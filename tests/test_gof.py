@@ -247,6 +247,16 @@ def test_chi2_quantile_deep_in_the_lower_tail_matches_scipy(dof, significance):
     assert chi2_ppf(1.0 - significance, dof) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("dof,significance", [(8, 1 - 1e-8), (9, 1 - 1e-9), (10, 1 - 1e-10),
+                                               (11, 1 - 1e-10)])
+def test_chi2_quantile_far_below_its_start_matches_scipy(dof, significance):
+    # a full Newton step from the Wilson-Hilferty start, far below the
+    # root, lands where the density underflows to 0; each step is kept
+    # within [x/2, 2x] instead
+    expected = chi2.ppf(1.0 - significance, dof)
+    assert chi2_ppf(1.0 - significance, dof) == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize("significance", KS_SIGNIFICANCES)
 def test_ks_quantile_matches_scipy(significance):
     # the table for a model given from outside freezes kstwo.ppf at eight
