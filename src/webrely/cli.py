@@ -183,8 +183,13 @@ def cmd_crawl(args) -> int:
 
     limits = CrawlLimits(**_read_config(args, CrawlLimits)[0])
     profiles = default_profiles()
-    model = crawl_site(args.target, _auth_from_profiles(profiles), limits)
     out = Path(args.out) if args.out else Path(args.project_dir) / "models" / "site_model.json"
+    try:  # before the first request, so a crawl never runs to be thrown away
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file stands where the directory or a parent of it should be
+        raise errors.UnreadableInput(f"cannot create directory {out.parent}: "
+                                     f"{exc.strerror}") from None
+    model = crawl_site(args.target, _auth_from_profiles(profiles), limits)
     dump_json(model.to_dict(), out)
     print(f"{len(model.nodes)} nodes, {len(model.edges)} edges -> {out}")
     if model.truncated:

@@ -382,6 +382,20 @@ def test_crawl_unreachable_exit_code(tmp_path, target):
     assert run_cli("--project-dir", tmp_path, "crawl", "--target", target) == 6
 
 
+@pytest.mark.parametrize(
+    "argv,directory,why",
+    [(["--project-dir", "{tmp}/f", "crawl"], "f/models", "Not a directory"),
+     (["crawl", "--out", "{tmp}/f/m.json"], "f", "File exists")],
+    ids=["project-dir", "out"],
+)
+def test_crawl_output_that_cannot_be_a_directory_exits_2(tmp_path, capsys, argv, directory, why):
+    # an unreachable target exits 6 if it is ever contacted
+    write(tmp_path / "f", "")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert run_cli(*argv, "--target", "http://127.0.0.1:9") == 2
+    assert capsys.readouterr().err == f"error: cannot create directory {tmp_path / directory}: {why}\n"
+
+
 def test_evaluate_density_matches_replay_oracle(tmp_path):
     # write-action faults keep the crawl complete while every round still
     # trips several of them
