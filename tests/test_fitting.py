@@ -238,6 +238,18 @@ def test_root_step_past_the_closed_bracket_takes_the_midpoint():
     assert solve(f, 1.0) == ((0.5, 2, 0.0), [1.0, 0.5])
 
 
+def test_root_step_below_the_lower_bracket_takes_the_midpoint():
+    # from a = 0.9 (lo = 0.9) Newton overshoots to 3.13 (hi = 3.13), and
+    # its step from there lands at 0.77, below lo
+    def f(a):
+        return math.tanh(a - 2.0), 1.0 / math.cosh(a - 2.0) ** 2
+
+    above = newton(f, 0.9)
+    assert newton(f, above) < 0.9
+    midpoint = 0.5 * (0.9 + above)
+    assert solve(f, 0.9) == ((2.0, 5, 0.0), [0.9, above, midpoint, newton(f, midpoint), 2.0])
+
+
 def test_root_non_finite_step_takes_the_midpoint():
     # g overflows to inf above a = 3.8, so the step from there is inf
     def f(a):

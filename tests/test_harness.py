@@ -34,6 +34,7 @@ from webrely.harness import (
     run_campaign,
     run_evaluation,
 )
+from webrely.harness.http import Session
 
 AUTH = {
     "public": None,
@@ -486,6 +487,19 @@ def test_a_round_resolves_the_target_once(tmp_path, serving, monkeypatch):
                                tmp_path, 0)
     assert [_walked(path) for path in paths] == [[("/p1", "ok"), ("/p2", "ok")]] * 3
     assert looked_up == [("localhost", port)]  # by the probe, before the loop
+
+
+def test_no_address_connects_raises_the_last_ones_error():
+    # a bound socket that does not listen refuses connections; addresses
+    # already holds the host's two, so the name is never looked up
+    with socket.socket() as first, socket.socket() as second:
+        for sock in (first, second):
+            sock.bind(("127.0.0.1", 0))
+        refusing = [(socket.AF_INET, socket.SOCK_STREAM, 0, "", sock.getsockname())
+                    for sock in (first, second)]
+        with Session({("example.test", 80): refusing}) as session:
+            with pytest.raises(ConnectionRefusedError):
+                session.fetch("http://example.test/", timeout=5)
 
 
 @pytest.mark.parametrize(

@@ -68,6 +68,11 @@ def test_zscore_policy():
 def test_none_policy_keeps_all():
     out = discard([1.0, 2.0, 1000.0], AnomalyPolicy("none"))
     assert out.n == 3
+    # z-score at the same k = 3 discards 1000 here (|z| = 4.5)
+    raw = [1.0, 2.0] * 10 + [1000.0]
+    assert discard(raw, AnomalyPolicy("zscore")).n == 20
+    out = discard(raw, AnomalyPolicy("none"))
+    assert (out.values, out.discarded) == (tuple(raw), ())
 
 
 def test_all_discarded_raises(tmp_path):

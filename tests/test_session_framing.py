@@ -90,6 +90,7 @@ CORPUS = {
 # name -> (raw answer, whether the server closes the stream after it)
 MALFORMED = {
     "bad-status-line": (b"HTTX/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", False),
+    "status-line-of-one-word": (b"HTTP/1.1\r\n", False),
     "status-not-a-number": (b"HTTP/1.1 2OO OK\r\nContent-Length: 2\r\n\r\nok", False),
     "status-below-100": (b"HTTP/1.1 099 Low\r\nContent-Length: 2\r\n\r\nok", False),
     "status-over-999": (b"HTTP/1.1 1000 High\r\nContent-Length: 2\r\n\r\nok", False),
