@@ -336,10 +336,11 @@ def drive(starts: list[tuple[float, Generator[Wait, None, object]]], slots: int,
     """
     pending = deque(range(len(starts)))
     values: list = [None] * len(starts)
-    # index -> (when its wait runs out, the file descriptor it waits on);
-    # every wait lasts the same timeout, so the earliest to run out is first
-    waiting: dict[int, tuple[float, int]] = {}
-    waiter: dict[int, int] = {}  # file descriptor -> index
+    # file descriptor -> (the index that waits on it, when its wait runs
+    # out).  Every wait lasts the same timeout, so the earliest to run out
+    # is first; each is on a socket its steps hold open, so no two waits
+    # share a descriptor.
+    waiting: dict[int, tuple[int, float]] = {}
     poller = poll()
 
     def resume(index: int, error: BaseException | None = None) -> None:
@@ -350,33 +351,29 @@ def drive(starts: list[tuple[float, Generator[Wait, None, object]]], slots: int,
             values[index] = stop.value
             return
         fd = sock.fileno()
-        waiting[index] = (time.monotonic() + timeout, fd)
-        waiter[fd] = index
+        waiting[fd] = (index, time.monotonic() + timeout)
         poller.register(fd, event)
 
     try:
         while pending or waiting:
             while pending and len(waiting) < slots and starts[pending[0]][0] <= time.monotonic():
                 resume(pending.popleft())
-            wake = next(iter(waiting.values()))[0] if waiting else math.inf
+            wake = next(iter(waiting.values()))[1] if waiting else math.inf
             if pending and len(waiting) < slots:
                 wake = min(wake, starts[pending[0]][0])
             for fd, _ in poller.poll(max(wake - time.monotonic(), 0.0) * 1000):
                 poller.unregister(fd)
-                index = waiter.pop(fd)
-                del waiting[index]
-                resume(index)
+                resume(waiting.pop(fd)[0])
             now = time.monotonic()
             while waiting:
-                index, (deadline, fd) = next(iter(waiting.items()))
+                fd, (index, deadline) = next(iter(waiting.items()))
                 if deadline > now:
                     break
                 poller.unregister(fd)
-                del waiter[fd]
-                del waiting[index]
+                del waiting[fd]
                 resume(index, TimeoutError("timed out"))
     except BaseException:
-        for index in waiting:
+        for index, _ in waiting.values():
             starts[index][1].close()
         raise
     return values
