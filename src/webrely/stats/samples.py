@@ -168,11 +168,10 @@ def apply_policy(samples: DefectSampleSet, policy: AnomalyPolicy) -> DefectSampl
 class Histogram:
     """Binned frequencies with contiguous equal-width bins.
 
-    bins holds (lower_edge, count) pairs, the lower edge of bin index i
-    being origin + i * bin_width; a bin ends where the next one begins,
-    the last one bin_width past its lower edge.
-    Leading and trailing empty bins are trimmed, interior empty bins are
-    kept so edges stay contiguous.
+    bins holds (lower_edge, count) pairs, bin i's lower edge being
+    origin + i * bin_width; a bin ends where the next begins, the last
+    one bin_width past its lower edge.  Leading and trailing empty bins
+    are trimmed, interior empty bins are kept so edges stay contiguous.
     """
 
     bin_width: float
