@@ -168,9 +168,9 @@ def apply_policy(samples: DefectSampleSet, policy: AnomalyPolicy) -> DefectSampl
 class Histogram:
     """Binned frequencies with contiguous equal-width bins.
 
-    bins holds (lower_edge, count) pairs, bin i's lower edge being
-    origin + i * bin_width; a bin ends where the next begins, the last
-    one bin_width past its lower edge.  Leading and trailing empty bins
+    bins holds (lower_edge, count) pairs, each lower edge origin + i *
+    bin_width for a whole number i; a bin ends where the next begins, the
+    last one bin_width past its lower edge.  Leading and trailing empty bins
     are trimmed, interior empty bins are kept so edges stay contiguous.
     """
 

@@ -732,9 +732,9 @@ def test_fit_two_bin_sample_skips_goodness_of_fit(tmp_path):
 
 
 def test_fit_at_a_significance_near_1_exits_0(tmp_path):
-    # chi2_ppf's threshold at p = 1e-9 and 9 dof: a Newton step from the
-    # start far below the root once overshot to where the density
-    # underflows to 0, and the next step divided by it
+    # chi2_ppf's threshold at p = 1e-9 and 9 dof, where a full Newton step
+    # from the start, far below the root, overshoots to where the density
+    # underflows to 0
     values = sample(WeibullModel(2.0, 4.0), 100, random.Random(1))
     samples = write(tmp_path / "s.txt", "".join(f"{v!r}\n" for v in values))
     cfg = write(tmp_path / "fit.cfg", "bin_width = 0.5\nsignificance = 0.999999999\n")

@@ -3,7 +3,7 @@ import random
 from statistics import NormalDist
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, kstwo, weibull_min
 
@@ -45,6 +45,9 @@ def test_chi_square_accepts_generating_model(fixture_hist):
 def test_chi_square_rejects_wrong_model(fixture_hist):
     result = goodness_of_fit(fixture_hist, WRONG_MODEL, "chi-square", 0.05)
     assert not result.passed
+    # the model puts all its mass in the first bin, so the second group
+    # expects nothing
+    assert result.statistic == math.inf
 
 
 def test_single_bin_insufficient():
@@ -131,6 +134,10 @@ def reference_ks_statistic(values, model):
 
 
 KS_MODELS = [FIXTURE_MODEL, WRONG_MODEL, WeibullModel(0.4, 30.0), WeibullModel(300.0, 1.0)]
+# the model's (i - 1/2)/5 quantiles, the largest moved far out: D is
+# F(50) - 4/5, a term of the pruned scan's last block alone
+LAST_BLOCK_D = [FIXTURE_MODEL.scale * (-math.log1p(-(i - 0.5) / 5)) ** (1 / FIXTURE_MODEL.shape)
+                for i in range(1, 5)] + [50.0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -138,6 +145,7 @@ KS_MODELS = [FIXTURE_MODEL, WRONG_MODEL, WeibullModel(0.4, 30.0), WeibullModel(3
     st.lists(st.one_of(st.just(0.0), st.floats(0.0, 50.0)), min_size=5, max_size=60),
     st.sampled_from(KS_MODELS),
 )
+@example(LAST_BLOCK_D, FIXTURE_MODEL)
 def test_ks_statistic_matches_reference_loop(values, model):
     got = goodness_of_fit(None, model, "ks", 0.05, samples=DefectSampleSet(tuple(values)))
     assert got.statistic == reference_ks_statistic(values, model)
@@ -207,9 +215,9 @@ def test_ks_requires_samples_argument(fixture_hist):
         goodness_of_fit(fixture_hist, FIXTURE_MODEL, "ks", 0.05)
 
 
-def test_unknown_method_rejected(fixture_hist):
-    with pytest.raises(ValueError):
-        goodness_of_fit(fixture_hist, FIXTURE_MODEL, "anderson", 0.05)
+def test_unknown_method_rejected(fixture_hist, fixed_sample):
+    with pytest.raises(ValueError, match="unknown"):
+        goodness_of_fit(fixture_hist, FIXTURE_MODEL, "anderson", 0.05, samples=fixed_sample)
 
 
 def test_significance_bounds(fixture_hist):
