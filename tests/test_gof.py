@@ -11,6 +11,7 @@ from webrely.errors import InsufficientData
 from webrely.project import Analysis
 from webrely.stats import (
     DefectSampleSet,
+    GofResult,
     Histogram,
     WeibullModel,
     build_histogram,
@@ -115,7 +116,7 @@ def test_chi_square_statistic_matches_reference(fixed_sample, width, fitted_para
 def test_ks_accepts_generating_model(fixed_sample):
     result = goodness_of_fit(None, FIXTURE_MODEL, "ks", 0.05, samples=fixed_sample)
     assert result.passed
-    assert result.method == "ks"
+    assert (result.method, result.dof) == ("ks", 0)
 
 
 def test_ks_rejects_wrong_model(fixed_sample):
@@ -215,14 +216,25 @@ def test_ks_requires_samples_argument(fixture_hist):
         goodness_of_fit(fixture_hist, FIXTURE_MODEL, "ks", 0.05)
 
 
+def test_chi_square_requires_histogram_argument(fixed_sample):
+    with pytest.raises(ValueError, match="histogram"):
+        goodness_of_fit(None, FIXTURE_MODEL, "chi-square", 0.05, samples=fixed_sample)
+
+
 def test_unknown_method_rejected(fixture_hist, fixed_sample):
     with pytest.raises(ValueError, match="unknown"):
         goodness_of_fit(fixture_hist, FIXTURE_MODEL, "anderson", 0.05, samples=fixed_sample)
 
 
 def test_significance_bounds(fixture_hist):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="significance must be in"):
         goodness_of_fit(fixture_hist, FIXTURE_MODEL, "chi-square", 0.0)
+
+
+def test_passed_flag_must_match_statistic_and_threshold():
+    with pytest.raises(ValueError, match="inconsistent"):
+        GofResult(statistic=1.0, threshold=2.0, dof=1, passed=False, method="chi-square",
+                  significance=0.05)
 
 
 def test_stricter_significance_loosens_threshold(fixture_hist):
