@@ -320,17 +320,19 @@ def fitted_ks(n: int, draws: int, rng: random.Random, draw=unit_weibull) -> list
 
 @pytest.mark.parametrize("row", range(len(_KS_SIZES)))
 def test_fitted_table_rederived_by_monte_carlo(row):
-    # fresh draws, fewer where a draw costs more: the table's 0.05 point
+    # fresh draws, fewer where a draw costs more: each of the row's points
     # must lie between the order statistics 3 binomial sigma either side
-    # of the 95 % rank
+    # of its rank
     n = _KS_SIZES[row]
     draws = 4000 if n <= 200 else 2000
-    half_width = 3.0 * math.sqrt(draws * 0.05 * 0.95)
     points = sorted(math.sqrt(n) * r.statistic
                     for r in fitted_ks(n, draws, random.Random(f"recheck/{n}")))
-    lo = points[math.floor(0.95 * draws - half_width)]
-    hi = points[math.ceil(0.95 * draws + half_width)]
-    assert lo <= _KS_TABLES[2][row][KS_SIGNIFICANCES.index(0.05)] <= hi, (lo, hi)
+    for point, significance in zip(_KS_TABLES[2][row], KS_SIGNIFICANCES):
+        rank = (1.0 - significance) * draws
+        half_width = 3.0 * math.sqrt(draws * significance * (1.0 - significance))
+        lo = points[math.floor(rank - half_width)]
+        hi = points[math.ceil(rank + half_width)]
+        assert lo <= point <= hi, (significance, lo, hi)
 
 
 def _rejection_rate(results) -> float:
