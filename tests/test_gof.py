@@ -37,7 +37,8 @@ def fixture_hist(fixed_sample):
 def test_chi_square_accepts_generating_model(fixture_hist):
     # decision frozen after a one-off cross-check against scipy's kstest
     # on the same fixed-seed fixture (p ~ 0.88)
-    result = goodness_of_fit(fixture_hist, FIXTURE_MODEL, "chi-square", 0.05)
+    result = goodness_of_fit(fixture_hist, FIXTURE_MODEL)  # chi-square at 0.05 by default
+    assert (result.method, result.significance) == ("chi-square", 0.05)
     assert result.passed
     assert result.statistic <= result.threshold
     assert result.dof >= 1
@@ -288,7 +289,7 @@ def test_ks_quantile_matches_scipy(significance):
 
 @pytest.mark.parametrize("fitted_params,significance", [(1, 0.05), (3, 0.05), (2, 0.2), (0, 0.001)])
 def test_ks_outside_its_tables_is_rejected(fixed_sample, fitted_params, significance):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ks "):
         goodness_of_fit(None, FIXTURE_MODEL, "ks", significance, samples=fixed_sample,
                         fitted_params=fitted_params)
 
