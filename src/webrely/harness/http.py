@@ -4,7 +4,8 @@ Session's docstring states the client's rules: how it connects, what it
 sends, how it reads an answer and what counts as none.  A request's bytes
 are those of a urllib.request.Request for the same URL, its cookies those
 of an http.cookiejar.CookieJar, and an answer reads as
-http.client.HTTPResponse reads it, without building an email message.
+http.client.HTTPResponse reads it, without building an email message and
+only once, as its bytes arrive.
 
 drive runs generators over Session.fetching on one select.poll loop, each
 wait bounded by a timeout: Session.fetch and the crawler's login run one,
@@ -146,18 +147,77 @@ def _hung_up(sock) -> bool:
     return bool(poller.poll(0))
 
 
-def _line(reader, kind: str) -> bytes:
+# what Session.fetching and each generator over it yield wherever they would
+# block: a socket and the poll event (POLLIN or POLLOUT) to wait for on it
+Wait = tuple[socket.socket, int]
+
+# the most bytes one recv asks for
+_RECV_SIZE = 65536
+
+
+class _Stream:
+    """A buffered reader, for one answer, over the bytes of sock as they arrive.
+
+    Its reads are generators: where a buffered reader of sock would block,
+    they yield the Wait for more bytes and go on from where they stopped,
+    so each byte received is scanned once.  Bytes received past those read
+    go with the stream, never to the next answer.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._data, self._at, self._ended = bytearray(), 0, False  # all received; read to _at
+
+    def _more(self) -> Generator[Wait, None, bool]:
+        """Receive more bytes; False once the stream has ended."""
+        if not self._ended:
+            chunk = yield from _retrying(self._sock, self._sock.recv, POLLIN, _RECV_SIZE)
+            self._data += chunk
+            self._ended = not chunk
+        return not self._ended
+
+    def _take(self, size: float) -> bytes:
+        """The next size bytes, or all those received when they are fewer."""
+        at = self._at
+        self._at = min(at + size, len(self._data))
+        return bytes(self._data[at:self._at])
+
+    def readline(self, limit: int) -> Generator[Wait, None, bytes]:
+        """Up to and including the next LF, at most limit bytes, or what is
+        left when the stream ends first."""
+        at = searched = self._at  # the LF search goes on from searched
+        while True:
+            end = self._data.find(b"\n", searched, at + limit) + 1
+            if end:
+                return self._take(end - at)
+            searched = len(self._data)
+            if searched >= at + limit or not (yield from self._more()):
+                return self._take(limit)
+
+    def read(self, size: int = -1) -> Generator[Wait, None, bytes]:
+        """size bytes, or all that is left of the stream when size is
+        negative; raises IncompleteRead when the stream ends short of size."""
+        wanted = math.inf if size < 0 else size
+        while len(self._data) - self._at < wanted and (yield from self._more()):
+            pass
+        data = self._take(wanted)
+        if len(data) < size:
+            raise IncompleteRead(data, size - len(data))
+        return data
+
+
+def _line(stream, kind: str) -> Generator[Wait, None, bytes]:
     """The next line, raising LineTooLong when it is over _MAXLINE bytes."""
-    line = reader.readline(_MAXLINE + 1)
+    line = yield from stream.readline(_MAXLINE + 1)
     if len(line) > _MAXLINE:
         raise LineTooLong(kind)
     return line
 
 
-def _status_line(reader) -> tuple[str, int]:
+def _status_line(stream) -> Generator[Wait, None, tuple[str, int]]:
     """The version and status of the next status line, read as
     HTTPResponse._read_status reads it."""
-    line = str(_line(reader, "status line"), "iso-8859-1")
+    line = str((yield from _line(stream, "status line")), "iso-8859-1")
     if not line:
         raise RemoteDisconnected("Remote end closed connection without response")
     words = line.split(None, 2)
@@ -172,12 +232,12 @@ def _status_line(reader) -> tuple[str, int]:
     return words[0], status
 
 
-def _lines(reader, kind: str, most: float = _MAXHEADERS) -> list[bytes]:
+def _lines(stream, kind: str, most: float = _MAXHEADERS) -> Generator[Wait, None, list[bytes]]:
     """The lines up to and including the blank one that ends a header block
     or a trailer, or up to the end of the stream."""
     lines = []
     while True:
-        line = _line(reader, f"{kind} line")
+        line = yield from _line(stream, f"{kind} line")
         lines.append(line)
         if len(lines) > most:
             raise HTTPException(f"got more than {most} headers")
@@ -195,9 +255,24 @@ def _fields(block: str) -> dict[str, list[str]]:
     return fields
 
 
-def header_fields(reader) -> dict[str, list[str]]:
-    """The _fields of the next header block on reader."""
-    return _fields(b"".join(_lines(reader, "header")).decode("iso-8859-1"))
+def _header_block(stream) -> Generator[Wait, None, dict[str, list[str]]]:
+    """The _fields of the next header block on stream."""
+    return _fields(b"".join((yield from _lines(stream, "header"))).decode("iso-8859-1"))
+
+
+def header_fields(file) -> dict[str, list[str]]:
+    """The _fields of the next header block on a blocking binary file, read
+    by _header_block through a readline that never waits."""
+
+    def readline(limit: int) -> Generator[Wait, None, bytes]:
+        return file.readline(limit)
+        yield  # makes readline a generator, for yield from
+
+    try:
+        next(_header_block(SimpleNamespace(readline=readline)))
+    except StopIteration as done:
+        return done.value
+    raise AssertionError("a blocking read waited")
 
 
 def _first(fields: dict[str, list[str]], name: str) -> str | None:
@@ -206,28 +281,21 @@ def _first(fields: dict[str, list[str]], name: str) -> str | None:
     return values[0] if values else None
 
 
-def _exactly(reader, size: int) -> bytes:
-    data = reader.read(size)
-    if len(data) < size:
-        raise IncompleteRead(data, size - len(data))
-    return data
-
-
-def _chunked(reader) -> bytes:
+def _chunked(stream) -> Generator[Wait, None, bytes]:
     """A chunked body: each chunk's size line, its extensions dropped, then
     the chunk and the two bytes after it; the last chunk's trailer lines
     are read and dropped."""
     chunks = []
     while True:
         try:
-            size = int(_line(reader, "chunk size").partition(b";")[0], 16)
+            size = int((yield from _line(stream, "chunk size")).partition(b";")[0], 16)
         except ValueError:
             raise IncompleteRead(b"".join(chunks)) from None
         if size == 0:
-            _lines(reader, "trailer", math.inf)
+            yield from _lines(stream, "trailer", math.inf)
             return b"".join(chunks)
-        chunks.append(_exactly(reader, size))
-        _exactly(reader, 2)
+        chunks.append((yield from stream.read(size)))
+        yield from stream.read(2)
 
 
 def _closes(version: str, fields: dict[str, list[str]]) -> bool:
@@ -244,82 +312,30 @@ def _closes(version: str, fields: dict[str, list[str]]) -> bool:
 _Answer = tuple[int, dict[str, list[str]], bytes, bool]
 
 
-def _answer(reader) -> _Answer:
-    """(status, fields, body, closes) of the next answer on reader, framed
+def _answer(stream) -> Generator[Wait, None, _Answer]:
+    """(status, fields, body, closes) of the next answer on stream, framed
     as HTTPResponse.begin and read() frame it (see Session)."""
-    version, status = _status_line(reader)
+    version, status = yield from _status_line(stream)
     while 100 <= status < 200 and status != 101:  # interim answers (RFC 9110 section 15.2)
-        _lines(reader, "header")
-        version, status = _status_line(reader)
+        yield from _lines(stream, "header")
+        version, status = yield from _status_line(stream)
     if not (version in ("HTTP/1.0", "HTTP/0.9") or version.startswith("HTTP/1.")):
         raise UnknownProtocol(version)
-    fields = header_fields(reader)
+    fields = yield from _header_block(stream)
     closes = _closes(version, fields)
     try:
         length = int(_first(fields, "content-length") or "")
     except ValueError:
         length = -1  # no length: an invalid one counts as none, as a negative one does
     if (_first(fields, "transfer-encoding") or "").lower() == "chunked":
-        body = _chunked(reader)
+        body = yield from _chunked(stream)
     elif status in (101, 204, 304):
         body = b""
     elif length < 0:
-        body, closes = reader.read(), True
+        body, closes = (yield from stream.read()), True
     else:
-        body = _exactly(reader, length)
+        body = yield from stream.read(length)
     return status, fields, body, closes
-
-
-class _NeedMore(Exception):
-    """The bytes received so far end before the answer does; end is the
-    length they must reach before reading them again can tell more."""
-
-    def __init__(self, end: float):
-        super().__init__(end)
-        self.end = end
-
-
-class _Received:
-    """A reader, for _answer, over the bytes of a stream received so far.
-
-    It reads as a buffered reader of the stream would, except where that
-    reader would wait for more: at the end of the bytes it raises
-    _NeedMore, unless the stream has ended there.
-    """
-
-    __slots__ = ("data", "ended", "at")
-
-    def __init__(self, data: bytes, ended: bool):
-        self.data = data
-        self.ended = ended
-        self.at = 0
-
-    def _upto(self, end: float) -> bytes:
-        if end > len(self.data):
-            if not self.ended:
-                raise _NeedMore(end)
-            end = len(self.data)
-        taken = self.data[self.at:end]
-        self.at = end
-        return taken
-
-    def readline(self, limit: int) -> bytes:
-        """Up to and including the next LF, at most limit bytes."""
-        end = self.data.find(b"\n", self.at, self.at + limit) + 1 or self.at + limit
-        return self._upto(min(end, len(self.data) + 1))  # any byte more may be the LF
-
-    def read(self, size: int = -1) -> bytes:
-        """size bytes, or all that is left of the stream when size is negative."""
-        return self._upto(math.inf if size < 0 else self.at + size)
-
-
-# what Session.fetching, and each generator over it, yields wherever it
-# would block: a socket and the poll event to wait for on it (POLLIN or
-# POLLOUT)
-Wait = tuple[socket.socket, int]
-
-# the most bytes one recv asks for
-_RECV_SIZE = 65536
 
 
 def drive(starts: list[tuple[float, Generator[Wait, None, object]]], slots: int,
@@ -380,24 +396,9 @@ def drive(starts: list[tuple[float, Generator[Wait, None, object]]], slots: int,
 
 
 def _receiving(sock: socket.socket) -> Generator[Wait, None, _Answer]:
-    """_answer over the bytes of the next answer on sock as they arrive.
-
-    They are read again from their start only once they reach the length
-    the last reading stopped short of, or the stream ends, so an answer
-    framed by its length is read at most twice once its header block is in.
-    """
-    received = bytearray()
-    needed = 1  # the length received must reach before it can tell more
+    """_answer over a _Stream of the next answer's bytes on sock."""
     yield sock, POLLIN  # no answer comes before its request
-    while True:
-        chunk = yield from _retrying(sock, sock.recv, POLLIN, _RECV_SIZE)
-        received += chunk
-        if chunk and len(received) < needed:
-            continue
-        try:
-            return _answer(_Received(bytes(received), not chunk))
-        except _NeedMore as more:
-            needed = more.end
+    return (yield from _answer(_Stream(sock)))
 
 
 def _retrying(sock: socket.socket, call, event: int, *args) -> Generator[Wait, None, object]:
@@ -484,14 +485,12 @@ class Session:
     Its sockets never block.  fetching is the exchange as a generator
     that yields a Wait wherever a socket call would block: the connect,
     the TLS handshake, the rest of a request that does not fit the send
-    buffer, and the answer.  It reads the answer again from its start
-    only once the bytes received reach the length the last reading
-    stopped short of: the end of the header block or of the body, the
-    next chunk, or, for a body that runs to the end of the stream, the
-    end.  fetch runs that generator alone on drive's loop.  A host's name
-    is resolved by a blocking getaddrinfo the first time a connection to
-    it opens, and kept in addresses, which a Session can share with
-    another; it returns at once for an IP literal.
+    buffer, and the answer.  Each answer is read once, as its bytes
+    arrive: a read that runs out of them waits for more and goes on where
+    it stopped.  fetch runs that generator alone on drive's loop.  A
+    host's name is resolved by a blocking getaddrinfo the first time a
+    connection to it opens, and kept in addresses, which a Session can
+    share with another; it returns at once for an IP literal.
 
     Proxy environment variables are not honoured: a proxy's failures must
     never count as the target's.

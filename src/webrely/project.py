@@ -88,6 +88,12 @@ class Analysis:
             raise ValueError(f"unknown goodness-of-fit method {self.gof_method!r}")
         if not 0.0 < self.significance < 1.0:
             raise ValueError(f"significance must be in (0, 1), got {self.significance}")
+        # the chi-square threshold is the quantile at 1 - significance, and at
+        # or below 2**-54 that rounds to 1.0, where the quantile is infinite
+        if self.gof_method == "chi-square" and 1.0 - self.significance == 1.0:
+            raise ValueError(
+                f"chi-square significance must be above 2**-54, got {self.significance}"
+            )
         if self.gof_method == "ks" and self.significance not in KS_SIGNIFICANCES:
             raise ValueError(
                 f"ks significance must be one of {KS_SIGNIFICANCES}, got {self.significance}"

@@ -747,6 +747,20 @@ def test_fit_at_a_significance_near_1_exits_0(tmp_path):
     assert gof["threshold"] == pytest.approx(0.04840705813071332, rel=1e-12)
 
 
+@pytest.mark.parametrize("significance", ["1e-20", "5.551115123125783e-17"])  # 2**-54
+def test_fit_at_a_significance_whose_complement_rounds_to_1_exits_2(tmp_path, capsys,
+                                                                    significance):
+    # 1 - significance rounds to 1.0, where the chi-square quantile is infinite
+    values = sample(WeibullModel(2.0, 4.0), 100, random.Random(1))
+    samples = write(tmp_path / "s.txt", "".join(f"{v!r}\n" for v in values))
+    cfg = write(tmp_path / "fit.cfg", f"significance = {significance}\n")
+    project = tmp_path / "proj"
+    argv = ["fit", "--samples", samples, "--config", cfg, "--label", "x"]
+    assert run_cli("--project-dir", project, *argv) == 2
+    assert "significance must be above 2**-54" in capsys.readouterr().err
+    assert not (project / "phases/x").exists()
+
+
 def test_compare_same_label_equal(tmp_path, fixed_sample):
     samples = write(tmp_path / "s.txt", "".join(f"{v}\n" for v in fixed_sample.values))
     project = tmp_path / "proj"

@@ -106,6 +106,10 @@ CORPUS = {
     "99-fields": ((_get(b"/", *[b"X-F: %d" % i for i in range(99)]),), False),
     "100-fields": ((_get(b"/", *[b"X-F: %d" % i for i in range(100)]),), True),
     "101-fields": ((_get(b"/", *[b"X-F: %d" % i for i in range(101)]),), True),
+    # the two 431 answers of the mock's own header-block read, once more: a
+    # field line far past the limit, and 101 fields of distinct names
+    "field-line-too-long": ((_get(b"/", b"X-Long: " + b"a" * 65536),), True),
+    "too-many-fields": ((_get(b"/", *(b"X-%d: 1" % i for i in range(101))),), True),
 }
 
 

@@ -275,8 +275,9 @@ LONG_BODY = 4 << 20
 
 class _Trickling(socketserver.StreamRequestHandler):
     """Answers one GET with a body of LONG_BODY bytes in writes of 4 KB,
-    Nagle's algorithm off: framed by its length at /length, and by the end
-    of the stream at /close."""
+    Nagle's algorithm off: framed by its length at /length, by the end of
+    the stream at /close, and at /chunked in chunks of 4 KB, each chunk
+    with its size line and CRLF in a write of its own."""
 
     def handle(self):
         self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -286,28 +287,34 @@ class _Trickling(socketserver.StreamRequestHandler):
             if not line:
                 return
             head += line
-        framing = b"" if b" /close " in head else b"Content-Length: %d\r\n" % LONG_BODY
-        answer = b"HTTP/1.1 200 OK\r\n%s\r\n%s" % (framing, b"x" * LONG_BODY)
-        self.wfile.write(answer[:answer.index(b"\r\n\r\n") + 4])
-        for at in range(len(answer) - LONG_BODY, len(answer), 4096):
-            self.wfile.write(answer[at:at + 4096])
+        path = head.split(b" ")[1]
+        if path == b"/chunked":
+            self.wfile.write(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n")
+            for _ in range(LONG_BODY // 4096):
+                self.wfile.write(b"1000\r\n%s\r\n" % (b"x" * 4096))
+            self.wfile.write(b"0\r\n\r\n")
+            return
+        framing = b"" if path == b"/close" else b"Content-Length: %d\r\n" % LONG_BODY
+        self.wfile.write(b"HTTP/1.1 200 OK\r\n%s\r\n" % framing)
+        for _ in range(LONG_BODY // 4096):
+            self.wfile.write(b"x" * 4096)
 
 
-@pytest.mark.parametrize("path", ["/length", "/close"])
-def test_a_long_answer_in_small_writes_is_read_a_few_times(path, serving, monkeypatch):
-    readings = []
-    answer = harness_http._answer
+@pytest.mark.parametrize("path", ["/length", "/close", "/chunked"])
+def test_a_long_answer_in_small_writes_is_read_once(path, serving, monkeypatch):
+    status_lines = []
+    status_line = harness_http._status_line
 
-    def counted(reader):
-        readings.append(len(reader.data))
-        return answer(reader)
+    def counted(stream):
+        status_lines.append(stream)
+        return status_line(stream)
 
-    monkeypatch.setattr(harness_http, "_answer", counted)
+    monkeypatch.setattr(harness_http, "_status_line", counted)
     with serving(_Trickling) as url, Session() as session:
         page = session.fetch(url + path, timeout=10)
     assert page.text == "x" * LONG_BODY
-    # once the header block is in, once the body is, and never once per write
-    assert len(readings) <= 4, readings[:10]
+    # the answer is read from its start once, not once per write or chunk
+    assert len(status_lines) == 1
 
 
 def test_bytes_past_an_answer_are_never_the_next_answer(raw_server):
