@@ -11,6 +11,10 @@ Layout under the project root:
 
 Every artifact embeds the config and seed that produced it; rerunning the
 same command over the same inputs rewrites identical bytes.
+
+A phase's sample artifacts (samples.txt, sample_set.json) are complete
+before the phase ends or raises.  For a large sample they are written in a
+forked child while this process fits, so webrely needs POSIX.
 """
 
 from __future__ import annotations
@@ -53,6 +57,11 @@ LOCK_NAME = ".webrely.lock"
 # (model.json and logs/, written by evaluate before the phase, stay)
 DERIVED_ARTIFACTS = ("samples.txt", "sample_set.json", "histogram.csv", "fit.json",
                      "fit_error.json")
+
+# a sample this long has its artifacts written in a forked child while the
+# fit runs: at this length the writer takes about 21 ms, a fork and wait
+# 4-8 ms (2 CPUs, Python 3.11)
+_FORK_MIN_VALUES = 2 ** 14
 
 
 def check_label(label: str) -> str:
@@ -160,11 +169,14 @@ class EiProject:
         histogram and fit, then goodness of fit.
 
         The DERIVED_ARTIFACTS of an earlier run are deleted first.  The
-        sample artifacts are written before anything can stop the phase.
-        A stage that fails writes fit_error.json with its name and the
-        error, then re-raises; the one exception is goodness of fit with
-        too little data, which is recorded as skipped and leaves the fit
-        standing.
+        sample artifacts are complete before the phase ends or raises, and
+        an error in writing them stops the phase at the anomaly policy.  A
+        sample of 2**14 values or more, in a process of one thread, is
+        written by a forked child while this process fits it; any other is
+        written before the fit.  A stage that fails writes fit_error.json
+        with its name and the error, then re-raises; the one exception is
+        goodness of fit with too little data, which is recorded as skipped
+        and leaves the fit standing.
         """
         directory = self.phase_dir(label)
         for name in DERIVED_ARTIFACTS:
@@ -174,27 +186,17 @@ class EiProject:
         stage = "anomaly policy"
         try:
             cleaned = apply_policy(raw_samples, AnomalyPolicy(analysis.policy, analysis.policy_k))
-            save_samples_text(cleaned, directory / "samples.txt")
-            dump_json(sample_set_to_dict(cleaned), directory / "sample_set.json")
-            if raw_samples.n == 0:
-                raise EmptySample("cannot apply an anomaly policy to an empty sample")
-            if cleaned.n == 0:
-                raise AllDiscarded(
-                    f"policy {analysis.policy}(k={analysis.policy_k:g}) "
-                    f"discarded all {raw_samples.n} values"
-                )
-
-            stage = "fit"
-            hist = build_histogram(cleaned, analysis.bin_width, analysis.origin)
-            (directory / "histogram.csv").write_text(histogram_to_csv(hist))
-            fit = fit_weibull(cleaned)
-
-            stage = "goodness-of-fit"
-            gof = goodness_of_fit(
-                hist, fit.model, analysis.gof_method, analysis.significance,
-                samples=cleaned, fitted_params=2,
-            )
-            fit = replace(fit, gof=gof)
+            with _samples_written(cleaned, directory):
+                analysed = _analyse(raw_samples, cleaned, analysis)
+            # a writer's error leaves the block, under the anomaly policy's
+            # stage, before the analysis's is raised: in turn it came first
+            reached, hist, fit, failure = analysed
+            if hist is not None:
+                stage = "fit"
+                (directory / "histogram.csv").write_text(histogram_to_csv(hist))
+            stage = reached
+            if failure is not None:
+                raise failure
         except Exception as exc:
             # too little data to test must not void the fit
             skipped = stage == "goodness-of-fit" and isinstance(exc, InsufficientData)
@@ -226,3 +228,99 @@ class EiProject:
         if not math.isfinite(mean):
             raise MissingPhase(f"{path} holds a Weibull model with no finite mean")
         return model
+
+
+def _analyse(raw_samples: DefectSampleSet, cleaned: DefectSampleSet, analysis: Analysis):
+    """The stages after the anomaly policy, run while the sample artifacts
+    are written: (the stage reached, its histogram, its fit, and the error
+    that stopped it or None); the histogram and fit are None until made."""
+    stage, hist, fit = "anomaly policy", None, None
+    try:
+        if raw_samples.n == 0:
+            raise EmptySample("cannot apply an anomaly policy to an empty sample")
+        if cleaned.n == 0:
+            raise AllDiscarded(
+                f"policy {analysis.policy}(k={analysis.policy_k:g}) "
+                f"discarded all {raw_samples.n} values"
+            )
+        stage = "fit"
+        hist = build_histogram(cleaned, analysis.bin_width, analysis.origin)
+        fit = fit_weibull(cleaned)
+        stage = "goodness-of-fit"
+        gof = goodness_of_fit(
+            hist, fit.model, analysis.gof_method, analysis.significance,
+            samples=cleaned, fitted_params=2,
+        )
+        return stage, hist, replace(fit, gof=gof), None
+    except Exception as exc:
+        return stage, hist, fit, exc
+
+
+def _write_samples(samples: DefectSampleSet, directory: Path) -> None:
+    save_samples_text(samples, directory / "samples.txt")
+    dump_json(sample_set_to_dict(samples), directory / "sample_set.json")
+
+
+@contextmanager
+def _samples_written(samples: DefectSampleSet, directory: Path):
+    """Write the sample artifacts; they are complete when the block ends.
+
+    A sample of _FORK_MIN_VALUES or more, in a process whose one thread is
+    this one (a fork beside other threads can deadlock the child), is
+    written by a forked child while the block runs; its error, sent back
+    pickled through a pipe, is raised as the block ends.  Any other sample
+    is written before the block runs.  The child is reaped however the
+    block ends.
+    """
+    import threading
+
+    if samples.n < _FORK_MIN_VALUES or threading.active_count() > 1:
+        _write_samples(samples, directory)
+        yield
+        return
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as pipe:
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _write_in_child(samples, directory, write_fd)
+        finally:
+            os.close(write_fd)  # so that the pipe ends when the child does
+        try:
+            yield
+        finally:
+            try:
+                sent = pipe.read()
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        raise RuntimeError(f"the sample writer died of signal {-code}")
+    if code:
+        if not sent:
+            raise RuntimeError(f"the sample writer exited {code} and sent no error")
+        import pickle
+
+        raise pickle.loads(sent)
+
+
+def _write_in_child(samples: DefectSampleSet, directory: Path, write_fd: int):
+    """The forked child's whole life: write the sample artifacts, send any
+    error, and leave by os._exit on every path, so that no finally block of
+    the caller runs twice (the project lock's, which deletes the lock file,
+    among them)."""
+    code = 1
+    try:
+        _write_samples(samples, directory)
+        code = 0
+    except BaseException as exc:
+        import pickle
+
+        try:
+            sent = pickle.dumps(exc)
+            pickle.loads(sent)
+        except Exception:  # an error the parent could not rebuild
+            sent = pickle.dumps(RuntimeError(repr(exc)))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(sent)
+    finally:
+        os._exit(code)

@@ -1036,11 +1036,13 @@ def test_cli_import_loads_no_http_machinery():
 
 def test_compare_process_loads_only_what_it_runs(tmp_path):
     # compare needs project and stats; the simulator, the PSP metrics, the
-    # harness, and the stdlib modules only fit or chi-square use stay unloaded
+    # harness, and the stdlib modules only fit, chi-square or a failed sample
+    # writer use stay unloaded
     project = tmp_path / "proj"
     _write_fit(project, "a", 1.5, 2.4)
     _write_fit(project, "b", 2.2, 5.0)
-    modules = "{'webrely.psp', 'webrely.simulator', 'webrely.harness', 'logging', 'statistics'}"
+    modules = ("{'webrely.psp', 'webrely.simulator', 'webrely.harness', 'logging', 'statistics',"
+               " 'pickle'}")
     code = (
         "import sys\n"
         "from webrely.cli import main\n"
@@ -1050,6 +1052,29 @@ def test_compare_process_loads_only_what_it_runs(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(project)],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_import_and_a_forked_fit_load_no_pickle(tmp_path):
+    # pickle carries only a failed sample writer's error back from its child
+    samples = write(tmp_path / "s.txt", "".join(f"{1.0 + i / 2**14!r}\n" for i in range(2**14)))
+    code = (
+        "import os, sys\n"
+        "import webrely.cli\n"
+        "print(sorted({'pickle'} & set(sys.modules)))\n"
+        "forks = []\n"
+        "fork = os.fork\n"
+        "def counting():\n"
+        "    forks.append(1)\n"
+        "    return fork()\n"
+        "os.fork = counting\n"
+        "argv = ['--project-dir', sys.argv[1], 'fit', '--samples', sys.argv[2], '--label', 'x']\n"
+        "assert webrely.cli.main(argv) == 0\n"
+        "print(len(forks), sorted({'pickle'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "proj"), str(samples)],
+                         capture_output=True, text=True, check=True)
+    lines = out.stdout.strip().splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "1 []")
 
 
 def test_fit_with_zeros_warns_on_fitting_logger(tmp_path, caplog):
